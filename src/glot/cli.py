@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,8 @@ class UsageError(Exception):
     pass
 
 
-def _load_config_file(path: str, known: set[str]) -> dict[str, str]:
+def _load_config_file(path: str, known: set[str]) -> dict[str, tuple]:
+    """Map each key of a key=value file to (line number, raw value)."""
     p = Path(path)
     if not p.exists():
         raise UsageError(f"config file not found: {path}")
@@ -46,7 +48,7 @@ def _load_config_file(path: str, known: set[str]) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in known:
             raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
-        values[key] = val.strip()
+        values[key] = (ln, val.strip())
     return values
 
 
@@ -62,12 +64,13 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> None:
         if getattr(args, key) is not None:
             continue
         if key in file_vals:
-            raw = file_vals[key]
+            ln, raw = file_vals[key]
             caster = type(default) if default is not None else str
-            if caster is bool:
-                setattr(args, key, raw.lower() in ("1", "true", "yes"))
-            else:
+            try:
                 setattr(args, key, caster(raw))
+            except ValueError:
+                raise UsageError(f"{args.config}:{ln}: {key}={raw!r} is not "
+                                 f"a valid {caster.__name__}") from None
         else:
             setattr(args, key, default)
 
@@ -158,7 +161,7 @@ def cmd_train(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tconfig = training.replace(tconfig, checkpoint_dir=str(out))
+    tconfig = replace(tconfig, checkpoint_dir=str(out))
     model = GlotModel(mconfig, gloss_vocab=gloss_vocab, text_vocab=text_vocab,
                       seed=args.seed)
     report = training.train(model, train_set, val_set, tconfig)
@@ -181,7 +184,7 @@ def cmd_crossval(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    tconfig = training.replace(tconfig, checkpoint_dir=str(out))
+    tconfig = replace(tconfig, checkpoint_dir=str(out))
 
     def factory(fold_index: int) -> GlotModel:
         return GlotModel(mconfig, gloss_vocab=gloss_vocab,
@@ -269,11 +272,12 @@ def cmd_bench_attn(args) -> int:
         params = sa.LssaParams(Tensor(rng.normal(size=(d, d)) / np.sqrt(d)),
                                Tensor(rng.normal(size=(d, d)) / np.sqrt(d)))
         counter = sa.PairCounter()
+        dense_mask, lssa_mask = sa.full_mask(L), sa.build_mask(L)
         t0 = time.perf_counter()
-        sa.lssa_layer(x, params, sa.full_mask(L), counter=counter, tag="dense")
+        sa.lssa_layer(x, params, dense_mask, counter=counter, tag="dense")
         t_dense = (time.perf_counter() - t0) * 1e3
         t0 = time.perf_counter()
-        sa.lssa_layer(x, params, sa.build_mask(L), counter=counter)
+        sa.lssa_layer(x, params, lssa_mask, counter=counter)
         t_lssa = (time.perf_counter() - t0) * 1e3
         if counter.total("dense") != dense or counter.total("logsparse") != logsparse:
             print(f"instrumented counts disagree at L={L}", file=sys.stderr)

@@ -19,7 +19,7 @@ import numpy as np
 FEATURE_MAGIC = b"GLOTFEAT"
 FEATURE_VERSION = 1
 
-PAD, BOS, EOS, SEP, UNK = 0, 1, 2, 3, 4
+PAD, BOS, EOS, UNK = 0, 1, 2, 4  # id 3 is the reserved <sep>
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<sep>", "<unk>")
 
 
@@ -104,6 +104,8 @@ def read_feature_file(path: Path | str) -> np.ndarray:
     version, F, width = struct.unpack("<III", blob[8:20])
     if version != FEATURE_VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    if F < 1:
+        raise FormatError(f"{path}: no frames")
     expected = 20 + F * width * 8
     if len(blob) != expected:
         raise FormatError(f"{path}: payload is {len(blob)} bytes, "

@@ -255,23 +255,12 @@ class GlotModel:
         """Multi-head attention; the pair counter tallies each allowed
         (query, key) position once per layer, heads sharing the pattern."""
         p = self.params
-        n_heads = self.config.n_heads
-        d = self.config.d_model
-        dh = d // n_heads
         q = nc.matmul(xq, p[prefix + "wq"])
         k = nc.matmul(xkv, p[prefix + "wk"])
         v = nc.matmul(xkv, p[prefix + "wv"])
         if counter is not None:
             counter.add(counter_tag, int(mask.sum()))
-        heads = None
-        for h in range(n_heads):
-            lo, hi = h * dh, (h + 1) * dh
-            qh, kh, vh = (nc.slice_cols(t, lo, hi) for t in (q, k, v))
-            scores = nc.scale(nc.matmul(qh, nc.transpose(kh)),
-                              1.0 / math.sqrt(dh))
-            alpha = nc.masked_softmax_rows(scores, mask)
-            oh = nc.matmul(alpha, vh)
-            heads = oh if heads is None else nc.concat_channels(heads, oh)
+        heads = nc.attention(q, k, v, mask, self.config.n_heads)
         return nc.matmul(heads, p[prefix + "wo"])
 
     def _feed_forward(self, prefix: str, x: Tensor) -> Tensor:

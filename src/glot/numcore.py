@@ -66,10 +66,6 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
-
-
 class Tape:
     """Ordered record of operations for one backward pass.
 
@@ -254,14 +250,6 @@ def broadcast_rows(v: Tensor, n_rows: int) -> Tensor:
     return _record(out, "broadcast_rows", (v,), lambda g: (g.sum(axis=0),))
 
 
-def reshape(x: Tensor, shape: tuple) -> Tensor:
-    if int(np.prod(shape)) != x.data.size:
-        raise ShapeError(f"reshape: cannot view {x.shape} as {shape}")
-    old = x.shape
-    return _record(x.data.reshape(shape), "reshape", (x,),
-                   lambda g: (g.reshape(old),))
-
-
 # ---------------------------------------------------------------------------
 # linear algebra
 
@@ -273,12 +261,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data @ b.data
     return _record(out, "matmul", (a, b),
                    lambda g: (g @ b.data.T, a.data.T @ g))
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError("transpose expects a matrix")
-    return _record(x.data.T.copy(), "transpose", (x,), lambda g: (g.T,))
 
 
 def tsum(x: Tensor) -> Tensor:
@@ -321,25 +303,6 @@ def pick_per_row(x: Tensor, cols: Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 # softmax family
 
-def masked_softmax_rows(x: Tensor, mask: np.ndarray) -> Tensor:
-    """Row softmax restricted to mask-true entries; masked entries are 0."""
-    mask = np.asarray(mask, dtype=bool)
-    if x.data.ndim != 2 or mask.shape != x.shape:
-        raise ShapeError(f"masked_softmax_rows: mask {mask.shape} vs {x.shape}")
-    if not mask.any(axis=1).all():
-        raise ContractError("masked_softmax_rows: a row has no allowed entries")
-    neg = np.where(mask, x.data, -np.inf)
-    shifted = neg - neg.max(axis=1, keepdims=True)
-    ex = np.where(mask, np.exp(shifted), 0.0)
-    out = ex / ex.sum(axis=1, keepdims=True)
-
-    def bw(g):
-        dot = (g * out).sum(axis=1, keepdims=True)
-        return (out * (g - dot),)
-
-    return _record(out, "masked_softmax_rows", (x,), bw)
-
-
 def log_softmax_rows(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError("log_softmax_rows expects a matrix")
@@ -351,6 +314,62 @@ def log_softmax_rows(x: Tensor) -> Tensor:
         return (g - np.exp(out) * g.sum(axis=1, keepdims=True),)
 
     return _record(out, "log_softmax_rows", (x,), bw)
+
+
+# ---------------------------------------------------------------------------
+# attention
+
+def _merge_heads(x: np.ndarray) -> np.ndarray:
+    """(H, L, dh) -> C-contiguous (L, H*dh); C order keeps the BLAS kernel,
+    and so the low bits, of a matmul that consumes a gradient fixed."""
+    return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(x.shape[1], -1)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
+              n_heads: int = 1) -> Tensor:
+    """Multi-head scaled dot-product attention restricted to a mask.
+
+    q is (Lq, d), k and v are (Lk, d) and mask is a boolean (Lq, Lk)
+    pattern shared by every head. Heads are the reshape (L, d) -> (H, L, d/H);
+    scores are scaled by 1/sqrt(d/H) and each row is softmax-normalized
+    over its mask-true entries only, so masked weights are exactly 0. The
+    per-head outputs are laid side by side into an (Lq, d) result.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if q.data.ndim != 2 or k.shape != v.shape or k.shape[1:] != q.shape[1:]:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    (Lq, d), Lk = q.shape, k.shape[0]
+    if n_heads < 1 or d % n_heads:
+        raise ConfigError(f"attention: width {d} does not split into "
+                          f"{n_heads} heads")
+    if mask.shape != (Lq, Lk):
+        raise ShapeError(f"attention: mask {mask.shape} vs scores {(Lq, Lk)}")
+    if not mask.any(axis=1).all():
+        raise ContractError("attention: a row has no allowed entries")
+    dh = d // n_heads
+    c = 1.0 / math.sqrt(dh)
+    qh = np.ascontiguousarray(q.data.reshape(Lq, n_heads, dh).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(k.data.reshape(Lk, n_heads, dh).transpose(1, 2, 0))
+    vh = np.ascontiguousarray(v.data.reshape(Lk, n_heads, dh).transpose(1, 0, 2))
+    alpha = qh @ kt
+    alpha *= c
+    np.copyto(alpha, -np.inf, where=~mask)
+    alpha -= alpha.max(axis=-1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+
+    def bw(g):
+        gh = g.reshape(Lq, n_heads, dh).transpose(1, 0, 2)
+        dv = alpha.transpose(0, 2, 1) @ gh
+        ds = gh @ vh.transpose(0, 2, 1)
+        ds -= (ds * alpha).sum(axis=-1, keepdims=True)
+        ds *= alpha
+        ds *= c
+        dq = ds @ kt.transpose(0, 2, 1)
+        dk = (qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1)
+        return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+
+    return _record(_merge_heads(alpha @ vh), "attention", (q, k, v), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -439,37 +458,6 @@ class GradCheckReport:
     n_coords: int
 
 
-def _rel_err(a: float, n: float) -> float:
-    return abs(a - n) / max(abs(a), abs(n), 1.0)
-
-
-def grad_check(f: Callable[[Tensor], Tensor], point: Tensor,
-               step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """Compare backward gradients of a scalar function against central
-    finite differences, coordinate by coordinate."""
-    if step <= 0:
-        raise ConfigError("grad_check step must be positive")
-    x = Tensor(point.data.copy(), requires_grad=True)
-    with Tape() as tape:
-        loss = f(x)
-    tape.backward(loss)
-    analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
-
-    flat = x.data.reshape(-1)
-    worst = 0.0
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        fp = f(x).item()
-        flat[i] = orig - step
-        fm = f(x).item()
-        flat[i] = orig
-        numeric = (fp - fm) / (2.0 * step)
-        worst = max(worst, _rel_err(analytic.reshape(-1)[i], numeric))
-    return GradCheckReport(max_rel_err=worst, passed=worst <= tol,
-                           n_coords=flat.size)
-
-
 def numeric_grad(f: Callable[[], float], arr: np.ndarray,
                  step: float = 1e-5) -> np.ndarray:
     """Central-difference gradient of f() w.r.t. an array it closes over."""
@@ -492,3 +480,19 @@ def rel_err(a: np.ndarray, n: np.ndarray) -> float:
     n = np.asarray(n, dtype=np.float64).reshape(-1)
     denom = np.maximum(np.maximum(np.abs(a), np.abs(n)), 1.0)
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
+
+
+def grad_check(f: Callable[[Tensor], Tensor], point: Tensor,
+               step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
+    """Compare backward gradients of a scalar function against central
+    finite differences, coordinate by coordinate."""
+    if step <= 0:
+        raise ConfigError("grad_check step must be positive")
+    x = Tensor(point.data.copy(), requires_grad=True)
+    with Tape() as tape:
+        loss = f(x)
+    tape.backward(loss)
+    analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
+    worst = rel_err(analytic, numeric_grad(lambda: f(x).item(), x.data, step))
+    return GradCheckReport(max_rel_err=worst, passed=worst <= tol,
+                           n_coords=x.data.size)

@@ -110,16 +110,12 @@ def lssa_layer(x: Tensor, params: LssaParams, mask: np.ndarray,
     input rows act as values, so the output row p is the softmax-weighted
     mean of x over its index set.
     """
-    F, d_b = x.shape
-    if mask.shape != (F, F):
-        raise nc.ShapeError(f"mask {mask.shape} does not match length {F}")
     q = nc.matmul(x, params.w_q)
     k = nc.matmul(x, params.w_k)
-    scores = nc.scale(nc.matmul(q, nc.transpose(k)), 1.0 / math.sqrt(d_b))
-    alpha = nc.masked_softmax_rows(scores, mask)
+    out = nc.attention(q, k, x, mask)
     if counter is not None:
         counter.add(tag, int(mask.sum()))
-    return nc.matmul(alpha, x)
+    return out
 
 
 def stacked_lssa(x: Tensor, layer_params: list[LssaParams], mask: np.ndarray,

@@ -226,3 +226,13 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
                                 "--out", str(tmp_path / "d")])
     assert code == 2
     assert "unknown config key" in err
+
+
+def test_config_file_bad_value_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed=3\nepochs=abc\n")
+    code, _, err = run(capsys, ["train", "--config", str(cfg),
+                                "--out", str(tmp_path / "run")])
+    assert code == 2
+    assert err.splitlines() == [f"error: {cfg}:2: epochs='abc' is not a "
+                                "valid int"]

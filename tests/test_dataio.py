@@ -3,7 +3,7 @@ import struct
 import numpy as np
 import pytest
 
-from glot import dataio
+from glot import cli, dataio
 
 
 def test_feature_roundtrip(tmp_path):
@@ -29,6 +29,22 @@ def test_feature_bad_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\x00" * 20)
     with pytest.raises(dataio.FormatError, match="magic"):
         dataio.read_feature_file(path)
+
+
+def test_feature_zero_frames_rejected(tmp_path, capsys):
+    path = tmp_path / "e.feat"
+    dataio.write_feature_file(path, np.zeros((0, 8)))
+    with pytest.raises(dataio.FormatError, match="no frames"):
+        dataio.read_feature_file(path)
+    # a zero-frame sample in a corpus ends the run with one error line
+    synth = dataio.synth_generate(0, 6, 4, 8, 0.0, tmp_path / "d")
+    dataio.write_feature_file(tmp_path / "d" / synth.entries[0].path,
+                              np.zeros((0, 8)))
+    code = cli.main(["train", "--manifest", str(tmp_path / "d" / "manifest.tsv"),
+                     "--epochs", "1", "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_feature_hand_written_fixture(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from glot import numcore as nc
+from glot import sparse_attention as sa
 from glot.numcore import Tape, Tensor
 
 
@@ -33,28 +34,39 @@ def test_matmul_shape_error():
         nc.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+def attention_alpha(x, mask):
+    """Attention weights of score matrix x: with k = v = I the output is
+    alpha, and scaling q by sqrt(d) undoes the op's 1/sqrt(d)."""
+    x = np.asarray(x, dtype=np.float64)
+    eye = Tensor(np.eye(x.shape[1]))
+    return nc.attention(Tensor(x * np.sqrt(x.shape[1])), eye, eye, mask)
+
+
 def test_masked_softmax_uniform_row():
-    out = nc.masked_softmax_rows(Tensor([[0.0, 0.0, 0.0]]),
-                                 np.ones((1, 3), bool))
+    out = attention_alpha([[0.0, 0.0, 0.0]], np.ones((1, 3), bool))
     assert np.allclose(out.data, 1 / 3, atol=1e-12)
 
 
 def test_masked_softmax_single_survivor():
-    out = nc.masked_softmax_rows(Tensor([[5.0, 9.0, 2.0]]),
-                                 np.array([[False, True, False]]))
+    out = attention_alpha([[5.0, 9.0, 2.0]], np.array([[False, True, False]]))
     assert np.array_equal(out.data, [[0.0, 1.0, 0.0]])
 
 
+def test_masked_softmax_max_shift_avoids_overflow():
+    out = attention_alpha([[1000.0, 1000.0 + np.log(3.0), -1000.0]],
+                          np.array([[True, True, False]]))
+    assert np.allclose(out.data, [[0.25, 0.75, 0.0]], atol=1e-12)
+
+
 def test_masked_softmax_closed_form():
-    out = nc.masked_softmax_rows(Tensor([[0.0, np.log(2.0)]]),
-                                 np.ones((1, 2), bool))
+    out = attention_alpha([[0.0, np.log(2.0)]], np.ones((1, 2), bool))
     assert np.allclose(out.data, [[1 / 3, 2 / 3]], atol=1e-12)
 
 
 def test_masked_softmax_all_false_row_rejected():
     with pytest.raises(nc.ContractError):
-        nc.masked_softmax_rows(Tensor(np.zeros((2, 2))),
-                               np.array([[True, True], [False, False]]))
+        attention_alpha(np.zeros((2, 2)),
+                        np.array([[True, True], [False, False]]))
 
 
 def test_masked_softmax_rows_sum_to_one_and_zero_off_mask():
@@ -63,9 +75,74 @@ def test_masked_softmax_rows_sum_to_one_and_zero_off_mask():
         x = rng.normal(size=(5, 5)) * 10
         mask = rng.random((5, 5)) < 0.5
         mask[:, 0] = True
-        out = nc.masked_softmax_rows(Tensor(x), mask).data
+        out = attention_alpha(x, mask).data
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(out[~mask] == 0.0)
+
+
+def attention_mask(kind, lq, lk, rng):
+    if kind == "logsparse":
+        return sa.build_mask(lq)
+    if kind == "causal":
+        return sa.causal_mask(lq)
+    mask = rng.random((lq, lk)) < 0.6  # rectangular: cross-attention
+    mask[np.arange(lq), rng.integers(0, lk, size=lq)] = True
+    return mask
+
+
+def per_head_reference(q, k, v, mask, n_heads):
+    """Forward and input gradients of masked multi-head attention, one
+    head at a time in plain numpy, for an upstream gradient of ones."""
+    L, d = q.shape
+    dh = d // n_heads
+    c = 1.0 / np.sqrt(dh)
+    outs, dq, dk, dv = [], np.zeros_like(q), np.zeros_like(k), np.zeros_like(v)
+    g = np.ones((L, d))
+    for h in range(n_heads):
+        cols = slice(h * dh, (h + 1) * dh)
+        qh, kh, vh = q[:, cols].copy(), k[:, cols].copy(), v[:, cols].copy()
+        kt = kh.T.copy()
+        s = np.where(mask, (qh @ kt) * c, -np.inf)
+        ex = np.where(mask, np.exp(s - s.max(axis=1, keepdims=True)), 0.0)
+        alpha = ex / ex.sum(axis=1, keepdims=True)
+        outs.append(alpha @ vh)
+        gh = g[:, cols]
+        dv[:, cols] = alpha.T @ gh
+        ga = gh @ vh.T
+        ds = alpha * (ga - (ga * alpha).sum(axis=1, keepdims=True)) * c
+        dq[:, cols] = ds @ kt.T
+        dk[:, cols] = (qh.T @ ds).T
+    return np.concatenate(outs, axis=1), dq, dk, dv
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("kind", ["logsparse", "causal", "rectangular"])
+def test_attention_bit_equal_to_per_head_reference(n_heads, kind):
+    rng = np.random.default_rng(21 + n_heads)
+    lq, lk, d = (6, 9, 8) if kind == "rectangular" else (9, 9, 8)
+    mask = attention_mask(kind, lq, lk, rng)
+    q, k, v = (Tensor(rng.normal(size=shape), requires_grad=True)
+               for shape in ((lq, d), (lk, d), (lk, d)))
+    with Tape() as tape:
+        out = nc.attention(q, k, v, mask, n_heads)
+        loss = nc.tsum(out)
+    tape.backward(loss)
+    ref_out, ref_dq, ref_dk, ref_dv = per_head_reference(
+        q.data, k.data, v.data, mask, n_heads)
+    assert np.array_equal(out.data, ref_out)
+    for t, ref in ((q, ref_dq), (k, ref_dk), (v, ref_dv)):
+        assert np.array_equal(t.grad, ref)
+        assert t.grad.flags.c_contiguous
+
+
+def test_attention_contract_errors():
+    x = Tensor(np.zeros((3, 4)))
+    with pytest.raises(nc.ShapeError):
+        nc.attention(x, x, x, np.ones((3, 2), bool))
+    with pytest.raises(nc.ShapeError):
+        nc.attention(x, x, Tensor(np.zeros((3, 2))), np.ones((3, 3), bool))
+    with pytest.raises(nc.ConfigError):
+        nc.attention(x, x, x, np.ones((3, 3), bool), n_heads=3)
 
 
 def test_layer_norm_constant_vector_is_zero():
@@ -195,8 +272,10 @@ def test_grad_check_linear_function():
 
 
 def test_grad_check_softmax_pick():
+    eye = Tensor(np.eye(4))
+
     def f(x):
-        sm = nc.masked_softmax_rows(x, np.ones((1, 4), bool))
+        sm = nc.attention(x, eye, eye, np.ones((1, 4), bool))
         return nc.tsum(nc.slice_cols(sm, 0, 1))
 
     rep = nc.grad_check(f, Tensor(np.random.default_rng(8).normal(size=(1, 4))))
@@ -216,18 +295,45 @@ def test_grad_check_layer_norm_composite():
     assert rep.passed
 
 
+ATTENTION_CASES = [f"attention_{wrt}_h{h}_{kind}"
+                   for wrt in ("q", "k", "v") for h in (1, 2, 4)
+                   for kind in ("logsparse", "causal", "rectangular")]
+
+
+def attention_case(opname, rng):
+    """(f, point) checking one attention input's gradient; the other two
+    inputs are fixed random tensors."""
+    _, wrt, heads, kind = opname.split("_")
+    lq, lk, d = (3, 5, 4) if kind == "rectangular" else (5, 5, 4)
+    mask = attention_mask(kind, lq, lk, rng)
+    fixed = {"q": Tensor(rng.normal(size=(lq, d))),
+             "k": Tensor(rng.normal(size=(lk, d))),
+             "v": Tensor(rng.normal(size=(lk, d)))}
+    w = Tensor(rng.normal(size=(lq, d)))
+
+    def f(x):
+        args = dict(fixed, **{wrt: x})
+        out = nc.attention(args["q"], args["k"], args["v"], mask, int(heads[1:]))
+        return nc.tsum(nc.mul(out, w))
+
+    return f, Tensor(rng.normal(size=fixed[wrt].shape))
+
+
 @pytest.mark.parametrize("opname", [
     "add", "add_col", "add_vec", "mul", "sigmoid", "relu", "scale",
     "concat", "slice", "masked_softmax", "log_softmax", "layer_norm",
     "conv1d", "gap", "gather", "pick", "broadcast_rows",
-])
+] + ATTENTION_CASES)
 def test_gradients_match_finite_differences(opname):
     # 20 randomized trials per op, 64-bit, tol 1e-4 relative
     rng = np.random.default_rng(hash(opname) % (2 ** 32))
     for trial in range(20):
         w = Tensor(rng.normal(size=(4, 3)))
         wv = Tensor(rng.normal(size=3))
-        if opname == "add":
+        point = None
+        if opname.startswith("attention_"):
+            f, point = attention_case(opname, rng)
+        elif opname == "add":
             other = Tensor(rng.normal(size=(4, 3)))
             f = lambda x: nc.tsum(nc.mul(nc.add(x, other), w))
         elif opname == "add_col":
@@ -255,7 +361,8 @@ def test_gradients_match_finite_differences(opname):
         elif opname == "masked_softmax":
             mask = rng.random((4, 3)) < 0.6
             mask[:, 0] = True
-            f = lambda x: nc.tsum(nc.mul(nc.masked_softmax_rows(x, mask), w))
+            eye = Tensor(np.eye(3))
+            f = lambda x: nc.tsum(nc.mul(nc.attention(x, eye, eye, mask), w))
         elif opname == "log_softmax":
             f = lambda x: nc.tsum(nc.mul(nc.log_softmax_rows(x), w))
         elif opname == "layer_norm":
@@ -280,15 +387,17 @@ def test_gradients_match_finite_differences(opname):
             wb = Tensor(rng.normal(size=(5, 3)))
             f = lambda x: nc.tsum(nc.mul(
                 nc.broadcast_rows(nc.global_avg_pool(x), 5), wb))
-        rep = nc.grad_check(f, Tensor(rng.normal(size=(4, 3))))
+        if point is None:
+            point = Tensor(rng.normal(size=(4, 3)))
+        rep = nc.grad_check(f, point)
         assert rep.passed, f"{opname} trial {trial}: {rep.max_rel_err}"
 
 
 def test_operations_deterministic():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(4, 4))
-    a = nc.masked_softmax_rows(Tensor(x), np.ones((4, 4), bool)).data
-    b = nc.masked_softmax_rows(Tensor(x), np.ones((4, 4), bool)).data
+    a = attention_alpha(x, np.ones((4, 4), bool)).data
+    b = attention_alpha(x, np.ones((4, 4), bool)).data
     assert np.array_equal(a, b)
 
 
