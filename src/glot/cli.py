@@ -3,8 +3,8 @@ gradient-check, and benchmark attention.
 
 Exit codes: 0 success, 1 check failure, 2 usage/data error, 3 numeric
 divergence. Every command accepts ``--config FILE`` with flat key=value
-lines mirroring flag names; explicit flags win over file values and
-unknown keys are rejected.
+lines mirroring flag names; explicit flags win over file values, and
+unknown keys and values outside a flag's choices are rejected.
 """
 
 from __future__ import annotations
@@ -52,8 +52,10 @@ def _load_config_file(path: str, known: set[str]) -> dict[str, tuple]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> None:
-    """Fill file values into args where the flag was left unset."""
+def _merge_config(args: argparse.Namespace, parser_defaults: dict,
+                  choices: dict[str, list]) -> None:
+    """Fill file values into args where the flag was left unset; a value
+    for a flag with choices must be one of them."""
     if not getattr(args, "config", None):
         for key, default in parser_defaults.items():
             if getattr(args, key) is None:
@@ -71,6 +73,9 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> None:
             except ValueError:
                 raise UsageError(f"{args.config}:{ln}: {key}={raw!r} is not "
                                  f"a valid {caster.__name__}") from None
+            if key in choices and getattr(args, key) not in choices[key]:
+                raise UsageError(f"{args.config}:{ln}: {key}={raw!r} is not "
+                                 f"one of {', '.join(choices[key])}")
         else:
             setattr(args, key, default)
 
@@ -308,7 +313,8 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> dict:
                 ff_size=0, heads=0)
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
+    """(parser, per-command flag defaults, per-command flag choices)."""
     parser = argparse.ArgumentParser(
         prog="glot",
         description="Gated log-sparse transformer pipeline for "
@@ -360,7 +366,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--config", type=str)
     defaults["bench-attn"] = dict(lengths="8,64,512,1024", seed=0)
 
-    return parser, defaults
+    choices = {name: {a.dest: a.choices for a in sp._actions if a.choices}
+               for name, sp in sub.choices.items()}
+    return parser, defaults, choices
 
 
 _COMMANDS = {
@@ -374,14 +382,14 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, defaults = build_parser()
+    parser, defaults, choices = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors and 0 on --help
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        _merge_config(args, defaults[args.command])
+        _merge_config(args, defaults[args.command], choices[args.command])
         for required in ("manifest", "checkpoint"):
             if required in defaults[args.command] and \
                     defaults[args.command][required] is None and \

@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, asdict, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +124,37 @@ def positional_encoding(length: int, width: int) -> np.ndarray:
     return table
 
 
+class DecoderCache:
+    """Decoder state carried across the steps of one greedy stage.
+
+    Per decoder layer it keeps the self-attention key/value rows of every
+    position decoded so far and the cross-attention key/value projections
+    of the stage's memory, made on the first step. Earlier rows are kept
+    as plain arrays, so no gradient reaches them: the cache is for
+    inference.
+    """
+
+    def __init__(self):
+        self.start = 0      # positions already decoded
+        self._self: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._cross: dict[int, tuple[Tensor, Tensor]] = {}
+
+    def self_kv(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
+        """Append this step's key/value rows; return all rows so far."""
+        if layer in self._self:
+            old_k, old_v = self._self[layer]
+            k = Tensor(np.concatenate([old_k, k.data]))
+            v = Tensor(np.concatenate([old_v, v.data]))
+        self._self[layer] = (k.data, v.data)
+        return k, v
+
+    def cross_kv(self, layer: int, project) -> tuple[Tensor, Tensor]:
+        """The memory's key/value projections, made by project() once."""
+        if layer not in self._cross:
+            self._cross[layer] = project()
+        return self._cross[layer]
+
+
 @dataclass
 class GreedyResult:
     gloss_ids: list[int]
@@ -149,6 +180,7 @@ class GlotModel:
         self.text_vocab = text_vocab
         self.training = False
         self._dropout_rng = np.random.default_rng(seed + 1)
+        self._pe_table: np.ndarray | None = None
         self.params: dict[str, Tensor] = {}
         self._init_params(np.random.default_rng(seed))
 
@@ -243,21 +275,36 @@ class GlotModel:
         return nc.dropout(x, self.config.dropout, rng=self._dropout_rng,
                           training=self.training)
 
-    def _pe(self, length: int, which: str) -> Tensor:
+    def _pe(self, length: int, which: str, start: int = 0) -> Tensor:
+        """Positional rows start .. start+length-1."""
         if self.config.pe_kind == "learned":
             table = self.params["pe_encoder" if which == "enc" else "pe_decoder"]
-            return nc.gather_rows(table, list(range(length)))
-        return Tensor(positional_encoding(length, self.config.d_model))
+            return nc.gather_rows(table, list(range(start, start + length)))
+        stop = start + length
+        if self._pe_table is None or len(self._pe_table) < stop:
+            # Built once, on first use: rows of a longer sinusoidal table
+            # are bit-identical to positional_encoding(stop, d).
+            cfg = self.config
+            self._pe_table = positional_encoding(
+                max(stop, cfg.max_frames, cfg.max_target_len + 2), cfg.d_model)
+            self._pe_table.setflags(write=False)
+        return Tensor(self._pe_table[start:stop])
+
+    def _project_kv(self, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
+        p = self.params
+        return nc.matmul(x, p[prefix + "wk"]), nc.matmul(x, p[prefix + "wv"])
 
     def _mha(self, prefix: str, xq: Tensor, xkv: Tensor, mask: np.ndarray,
              counter: sa.PairCounter | None = None,
-             counter_tag: str = "dense") -> Tensor:
+             counter_tag: str = "dense",
+             kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
         """Multi-head attention; the pair counter tallies each allowed
-        (query, key) position once per layer, heads sharing the pattern."""
+        (query, key) position once per layer, heads sharing the pattern.
+        ``kv`` supplies ready keys and values (a decoding cache) in place
+        of the projections of ``xkv``."""
         p = self.params
         q = nc.matmul(xq, p[prefix + "wq"])
-        k = nc.matmul(xkv, p[prefix + "wk"])
-        v = nc.matmul(xkv, p[prefix + "wv"])
+        k, v = self._project_kv(prefix, xkv) if kv is None else kv
         if counter is not None:
             counter.add(counter_tag, int(mask.sum()))
         heads = nc.attention(q, k, v, mask, self.config.n_heads)
@@ -359,31 +406,45 @@ class GlotModel:
                 else self.config.text_vocab_size)
 
     def decoder_forward(self, memory: Tensor, token_ids: list[int],
-                        stage: str) -> Tensor:
+                        stage: str, cache: DecoderCache | None = None
+                        ) -> Tensor:
         """Causal self-attention over the target prefix, cross-attention
-        over memory, feed-forward; returns L x vocab logits."""
+        over memory, feed-forward; returns L x vocab logits.
+
+        With a cache, token_ids are the positions that follow the
+        cache.start already decoded: only their rows are computed, and
+        their keys and values join the cache.
+        """
         if stage not in ("gloss", "text"):
             raise nc.ConfigError(f"unknown decoder stage {stage!r}")
         vocab = self._stage_vocab_size(stage)
         if any(not 0 <= t < vocab for t in token_ids):
             raise DataError(f"token id out of range for {stage} vocabulary")
-        if len(token_ids) > self.config.max_target_len + 2:
-            raise DataError(f"target length {len(token_ids)} exceeds limit")
-        p = self.params
+        start = 0 if cache is None else cache.start
         L = len(token_ids)
+        if start + L > self.config.max_target_len + 2:
+            raise DataError(f"target length {start + L} exceeds limit")
+        p = self.params
         h = nc.gather_rows(p[f"embed_{stage}"], token_ids)
-        h = nc.add(h, self._pe(L, "dec"))
+        h = nc.add(h, self._pe(L, "dec", start))
         h = self._dropout(h)
-        self_mask = sa.causal_mask(L)
+        self_mask = sa.causal_mask(start + L)[start:]
         cross_mask = np.ones((L, memory.shape[0]), dtype=bool)
+        self_kv = cross_kv = None
         for i in range(self.config.n_decoders):
             pre = f"dec_{stage}{i}."
-            attn = self._mha(pre + "self.", h, h, self_mask)
+            if cache is not None:
+                self_kv = cache.self_kv(i, *self._project_kv(pre + "self.", h))
+                cross_kv = cache.cross_kv(
+                    i, lambda: self._project_kv(pre + "cross.", memory))
+            attn = self._mha(pre + "self.", h, h, self_mask, kv=self_kv)
             h = self._norm(pre + "self_norm", nc.add(h, self._dropout(attn)))
-            attn = self._mha(pre + "cross.", h, memory, cross_mask)
+            attn = self._mha(pre + "cross.", h, memory, cross_mask, kv=cross_kv)
             h = self._norm(pre + "cross_norm", nc.add(h, self._dropout(attn)))
             ff = self._feed_forward(pre, h)
             h = self._norm(pre + "ff_norm", nc.add(h, self._dropout(ff)))
+        if cache is not None:
+            cache.start += L
         return nc.add(nc.matmul(h, p[f"out_{stage}.w"]), p[f"out_{stage}.b"])
 
     def _gloss_memory(self, memory: Tensor, gloss_ids: list[int]) -> Tensor:
@@ -416,9 +477,10 @@ class GlotModel:
     def _greedy_stage(self, memory: Tensor, stage: str,
                       max_len: int) -> tuple[list[int], bool]:
         ids: list[int] = [BOS]
+        cache = DecoderCache()
         truncated = True
         for _ in range(max_len):
-            logits = self.decoder_forward(memory, ids, stage)
+            logits = self.decoder_forward(memory, ids[-1:], stage, cache)
             nxt = int(np.argmax(logits.data[-1]))  # ties -> lowest id
             if nxt == EOS:
                 truncated = False
@@ -493,17 +555,28 @@ def load_checkpoint(path: Path | str) -> GlotModel:
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported version {version}")
     (hlen,) = struct.unpack("<I", take(4))
-    header = json.loads(take(hlen).decode("utf-8"))
+    try:
+        header = json.loads(take(hlen).decode("utf-8"))
+    except UnicodeDecodeError:
+        raise CheckpointError(f"{path}: header is not UTF-8") from None
+    except json.JSONDecodeError as e:
+        raise CheckpointError(f"{path}: header is not JSON: {e}") from None
+    if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
+        raise CheckpointError(f"{path}: header has no config object")
+    unknown = set(header["config"]) - {f.name for f in fields(GlotConfig)}
+    if unknown:
+        raise CheckpointError(f"{path}: unknown config keys "
+                              f"{', '.join(sorted(unknown))}")
     config = GlotConfig(**header["config"])
     gloss_vocab = (Vocabulary(header["gloss_vocab"])
-                   if header["gloss_vocab"] is not None else None)
+                   if header.get("gloss_vocab") is not None else None)
     text_vocab = (Vocabulary(header["text_vocab"])
-                  if header["text_vocab"] is not None else None)
+                  if header.get("text_vocab") is not None else None)
     model = GlotModel(config, gloss_vocab=gloss_vocab, text_vocab=text_vocab)
 
     for name, t in model.params.items():
         (nlen,) = struct.unpack("<I", take(4))
-        got = take(nlen).decode("utf-8")
+        got = take(nlen).decode("utf-8", errors="replace")
         if got != name:
             raise CheckpointError(f"{path}: expected parameter {name!r}, "
                                   f"found {got!r}")
@@ -514,6 +587,8 @@ def load_checkpoint(path: Path | str) -> GlotModel:
                                   f"config implies {t.data.shape}")
         n = int(np.prod(dims)) if dims else 1
         t.data = np.frombuffer(take(8 * n), dtype="<f8").reshape(dims).copy()
+        if not np.isfinite(t.data).all():
+            raise CheckpointError(f"{path}: {name} holds non-finite values")
     if off != len(data):
         raise CheckpointError(f"{path}: {len(data) - off} trailing bytes")
     return model

@@ -111,7 +111,10 @@ class Tape:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    if not np.all(np.isfinite(arr)):
+    # One reduction on the common path: a NaN or Inf makes the sum
+    # non-finite. Only a non-finite sum pays for the exact check, so a
+    # finite array whose sum overflows still passes.
+    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -199,10 +202,12 @@ def relu(x: Tensor) -> Tensor:
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None = None,
             training: bool = False) -> Tensor:
+    """Inverted dropout; in eval mode or at rate 0 it is the identity and
+    returns x itself, recording nothing."""
     if not 0.0 <= rate < 1.0:
         raise ConfigError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
-        return _record(x.data.copy(), "dropout", (x,), lambda g: (g,))
+        return x
     if rng is None:
         raise ContractError("training-mode dropout requires an RNG")
     keep = 1.0 - rate
@@ -380,16 +385,18 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     """Normalize along the last axis (rows of a matrix independently).
 
     Uses population variance; eps keeps the constant-input case finite.
+    Means are sums over d, which is the arithmetic of np.mean and np.var
+    to the bit without their per-call overhead.
     """
     if eps <= 0:
         raise ConfigError("layer_norm eps must be positive")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must match the last axis")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     out = gain.data * xhat + bias.data
 
     def bw(g):
@@ -397,8 +404,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
         dbias = _reduce_to(g, bias.shape)
         dxhat = g * gain.data
         dx = inv * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+                    - dxhat.sum(axis=-1, keepdims=True) / d
+                    - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d))
         return (dx, dgain, dbias)
 
     return _record(out, "layer_norm", (x, gain, bias), bw)

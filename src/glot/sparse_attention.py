@@ -8,6 +8,7 @@ position a full causal receptive field.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -66,13 +67,24 @@ def log_index_set(p: int) -> IndexSet:
 
 
 def build_mask(length: int) -> np.ndarray:
-    """Boolean LxL matrix; row p marks log_index_set(p+1) (0-based storage)."""
+    """Boolean LxL matrix; row p marks log_index_set(p+1) (0-based storage):
+    the diagonal plus every sub-diagonal at a power-of-two distance.
+
+    Built once per length and returned read-only, so callers share it.
+    """
     if length < 1:
         raise DomainError(f"length must be >= 1, got {length}")
-    mask = np.zeros((length, length), dtype=bool)
-    for p in range(1, length + 1):
-        for q in log_index_set(p).members:
-            mask[p - 1, q - 1] = True
+    return _log_sparse_mask(length)
+
+
+@functools.lru_cache(maxsize=256)
+def _log_sparse_mask(length: int) -> np.ndarray:
+    mask = np.eye(length, dtype=bool)
+    dist = 1
+    while dist < length:
+        mask |= np.eye(length, k=-dist, dtype=bool)
+        dist *= 2
+    mask.setflags(write=False)
     return mask
 
 

@@ -1,7 +1,12 @@
 import hashlib
+import json
+import struct
 from pathlib import Path
 
+import pytest
+
 from glot import cli, dataio
+from glot.model import GlotConfig, GlotModel, save_checkpoint
 
 
 def run(capsys, argv):
@@ -236,3 +241,65 @@ def test_config_file_bad_value_exits_2(tmp_path, capsys):
     assert code == 2
     assert err.splitlines() == [f"error: {cfg}:2: epochs='abc' is not a "
                                 "valid int"]
+
+
+@pytest.mark.parametrize("command, line", [
+    ("train", "encoder=foo"), ("train", "hparams=set9"),
+    ("crossval", "encoder=foo"), ("eval", "split=bogus")])
+def test_config_file_value_outside_choices_exits_2(tmp_path, capsys,
+                                                  command, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"seed=3\n{line}\n" if command != "eval" else f"{line}\n")
+    code, _, err = run(capsys, [command, "--config", str(cfg)])
+    assert code == 2
+    [msg] = err.splitlines()
+    key, val = line.split("=")
+    assert msg.startswith(f"error: {cfg}:{2 if command != 'eval' else 1}: "
+                          f"{key}={val!r} is not one of ")
+
+
+def test_config_file_values_inside_choices_accepted(tmp_path, capsys):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("hparams=set1\nencoder=dense\n")
+    # the merge passes, so the run stops at the next check
+    code, _, err = run(capsys, ["train", "--config", str(cfg)])
+    assert code == 2
+    assert err.splitlines() == ["error: --manifest is required"]
+
+
+def _rewrite_header(blob: bytes, header: bytes) -> bytes:
+    (hlen,) = struct.unpack("<I", blob[12:16])
+    return blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + hlen:]
+
+
+def _with_unknown_key(blob: bytes) -> bytes:
+    (hlen,) = struct.unpack("<I", blob[12:16])
+    header = json.loads(blob[16:16 + hlen])
+    header["config"]["bogus"] = 1
+    return _rewrite_header(blob, json.dumps(header).encode())
+
+
+@pytest.mark.parametrize("corrupt, expected", [
+    (_with_unknown_key, "unknown config keys bogus"),
+    (lambda b: _rewrite_header(b, b"\xff\xfe{}"), "header is not UTF-8"),
+    (lambda b: _rewrite_header(b, b"{config: 1"), "header is not JSON"),
+    (lambda b: b[:-8] + struct.pack("<d", float("nan")),
+     "out_text.b holds non-finite values"),
+])
+def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, expected):
+    manifest = dataio.synth_generate(0, 4, 3, 5, 0.0, tmp_path / "d")
+    samples = manifest.load_samples()
+    gv = dataio.build_vocab([s.gloss for s in samples])
+    tv = dataio.build_vocab([s.text for s in samples])
+    cfg = GlotConfig.tiny(max_frames=32, feat_dim=5, gloss_vocab_size=len(gv),
+                          text_vocab_size=len(tv))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(GlotModel(cfg, gloss_vocab=gv, text_vocab=tv), ckpt)
+    argv = ["eval", "--manifest", str(tmp_path / "d" / "manifest.tsv"),
+            "--checkpoint", str(ckpt), "--split", "cv"]
+    assert run(capsys, argv)[0] == 0
+    ckpt.write_bytes(corrupt(ckpt.read_bytes()))
+    code, _, err = run(capsys, argv)
+    assert code == 2
+    [msg] = err.splitlines()
+    assert msg.startswith("error: ") and expected in msg

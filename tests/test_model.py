@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from glot import numcore as nc, sparse_attention as sa, training
+from glot import dataio, numcore as nc, sparse_attention as sa, training
 from glot.dataio import BOS, EOS, DataError
-from glot.model import (GlotConfig, GlotModel, load_checkpoint,
-                        positional_encoding, save_checkpoint)
+from glot.model import (DecoderCache, GlotConfig, GlotModel, GreedyResult,
+                        load_checkpoint, positional_encoding, save_checkpoint)
 from glot.numcore import ConfigError, Tensor
 
 
@@ -353,3 +353,80 @@ def test_learned_positional_encoding_option():
     m = tiny_model(pe_kind="learned")
     out = m.embed_frames(np.zeros((3, 5)))
     assert np.array_equal(out.data, m.params["pe_encoder"].data[:3])
+
+
+def test_positional_table_slices_are_bit_identical():
+    for width in (8, 16, 256):
+        table = positional_encoding(736, width)
+        for L in range(1, 737):
+            assert np.array_equal(table[:L], positional_encoding(L, width)), \
+                (width, L)
+
+
+@pytest.mark.parametrize("kind, n_decoders, pe_kind", [
+    ("glot", 1, "sinusoidal"), ("dense_baseline", 1, "sinusoidal"),
+    ("glot", 2, "sinusoidal"), ("dense_baseline", 2, "learned"),
+    ("glot", 1, "learned")])
+def test_cached_steps_match_full_prefix(kind, n_decoders, pe_kind):
+    m = tiny_model(encoder_kind=kind, n_decoders=n_decoders, pe_kind=pe_kind)
+    rng = np.random.default_rng(19)
+    memory = m.encode(rng.normal(size=(6, 5)))
+    L = m.config.max_target_len + 2
+    for stage, mem in (("gloss", memory),
+                       ("text", m._gloss_memory(memory, [5, 6, 5]))):
+        vocab = m._stage_vocab_size(stage)
+        ids = [BOS] + [int(t) for t in rng.integers(5, vocab, size=L - 1)]
+        cache = DecoderCache()
+        for t in range(L):
+            step = m.decoder_forward(mem, ids[t:t + 1], stage, cache).data
+            full = m.decoder_forward(mem, ids[:t + 1], stage).data
+            assert step.shape == (1, vocab) and cache.start == t + 1
+            assert np.max(np.abs(step[0] - full[-1])) <= 1e-12, (stage, t)
+        with pytest.raises(DataError):  # the cache counts toward the limit
+            m.decoder_forward(mem, [BOS], stage, cache)
+
+
+def full_prefix_greedy(model, frames, max_len):
+    """Greedy decoding that re-runs the decoder over the whole prefix."""
+    model.eval()
+    memory = model.encode(frames)
+
+    def stage(mem, name):
+        ids = [BOS]
+        for _ in range(max_len):
+            nxt = int(np.argmax(model.decoder_forward(mem, ids, name).data[-1]))
+            if nxt == EOS:
+                return ids[1:], False
+            ids.append(nxt)
+        return ids[1:], True
+
+    gloss, gloss_trunc = stage(memory, "gloss")
+    text, text_trunc = stage(model._gloss_memory(memory, gloss), "text")
+    return GreedyResult(gloss, text, gloss_trunc, text_trunc)
+
+
+@pytest.mark.parametrize("seed, n, noise", [(7, 16, 0.0), (11, 80, 0.05)])
+def test_greedy_decode_matches_full_prefix_oracle(tmp_path, seed, n, noise):
+    # the acceptance corpora, on models trained a few epochs so that the
+    # decodes stop at EOS as well as at the length limit
+    samples = dataio.synth_generate(seed, n, 5, 8, noise,
+                                    tmp_path).load_samples()[:16]
+    gv = dataio.build_vocab([s.gloss for s in samples])
+    tv = dataio.build_vocab([s.text for s in samples])
+    enc = training.encode_samples(samples, gv, tv)
+    max_t = max(max(len(s.gloss), len(s.text)) for s in samples) + 2
+    tcfg = training.TrainConfig.set2(epochs=4, batch_size=4, seed=0)
+    stops = 0
+    for kind in ("glot", "dense_baseline"):
+        cfg = GlotConfig.tiny(d_model=16, ff_size=32, n_heads=2,
+                              max_frames=max(s.features.shape[0] for s in samples),
+                              max_target_len=max_t, gloss_vocab_size=len(gv),
+                              text_vocab_size=len(tv), feat_dim=8,
+                              encoder_kind=kind)
+        model = GlotModel(cfg, gloss_vocab=gv, text_vocab=tv, seed=0)
+        training.train(model, enc, enc[:2], tcfg)
+        for s in enc:
+            got = model.greedy_decode(s.features)
+            assert got == full_prefix_greedy(model, s.features, max_t), s.id
+            stops += (not got.gloss_truncated) + (not got.text_truncated)
+    assert stops > 0

@@ -404,3 +404,64 @@ def test_operations_deterministic():
 def test_nonfinite_rejected():
     with pytest.raises(nc.NonFiniteError):
         nc.mul(Tensor([1e308]), Tensor([1e308]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_finite_check_catches_every_position(bad):
+    for shape in [(5,), (3, 4)]:
+        for pos in np.ndindex(*shape):
+            x = np.random.default_rng(14).normal(size=shape)
+            x[pos] = bad
+            with pytest.raises(nc.NonFiniteError):
+                nc.add_scalar(Tensor(x), 0.0)
+    with pytest.raises(nc.NonFiniteError):  # +Inf and -Inf sum to NaN
+        nc.add_scalar(Tensor([np.inf, 1.0, -np.inf]), 0.0)
+
+
+def test_finite_check_passes_overflowing_sum():
+    # every entry is finite, only their sum overflows (numpy warns about
+    # that sum; the op itself is fine)
+    with np.errstate(over="ignore"):
+        out = nc.concat_rows(Tensor([[1e308]]), Tensor([[1e308]]))
+    assert out.data.tolist() == [[1e308], [1e308]]
+
+
+@pytest.mark.parametrize("shape", [(16,), (1, 16), (14, 16), (5, 8), (3, 256)])
+def test_layer_norm_bit_equal_to_mean_var_formula(shape):
+    rng = np.random.default_rng(15)
+    d = shape[-1]
+    for _ in range(20):
+        x0, w = rng.normal(size=shape) * 3 + 1, rng.normal(size=shape)
+        g0, b0 = rng.normal(size=d), rng.normal(size=d)
+        x, gain, bias = (Tensor(a, requires_grad=True) for a in (x0, g0, b0))
+        with Tape() as tape:
+            out = nc.layer_norm(x, gain, bias)
+            loss = nc.tsum(nc.mul(out, Tensor(w)))
+        tape.backward(loss)
+
+        mu = x0.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x0.var(axis=-1, keepdims=True) + 1e-5)
+        xhat = (x0 - mu) * inv
+        dxhat = w * g0
+        dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        assert np.array_equal(out.data, g0 * xhat + b0)
+        assert np.array_equal(x.grad, dx)
+        assert np.array_equal(gain.grad, (w * xhat).reshape(-1, d).sum(axis=0))
+        assert np.array_equal(bias.grad, w.reshape(-1, d).sum(axis=0))
+
+
+@pytest.mark.parametrize("rate, training", [(0.3, False), (0.0, True)])
+def test_inactive_dropout_records_nothing(rate, training):
+    rng = np.random.default_rng(16)
+    x0, w = rng.normal(size=(4, 3)), Tensor(rng.normal(size=(4, 3)))
+    grads = []
+    for wrap in (lambda t: t, lambda t: nc.dropout(t, rate, training=training)):
+        x = Tensor(x0, requires_grad=True)
+        with Tape() as tape:
+            y = wrap(x)
+            assert y is x and len(tape) == 0
+            loss = nc.tsum(nc.mul(y, w))
+        tape.backward(loss)
+        grads.append(x.grad)
+    assert np.array_equal(grads[0], grads[1])

@@ -187,3 +187,16 @@ def test_pair_counter_instrumentation():
     sa.lssa_layer(x, _random_params(rng, d), sa.full_mask(F), counter=counter,
                   tag="dense")
     assert counter.total("dense") == sa.count_attention_pairs(F, "dense")
+
+
+def test_build_mask_is_shared_read_only_and_matches_oracle():
+    for L in range(1, 65):
+        oracle = np.zeros((L, L), dtype=bool)
+        for p in range(1, L + 1):
+            oracle[p - 1, [q - 1 for q in sa.log_index_set(p).members]] = True
+        mask = sa.build_mask(L)
+        assert np.array_equal(mask, oracle), L
+        assert sa.build_mask(L) is mask
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError):
+            mask[0, 0] = False
