@@ -259,6 +259,19 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if failed == 0 else EXIT_CHECK_FAILED
 
 
+BENCH_REPEATS = 3
+
+
+def _median_ms(fn) -> float:
+    """Median wall time of BENCH_REPEATS calls of fn, in milliseconds."""
+    times = []
+    for _ in range(BENCH_REPEATS):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return float(np.median(times)) * 1e3
+
+
 def cmd_bench_attn(args) -> int:
     lengths = [int(s) for s in args.lengths.split(",") if s]
     if not lengths or any(n < 1 for n in lengths):
@@ -278,13 +291,12 @@ def cmd_bench_attn(args) -> int:
                                Tensor(rng.normal(size=(d, d)) / np.sqrt(d)))
         counter = sa.PairCounter()
         dense_mask, lssa_mask = sa.full_mask(L), sa.build_mask(L)
-        t0 = time.perf_counter()
-        sa.lssa_layer(x, params, dense_mask, counter=counter, tag="dense")
-        t_dense = (time.perf_counter() - t0) * 1e3
-        t0 = time.perf_counter()
-        sa.lssa_layer(x, params, lssa_mask, counter=counter)
-        t_lssa = (time.perf_counter() - t0) * 1e3
-        if counter.total("dense") != dense or counter.total("logsparse") != logsparse:
+        t_dense = _median_ms(lambda: sa.lssa_layer(
+            x, params, dense_mask, counter=counter, tag="dense"))
+        t_lssa = _median_ms(lambda: sa.lssa_layer(
+            x, params, lssa_mask, counter=counter))
+        if (counter.total("dense") != BENCH_REPEATS * dense
+                or counter.total("logsparse") != BENCH_REPEATS * logsparse):
             print(f"instrumented counts disagree at L={L}", file=sys.stderr)
             return EXIT_CHECK_FAILED
         print(f"{L:>6} {dense:>10} {causal:>10} {logsparse:>10} "
@@ -400,7 +412,7 @@ def main(argv: list[str] | None = None) -> int:
             nc.ShapeError, metrics.MetricError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except training.DivergenceError as e:
+    except (training.DivergenceError, nc.NonFiniteError) as e:
         print(f"divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
 

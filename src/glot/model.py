@@ -567,11 +567,20 @@ def load_checkpoint(path: Path | str) -> GlotModel:
     if unknown:
         raise CheckpointError(f"{path}: unknown config keys "
                               f"{', '.join(sorted(unknown))}")
+    for f in fields(GlotConfig):
+        val, want = header["config"].get(f.name, f.default), type(f.default)
+        if isinstance(val, bool) or not isinstance(
+                val, (int, float) if want is float else want):
+            raise CheckpointError(f"{path}: config {f.name}={val!r} is not "
+                                  f"a valid {want.__name__}")
+    vocabs = [header.get(key) for key in ("gloss_vocab", "text_vocab")]
+    for key, vocab in zip(("gloss_vocab", "text_vocab"), vocabs):
+        if vocab is not None and not (isinstance(vocab, list) and all(
+                isinstance(t, str) for t in vocab)):
+            raise CheckpointError(f"{path}: {key} is not a list of strings")
     config = GlotConfig(**header["config"])
-    gloss_vocab = (Vocabulary(header["gloss_vocab"])
-                   if header.get("gloss_vocab") is not None else None)
-    text_vocab = (Vocabulary(header["text_vocab"])
-                  if header.get("text_vocab") is not None else None)
+    gloss_vocab, text_vocab = (None if v is None else Vocabulary(v)
+                               for v in vocabs)
     model = GlotModel(config, gloss_vocab=gloss_vocab, text_vocab=text_vocab)
 
     for name, t in model.params.items():

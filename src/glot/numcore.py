@@ -13,6 +13,7 @@ matrix. Anything richer raises ``ShapeError``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -375,6 +376,66 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
         return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
 
     return _record(_merge_heads(alpha @ vh), "attention", (q, k, v), bw)
+
+
+@functools.lru_cache(maxsize=256)
+def offset_table(length: int, offsets: tuple[int, ...]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """(length, K) table of the key rows p - offsets[j] of each query row
+    p, and the mask of its valid slots (p - offsets[j] >= 0); invalid
+    slots hold row 0. Cached per (length, offsets) and read-only."""
+    idx = np.arange(length)[:, None] - np.asarray(offsets, dtype=np.int64)
+    valid = idx >= 0
+    idx[~valid] = 0
+    idx.setflags(write=False)
+    valid.setflags(write=False)
+    return idx, valid
+
+
+def offset_attention(q: Tensor, k: Tensor, v: Tensor,
+                     offsets: Sequence[int]) -> Tensor:
+    """Single-head scaled dot-product attention over fixed key distances.
+
+    q, k and v are (L, d); query row p attends to the rows p - delta of k
+    and v for each delta in offsets with delta <= p. The K = len(offsets)
+    keys and values of every row are gathered into (L, K, d) arrays, so
+    time and memory grow as L*K rather than L*L. Scores are scaled by
+    1/sqrt(d) and softmax-normalized over a row's valid slots only. The
+    result equals attention(q, k, v, mask) with mask[p, p - delta] true.
+    """
+    offsets = tuple(int(o) for o in offsets)
+    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
+        raise ShapeError(f"offset_attention: q {q.shape}, k {k.shape}, "
+                         f"v {v.shape}")
+    L, d = q.shape
+    if 0 not in offsets or not all(0 <= o < L for o in offsets):
+        raise ContractError(f"offset_attention: offsets {offsets} must "
+                            f"include 0 and lie in [0, {L})")
+    idx, valid = offset_table(L, offsets)
+    c = 1.0 / math.sqrt(d)
+    kg, vg = np.take(k.data, idx, axis=0), np.take(v.data, idx, axis=0)
+    alpha = np.einsum("lkd,ld->lk", kg, q.data)
+    alpha *= c
+    np.copyto(alpha, -np.inf, where=~valid)
+    alpha -= alpha.max(axis=1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=1, keepdims=True)
+
+    def bw(g):
+        ds = np.einsum("lkd,ld->lk", vg, g)
+        ds -= (ds * alpha).sum(axis=1, keepdims=True)
+        ds *= alpha
+        ds *= c
+        dq = (ds[:, None, :] @ kg)[:, 0]
+        dk, dv = np.zeros_like(k.data), np.zeros_like(v.data)
+        # Scatter-back of the gather: slot j of row p came from row p - delta.
+        for j, delta in enumerate(offsets):
+            dk[:L - delta] += ds[delta:, j, None] * q.data[delta:]
+            dv[:L - delta] += alpha[delta:, j, None] * g[delta:]
+        return dq, dk, dv
+
+    return _record((alpha[:, None, :] @ vg)[:, 0], "offset_attention",
+                   (q, k, v), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -196,6 +196,17 @@ def test_gradcheck_deterministic(capsys):
     assert out1 == out2
 
 
+def test_nonfinite_forward_op_exits_3(tmp_path, capsys):
+    run(capsys, ["synth", "--samples", "8", "--out", str(tmp_path / "d")])
+    code, _, err = run(capsys, [
+        "train", "--manifest", str(tmp_path / "d" / "manifest.tsv"),
+        "--lr", "1e300", "--epochs", "2", "--d-model", "8", "--ff-size", "8",
+        "--heads", "2", "--out", str(tmp_path / "run")])
+    assert code == 3
+    [msg] = err.splitlines()
+    assert msg.startswith("divergence: ") and "produced non-finite" in msg
+
+
 def test_bench_attn_small(capsys):
     code, out, _ = run(capsys, ["bench-attn", "--lengths", "8,64"])
     assert code == 0
@@ -272,15 +283,35 @@ def _rewrite_header(blob: bytes, header: bytes) -> bytes:
     return blob[:12] + struct.pack("<I", len(header)) + header + blob[16 + hlen:]
 
 
-def _with_unknown_key(blob: bytes) -> bytes:
+def _edit_header(blob: bytes, edit) -> bytes:
+    """The checkpoint with edit() applied to its decoded JSON header."""
     (hlen,) = struct.unpack("<I", blob[12:16])
     header = json.loads(blob[16:16 + hlen])
-    header["config"]["bogus"] = 1
+    edit(header)
     return _rewrite_header(blob, json.dumps(header).encode())
+
+
+def _with_unknown_key(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h["config"].update(bogus=1))
+
+
+def _with_string_d_model(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h["config"].update(d_model="8"))
+
+
+def _with_bool_n_heads(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h["config"].update(n_heads=True))
+
+
+def _with_int_vocab(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h.update(gloss_vocab=5))
 
 
 @pytest.mark.parametrize("corrupt, expected", [
     (_with_unknown_key, "unknown config keys bogus"),
+    (_with_string_d_model, "config d_model='8' is not a valid int"),
+    (_with_bool_n_heads, "config n_heads=True is not a valid int"),
+    (_with_int_vocab, "gloss_vocab is not a list of strings"),
     (lambda b: _rewrite_header(b, b"\xff\xfe{}"), "header is not UTF-8"),
     (lambda b: _rewrite_header(b, b"{config: 1"), "header is not JSON"),
     (lambda b: b[:-8] + struct.pack("<d", float("nan")),

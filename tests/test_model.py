@@ -249,6 +249,34 @@ def test_decoder_gradients():
         assert rep.passed, name
 
 
+def test_encoder_gradients_above_gather_crossover():
+    # at this length the LSSA layers run the gathered log-sparse op
+    F = sa.GATHER_MIN_LENGTH + 5
+    m = tiny_model(max_frames=F, n_lssa_layers=2)
+    rng = np.random.default_rng(14)
+    x0 = rng.normal(size=(F, 8))
+    w = Tensor(rng.normal(size=(F, 8)))
+    mask = sa.build_mask(F)
+
+    def block(x):
+        return nc.tsum(nc.mul(m.encoder_block_glot(x, 0, mask), w))
+
+    assert nc.grad_check(block, Tensor(x0), tol=1e-4).passed
+    for name in ("enc0.lssa0.wq", "enc0.lssa0.wk", "enc0.lssa1.wq",
+                 "enc0.lssa1.wk"):
+        orig = m.params[name]
+
+        def f(p):
+            m.params[name] = p
+            return block(Tensor(x0))
+
+        try:
+            rep = nc.grad_check(f, Tensor(orig.data.copy()), tol=1e-4)
+        finally:
+            m.params[name] = orig
+        assert rep.passed, (name, rep.max_rel_err)
+
+
 def test_s2g2t_shapes_and_finite_loss():
     m = tiny_model()
     rng = np.random.default_rng(14)

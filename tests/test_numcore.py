@@ -145,6 +145,36 @@ def test_attention_contract_errors():
         nc.attention(x, x, x, np.ones((3, 3), bool), n_heads=3)
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 5, 17, 64, 129, 300, 736])
+def test_offset_attention_matches_masked_dense(L):
+    rng = np.random.default_rng(L)
+    d = 8
+    q0, k0, v0, w = (rng.normal(size=(L, d)) for _ in range(4))
+    results = []
+    for op in (lambda q, k, v: nc.attention(q, k, v, sa.build_mask(L)),
+               lambda q, k, v: nc.offset_attention(
+                   q, k, v, sa.log_sparse_offsets(L))):
+        q, k, v = (Tensor(a, requires_grad=True) for a in (q0, k0, v0))
+        with Tape() as tape:
+            out = op(q, k, v)
+            loss = nc.tsum(nc.mul(out, Tensor(w)))
+        tape.backward(loss)
+        results.append((out.data, q.grad, k.grad, v.grad))
+    for got, ref in zip(*reversed(results)):
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert got.flags.c_contiguous
+
+
+def test_offset_attention_contract_errors():
+    x = Tensor(np.zeros((4, 2)))
+    with pytest.raises(nc.ShapeError):
+        nc.offset_attention(x, x, Tensor(np.zeros((3, 2))), (0, 1))
+    with pytest.raises(nc.ContractError):  # row 0 would have no key
+        nc.offset_attention(x, x, x, (1, 2))
+    with pytest.raises(nc.ContractError):
+        nc.offset_attention(x, x, x, (0, 4))
+
+
 def test_layer_norm_constant_vector_is_zero():
     out = nc.layer_norm(Tensor([4.0, 4.0, 4.0]), Tensor(np.ones(3)),
                         Tensor(np.zeros(3)))
@@ -319,11 +349,32 @@ def attention_case(opname, rng):
     return f, Tensor(rng.normal(size=fixed[wrt].shape))
 
 
+OFFSET_ATTENTION_CASES = [f"offset_attention_{wrt}_L{L}"
+                          for wrt in ("q", "k", "v") for L in (1, 2, 3, 5, 17)]
+
+
+def offset_attention_case(opname, rng):
+    """(f, point) checking one offset_attention input's gradient over the
+    log-sparse offsets of the length; the other two inputs are fixed."""
+    wrt, length = opname.split("_")[2:]
+    L, d = int(length[1:]), 3
+    offsets = sa.log_sparse_offsets(L)
+    fixed = {n: Tensor(rng.normal(size=(L, d))) for n in ("q", "k", "v")}
+    w = Tensor(rng.normal(size=(L, d)))
+
+    def f(x):
+        args = dict(fixed, **{wrt: x})
+        out = nc.offset_attention(args["q"], args["k"], args["v"], offsets)
+        return nc.tsum(nc.mul(out, w))
+
+    return f, Tensor(rng.normal(size=(L, d)))
+
+
 @pytest.mark.parametrize("opname", [
     "add", "add_col", "add_vec", "mul", "sigmoid", "relu", "scale",
     "concat", "slice", "masked_softmax", "log_softmax", "layer_norm",
     "conv1d", "gap", "gather", "pick", "broadcast_rows",
-] + ATTENTION_CASES)
+] + ATTENTION_CASES + OFFSET_ATTENTION_CASES)
 def test_gradients_match_finite_differences(opname):
     # 20 randomized trials per op, 64-bit, tol 1e-4 relative
     rng = np.random.default_rng(hash(opname) % (2 ** 32))
@@ -333,6 +384,8 @@ def test_gradients_match_finite_differences(opname):
         point = None
         if opname.startswith("attention_"):
             f, point = attention_case(opname, rng)
+        elif opname.startswith("offset_attention_"):
+            f, point = offset_attention_case(opname, rng)
         elif opname == "add":
             other = Tensor(rng.normal(size=(4, 3)))
             f = lambda x: nc.tsum(nc.mul(nc.add(x, other), w))

@@ -200,3 +200,80 @@ def test_build_mask_is_shared_read_only_and_matches_oracle():
         assert not mask.flags.writeable
         with pytest.raises(ValueError):
             mask[0, 0] = False
+
+
+def test_log_sparse_offsets():
+    assert sa.log_sparse_offsets(1) == (0,)
+    assert sa.log_sparse_offsets(2) == (0, 1)
+    assert sa.log_sparse_offsets(8) == (0, 1, 2, 4)
+    assert sa.log_sparse_offsets(9) == (0, 1, 2, 4, 8)
+    with pytest.raises(sa.DomainError):
+        sa.log_sparse_offsets(0)
+
+
+def test_log_sparse_table_matches_oracle():
+    for L in range(1, 130):
+        idx, valid = sa.log_sparse_table(L)
+        assert idx.shape == valid.shape == (L, len(sa.log_sparse_offsets(L)))
+        for p in range(1, L + 1):
+            keys = sorted(int(i) + 1 for i in idx[p - 1][valid[p - 1]])
+            assert tuple(keys) == sa.log_index_set(p).members, (L, p)
+        assert sa.log_sparse_table(L)[0] is idx
+        assert not idx.flags.writeable and not valid.flags.writeable
+
+
+def test_count_attention_pairs_closed_form_matches_loop():
+    for L in list(range(1, 301)) + [2048]:
+        loop = sum(len(sa.log_index_set(p).members) for p in range(1, L + 1))
+        assert sa.count_attention_pairs(L, "logsparse") == loop, L
+
+
+def _lssa_run(x0, params, mask):
+    """Output, x/w_q/w_k gradients and the recorded op names of one
+    lssa_layer call under a weighted-sum loss."""
+    x = Tensor(x0, requires_grad=True)
+    wq, wk = (Tensor(t.data, requires_grad=True)
+              for t in (params.w_q, params.w_k))
+    w = Tensor(np.random.default_rng(0).normal(size=x0.shape))
+    with nc.Tape() as tape:
+        out = sa.lssa_layer(x, sa.LssaParams(wq, wk), mask)
+        ops = [fn.__qualname__.split(".")[0] for _, _, fn in tape._entries]
+        loss = nc.tsum(nc.mul(out, w))
+    tape.backward(loss)
+    return out.data, (x.grad, wq.grad, wk.grad), ops
+
+
+def test_lssa_layer_gathers_above_crossover():
+    rng = np.random.default_rng(8)
+    L, d = sa.GATHER_MIN_LENGTH + 9, 4
+    x0, params = rng.normal(size=(L, d)), _random_params(rng, d)
+    out, grads, ops = _lssa_run(x0, params, sa.build_mask(L))
+    assert "offset_attention" in ops and "attention" not in ops
+    ref_out, ref_grads, ref_ops = _lssa_run(x0, params,
+                                            sa.build_mask(L).copy())
+    assert "attention" in ref_ops and "offset_attention" not in ref_ops
+    assert nc.rel_err(out, ref_out) <= 1e-12
+    for g, ref in zip(grads, ref_grads):
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_lssa_layer_below_crossover_is_masked_dense():
+    rng = np.random.default_rng(9)
+    L, d = sa.GATHER_MIN_LENGTH - 1, 4
+    x0, params = rng.normal(size=(L, d)), _random_params(rng, d)
+    mask = sa.build_mask(L)
+    out, grads, ops = _lssa_run(x0, params, mask)
+    assert ops == ["matmul", "matmul", "attention"]
+    # the same three ops called directly: bit-identical results
+    x = Tensor(x0, requires_grad=True)
+    wq, wk = (Tensor(t.data, requires_grad=True)
+              for t in (params.w_q, params.w_k))
+    w = Tensor(np.random.default_rng(0).normal(size=x0.shape))
+    with nc.Tape() as tape:
+        ref = nc.attention(nc.matmul(x, wq), nc.matmul(x, wk), x, mask)
+        loss = nc.tsum(nc.mul(ref, w))
+    tape.backward(loss)
+    assert np.array_equal(out, ref.data)
+    for g, r in zip(grads, (x.grad, wq.grad, wk.grad)):
+        assert np.array_equal(g, r)
+
