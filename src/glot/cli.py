@@ -53,9 +53,9 @@ def _load_config_file(path: str, known: set[str]) -> dict[str, tuple]:
 
 
 def _merge_config(args: argparse.Namespace, parser_defaults: dict,
-                  choices: dict[str, list]) -> None:
+                  actions: dict[str, argparse.Action]) -> None:
     """Fill file values into args where the flag was left unset; a value
-    for a flag with choices must be one of them."""
+    is cast with its flag's type and must be one of its choices, if any."""
     if not getattr(args, "config", None):
         for key, default in parser_defaults.items():
             if getattr(args, key) is None:
@@ -67,15 +67,15 @@ def _merge_config(args: argparse.Namespace, parser_defaults: dict,
             continue
         if key in file_vals:
             ln, raw = file_vals[key]
-            caster = type(default) if default is not None else str
+            caster, choices = actions[key].type or str, actions[key].choices
             try:
                 setattr(args, key, caster(raw))
             except ValueError:
                 raise UsageError(f"{args.config}:{ln}: {key}={raw!r} is not "
                                  f"a valid {caster.__name__}") from None
-            if key in choices and getattr(args, key) not in choices[key]:
+            if choices and getattr(args, key) not in choices:
                 raise UsageError(f"{args.config}:{ln}: {key}={raw!r} is not "
-                                 f"one of {', '.join(choices[key])}")
+                                 f"one of {', '.join(choices)}")
         else:
             setattr(args, key, default)
 
@@ -102,23 +102,21 @@ def _build_pipeline(args, cv_samples):
                      text_vocab_size=len(text_vocab),
                      encoder_kind=("glot" if args.encoder == "glot"
                                    else "dense_baseline"))
-    if args.d_model:
-        overrides["d_model"] = args.d_model
-    if args.ff_size:
-        overrides["ff_size"] = args.ff_size
-    if args.heads:
-        overrides["n_heads"] = args.heads
+    # A flag left unset keeps the preset's value; a set one, even 0, is
+    # passed on for the config to validate.
+    for flag, field in (("d_model", "d_model"), ("ff_size", "ff_size"),
+                        ("heads", "n_heads")):
+        if getattr(args, flag) is not None:
+            overrides[field] = getattr(args, flag)
     mconfig = preset(**overrides)
 
     tpreset = (training.TrainConfig.set1 if args.hparams == "set1"
                else training.TrainConfig.set2)
     toverrides = dict(seed=args.seed)
-    if args.epochs:
-        toverrides["epochs"] = args.epochs
-    if args.batch_size:
-        toverrides["batch_size"] = args.batch_size
-    if args.lr:
-        toverrides["lr_initial"] = args.lr
+    for flag, field in (("epochs", "epochs"), ("batch_size", "batch_size"),
+                        ("lr", "lr_initial")):
+        if getattr(args, flag) is not None:
+            toverrides[field] = getattr(args, flag)
     tconfig = tpreset(**toverrides)
     return mconfig, tconfig, gloss_vocab, text_vocab
 
@@ -320,13 +318,14 @@ def _add_common_train_flags(p: argparse.ArgumentParser) -> dict:
     p.add_argument("--ff-size", type=int, dest="ff_size")
     p.add_argument("--heads", type=int)
     p.add_argument("--config", type=str, help="key=value config file")
+    # None: the flag is unset and the hparams preset decides
     return dict(manifest=None, hparams="set2", encoder="glot", seed=0,
-                out="runs", epochs=0, batch_size=0, lr=0.0, d_model=0,
-                ff_size=0, heads=0)
+                out="runs", epochs=None, batch_size=None, lr=None,
+                d_model=None, ff_size=None, heads=None)
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
-    """(parser, per-command flag defaults, per-command flag choices)."""
+    """(parser, per-command flag defaults, per-command flag actions)."""
     parser = argparse.ArgumentParser(
         prog="glot",
         description="Gated log-sparse transformer pipeline for "
@@ -378,9 +377,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
     p.add_argument("--config", type=str)
     defaults["bench-attn"] = dict(lengths="8,64,512,1024", seed=0)
 
-    choices = {name: {a.dest: a.choices for a in sp._actions if a.choices}
+    actions = {name: {a.dest: a for a in sp._actions}
                for name, sp in sub.choices.items()}
-    return parser, defaults, choices
+    return parser, defaults, actions
 
 
 _COMMANDS = {
@@ -394,20 +393,24 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, defaults, choices = build_parser()
+    parser, defaults, actions = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors and 0 on --help
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     try:
-        _merge_config(args, defaults[args.command], choices[args.command])
+        _merge_config(args, defaults[args.command], actions[args.command])
         for required in ("manifest", "checkpoint"):
             if required in defaults[args.command] and \
                     defaults[args.command][required] is None and \
                     getattr(args, required, "x") is None:
                 raise UsageError(f"--{required} is required")
-        return _COMMANDS[args.command](args)
+        # Non-finite values are reported by the ops' own checks (exit 3),
+        # so numpy's overflow and invalid-value warnings would only repeat
+        # them on stderr.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            return _COMMANDS[args.command](args)
     except (UsageError, DataError, FormatError, ConfigError, CheckpointError,
             nc.ShapeError, metrics.MetricError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -54,6 +54,8 @@ class GlotConfig:
     def validate(self) -> None:
         if self.d_model < 2 or self.d_model % 2:
             raise ConfigError("d_model must be even and >= 2")
+        if self.n_heads < 1:
+            raise ConfigError("n_heads must be positive")
         if self.d_model % self.n_heads:
             raise ConfigError("d_model must be divisible by n_heads")
         if self.conv_kernel % 2 == 0 or self.conv_kernel < 1:
@@ -294,31 +296,34 @@ class GlotModel:
         p = self.params
         return nc.matmul(x, p[prefix + "wk"]), nc.matmul(x, p[prefix + "wv"])
 
-    def _mha(self, prefix: str, xq: Tensor, xkv: Tensor, mask: np.ndarray,
+    def _mha(self, prefix: str, xq: Tensor, xkv: Tensor,
+             mask: np.ndarray | None,
              counter: sa.PairCounter | None = None,
              counter_tag: str = "dense",
              kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
-        """Multi-head attention; the pair counter tallies each allowed
-        (query, key) position once per layer, heads sharing the pattern.
-        ``kv`` supplies ready keys and values (a decoding cache) in place
-        of the projections of ``xkv``."""
+        """Multi-head attention; a mask of None allows every key. The pair
+        counter tallies each allowed (query, key) position once per layer,
+        heads sharing the pattern. ``kv`` supplies ready keys and values
+        (a decoding cache) in place of the projections of ``xkv``."""
         p = self.params
         q = nc.matmul(xq, p[prefix + "wq"])
         k, v = self._project_kv(prefix, xkv) if kv is None else kv
         if counter is not None:
-            counter.add(counter_tag, int(mask.sum()))
+            counter.add(counter_tag, q.shape[0] * k.shape[0] if mask is None
+                        else int(mask.sum()))
         heads = nc.attention(q, k, v, mask, self.config.n_heads)
         return nc.matmul(heads, p[prefix + "wo"])
 
     def _feed_forward(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params
-        h = nc.relu(nc.add(nc.matmul(x, p[prefix + "ff.w1"]), p[prefix + "ff.b1"]))
+        h = nc.relu(nc.matmul(x, p[prefix + "ff.w1"], p[prefix + "ff.b1"]))
         h = self._dropout(h)
-        return nc.add(nc.matmul(h, p[prefix + "ff.w2"]), p[prefix + "ff.b2"])
+        return nc.matmul(h, p[prefix + "ff.w2"], p[prefix + "ff.b2"])
 
-    def _norm(self, prefix: str, x: Tensor) -> Tensor:
+    def _norm(self, prefix: str, x: Tensor, residual: Tensor) -> Tensor:
+        """layer_norm(x + residual) with the prefix's gain and bias."""
         return nc.layer_norm(x, self.params[prefix + "_g"],
-                             self.params[prefix + "_b"])
+                             self.params[prefix + "_b"], residual)
 
     # ------------------------------------------------------------------
     # encoder
@@ -339,9 +344,8 @@ class GlotModel:
     def gate_value(self, lssa_out: Tensor, enc_prefix: str) -> Tensor:
         """Per-position scalar gate in (0,1): sigmoid(<w, row> + b)."""
         p = self.params
-        raw = nc.add(nc.matmul(lssa_out, p[enc_prefix + "gate_w"]),
-                     p[enc_prefix + "gate_b"])
-        return nc.sigmoid(raw)
+        return nc.sigmoid(nc.matmul(lssa_out, p[enc_prefix + "gate_w"],
+                                    p[enc_prefix + "gate_b"]))
 
     def gating_combine(self, g: Tensor, lssa_out: Tensor,
                        gap_vec: Tensor) -> Tensor:
@@ -372,18 +376,16 @@ class GlotModel:
         g = self.gate_value(lssa_out, pre)
         fused = self.gating_combine(g, lssa_out, gap)
 
-        y = nc.add(x, nc.concat_channels(conv_out, fused))
-        return nc.layer_norm(y, p[pre + "norm_g"], p[pre + "norm_b"])
+        return self._norm(pre + "norm", x, nc.concat_channels(conv_out, fused))
 
     def encoder_block_dense(self, x: Tensor, i: int,
                             counter: sa.PairCounter | None = None) -> Tensor:
         pre = f"enc{i}."
-        F = x.shape[0]
-        attn = self._mha(pre + "attn.", x, x, sa.full_mask(F),
+        attn = self._mha(pre + "attn.", x, x, None,
                          counter=counter, counter_tag="dense")
-        x = self._norm(pre + "attn_norm", nc.add(x, self._dropout(attn)))
+        x = self._norm(pre + "attn_norm", x, self._dropout(attn))
         ff = self._feed_forward(pre, x)
-        return self._norm(pre + "ff_norm", nc.add(x, self._dropout(ff)))
+        return self._norm(pre + "ff_norm", x, self._dropout(ff))
 
     def encode(self, frames: np.ndarray,
                counter: sa.PairCounter | None = None) -> Tensor:
@@ -428,8 +430,9 @@ class GlotModel:
         h = nc.gather_rows(p[f"embed_{stage}"], token_ids)
         h = nc.add(h, self._pe(L, "dec", start))
         h = self._dropout(h)
-        self_mask = sa.causal_mask(start + L)[start:]
-        cross_mask = np.ones((L, memory.shape[0]), dtype=bool)
+        # One new row may attend to every cached position; cross-attention
+        # always sees all of memory.
+        self_mask = None if L == 1 else sa.causal_mask(start + L)[start:]
         self_kv = cross_kv = None
         for i in range(self.config.n_decoders):
             pre = f"dec_{stage}{i}."
@@ -438,14 +441,14 @@ class GlotModel:
                 cross_kv = cache.cross_kv(
                     i, lambda: self._project_kv(pre + "cross.", memory))
             attn = self._mha(pre + "self.", h, h, self_mask, kv=self_kv)
-            h = self._norm(pre + "self_norm", nc.add(h, self._dropout(attn)))
-            attn = self._mha(pre + "cross.", h, memory, cross_mask, kv=cross_kv)
-            h = self._norm(pre + "cross_norm", nc.add(h, self._dropout(attn)))
+            h = self._norm(pre + "self_norm", h, self._dropout(attn))
+            attn = self._mha(pre + "cross.", h, memory, None, kv=cross_kv)
+            h = self._norm(pre + "cross_norm", h, self._dropout(attn))
             ff = self._feed_forward(pre, h)
-            h = self._norm(pre + "ff_norm", nc.add(h, self._dropout(ff)))
+            h = self._norm(pre + "ff_norm", h, self._dropout(ff))
         if cache is not None:
             cache.start += L
-        return nc.add(nc.matmul(h, p[f"out_{stage}.w"]), p[f"out_{stage}.b"])
+        return nc.matmul(h, p[f"out_{stage}.w"], p[f"out_{stage}.b"])
 
     def _gloss_memory(self, memory: Tensor, gloss_ids: list[int]) -> Tensor:
         """Encoder memory extended with the embedded gloss sequence."""

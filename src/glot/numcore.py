@@ -13,6 +13,7 @@ matrix. Anything richer raises ``ShapeError``.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 from dataclasses import dataclass
@@ -37,7 +38,12 @@ class NonFiniteError(ArithmeticError):
     """A forward operation produced NaN or Inf."""
 
 
-_TAPES: list["Tape"] = []
+# The tapes entered in the current context, innermost last. Each thread
+# (and asyncio task) has its own context, so it records only onto tapes it
+# entered; the value is a tuple, replaced and never mutated, so no list is
+# shared between contexts.
+_TAPES: contextvars.ContextVar[tuple["Tape", ...]] = contextvars.ContextVar(
+    "glot_tapes", default=())
 
 
 class Tensor:
@@ -72,18 +78,19 @@ class Tape:
 
     Entries are appended in execution order, which is topological by
     construction; ``backward`` walks them once in reverse and then clears
-    the record. A tape is confined to one logical thread.
+    the record. A tape records only the ops of the thread (or context)
+    that entered it.
     """
 
     def __init__(self):
         self._entries: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
 
     def __enter__(self) -> "Tape":
-        _TAPES.append(self)
+        _TAPES.set(_TAPES.get() + (self,))
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        _TAPES.remove(self)
+        _TAPES.set(tuple(t for t in _TAPES.get() if t is not self))
         return False
 
     def __len__(self) -> int:
@@ -123,10 +130,11 @@ def _record(data: np.ndarray, op: str, inputs: Sequence[Tensor],
             backward_fn: Callable) -> Tensor:
     _check_finite(data, op)
     out = Tensor(data)
-    if _TAPES and any(t.requires_grad for t in inputs):
+    tapes = _TAPES.get()
+    if tapes and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out._produced = True
-        _TAPES[-1]._entries.append((out, tuple(inputs), backward_fn))
+        tapes[-1]._entries.append((out, tuple(inputs), backward_fn))
     return out
 
 
@@ -259,14 +267,22 @@ def broadcast_rows(v: Tensor, n_rows: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus a (n,) or scalar bias on every row when one is given."""
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError("matmul operands must be matrices")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims {a.shape} x {b.shape}")
     out = a.data @ b.data
-    return _record(out, "matmul", (a, b),
-                   lambda g: (g @ b.data.T, a.data.T @ g))
+    if bias is None:
+        return _record(out, "matmul", (a, b),
+                       lambda g: (g @ b.data.T, a.data.T @ g))
+    if bias.shape not in ((), (b.shape[1],)):
+        raise ShapeError(f"matmul: bias {bias.shape} vs output {out.shape}")
+    out += bias.data
+    return _record(out, "matmul", (a, b, bias),
+                   lambda g: (g @ b.data.T, a.data.T @ g,
+                              _reduce_to(g, bias.shape)))
 
 
 def tsum(x: Tensor) -> Tensor:
@@ -331,27 +347,30 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(x.shape[1], -1)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
               n_heads: int = 1) -> Tensor:
     """Multi-head scaled dot-product attention restricted to a mask.
 
     q is (Lq, d), k and v are (Lk, d) and mask is a boolean (Lq, Lk)
-    pattern shared by every head. Heads are the reshape (L, d) -> (H, L, d/H);
-    scores are scaled by 1/sqrt(d/H) and each row is softmax-normalized
-    over its mask-true entries only, so masked weights are exactly 0. The
-    per-head outputs are laid side by side into an (Lq, d) result.
+    pattern shared by every head, or None to allow every key. Heads are the
+    reshape (L, d) -> (H, L, d/H); scores are scaled by 1/sqrt(d/H) and
+    each row is softmax-normalized over its mask-true entries only, so
+    masked weights are exactly 0. The per-head outputs are laid side by
+    side into an (Lq, d) result.
     """
-    mask = np.asarray(mask, dtype=bool)
     if q.data.ndim != 2 or k.shape != v.shape or k.shape[1:] != q.shape[1:]:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
     (Lq, d), Lk = q.shape, k.shape[0]
     if n_heads < 1 or d % n_heads:
         raise ConfigError(f"attention: width {d} does not split into "
                           f"{n_heads} heads")
-    if mask.shape != (Lq, Lk):
-        raise ShapeError(f"attention: mask {mask.shape} vs scores {(Lq, Lk)}")
-    if not mask.any(axis=1).all():
-        raise ContractError("attention: a row has no allowed entries")
+    if mask is not None:
+        mask = np.asarray(mask, dtype=bool)
+        if mask.shape != (Lq, Lk):
+            raise ShapeError(f"attention: mask {mask.shape} vs scores "
+                             f"{(Lq, Lk)}")
+        if not mask.any(axis=1).all():
+            raise ContractError("attention: a row has no allowed entries")
     dh = d // n_heads
     c = 1.0 / math.sqrt(dh)
     qh = np.ascontiguousarray(q.data.reshape(Lq, n_heads, dh).transpose(1, 0, 2))
@@ -359,7 +378,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray,
     vh = np.ascontiguousarray(v.data.reshape(Lk, n_heads, dh).transpose(1, 0, 2))
     alpha = qh @ kt
     alpha *= c
-    np.copyto(alpha, -np.inf, where=~mask)
+    if mask is not None:
+        np.copyto(alpha, -np.inf, where=~mask)
     alpha -= alpha.max(axis=-1, keepdims=True)
     np.exp(alpha, out=alpha)
     alpha /= alpha.sum(axis=-1, keepdims=True)
@@ -442,9 +462,10 @@ def offset_attention(q: Tensor, k: Tensor, v: Tensor,
 # normalization, convolution, pooling
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               eps: float = 1e-5) -> Tensor:
+               residual: Tensor | None = None, eps: float = 1e-5) -> Tensor:
     """Normalize along the last axis (rows of a matrix independently).
 
+    With a residual, the input is x + residual, and both get its gradient.
     Uses population variance; eps keeps the constant-input case finite.
     Means are sums over d, which is the arithmetic of np.mean and np.var
     to the bit without their per-call overhead.
@@ -454,7 +475,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must match the last axis")
-    xc = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    if residual is None:
+        xs, inputs = x.data, (x, gain, bias)
+    elif residual.shape == x.shape:
+        xs, inputs = x.data + residual.data, (x, gain, bias, residual)
+    else:
+        raise ShapeError(f"layer_norm: residual {residual.shape} vs "
+                         f"input {x.shape}")
+    xc = xs - xs.sum(axis=-1, keepdims=True) / d
     var = (xc * xc).sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
@@ -467,9 +495,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
         dx = inv * (dxhat
                     - dxhat.sum(axis=-1, keepdims=True) / d
                     - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d))
-        return (dx, dgain, dbias)
+        # x and the residual share dx; without a residual the fourth
+        # entry has no input to meet and is dropped.
+        return (dx, dgain, dbias, dx)
 
-    return _record(out, "layer_norm", (x, gain, bias), bw)
+    return _record(out, "layer_norm", inputs, bw)
 
 
 def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:

@@ -41,6 +41,19 @@ class TrainConfig:
     stop_bleu1: float | None = None        # early exit once reached on val
     max_decode_len: int | None = None
 
+    def __post_init__(self):
+        self.validate()
+
+    def validate(self) -> None:
+        if self.epochs < 1:
+            raise nc.ConfigError(f"epochs must be positive, got {self.epochs}")
+        if self.batch_size < 1:
+            raise nc.ConfigError(f"batch_size must be positive, got "
+                                 f"{self.batch_size}")
+        if not self.lr_initial > 0:
+            raise nc.ConfigError(f"lr_initial must be positive, got "
+                                 f"{self.lr_initial:g}")
+
     @classmethod
     def set1(cls, **overrides) -> "TrainConfig":
         cfg = cls(hyperparameter_set="set1", epochs=30, batch_size=32,
@@ -286,6 +299,8 @@ def train(model: GlotModel, train_set: list[EncodedSample],
 def make_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
     """Seeded shuffle, then contiguous near-equal folds (earlier folds take
     the remainder)."""
+    if k < 2:
+        raise nc.ConfigError(f"cross-validation needs at least 2 folds, got {k}")
     if n < k:
         raise nc.ConfigError(f"dataset of {n} samples cannot form {k} folds")
     order = np.random.default_rng(seed).permutation(n)

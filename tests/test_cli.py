@@ -207,6 +207,42 @@ def test_nonfinite_forward_op_exits_3(tmp_path, capsys):
     assert msg.startswith("divergence: ") and "produced non-finite" in msg
 
 
+@pytest.mark.parametrize("flag, value, expected", [
+    ("--epochs", "0", "epochs must be positive"),
+    ("--epochs", "-1", "epochs must be positive"),
+    ("--batch-size", "0", "batch_size must be positive"),
+    ("--batch-size", "-3", "batch_size must be positive"),
+    ("--lr", "0", "lr_initial must be positive"),
+    ("--lr", "-1", "lr_initial must be positive"),
+    ("--d-model", "0", "d_model must be even"),
+    ("--heads", "0", "n_heads must be positive"),
+    ("--heads", "-2", "n_heads must be positive"),
+    ("--ff-size", "0", "ff_size must be positive"),
+])
+def test_train_nonpositive_flag_exits_2(tmp_path, capsys, flag, value,
+                                        expected):
+    run(capsys, ["synth", "--samples", "6", "--out", str(tmp_path / "d")])
+    code, _, err = run(capsys, [
+        "train", "--manifest", str(tmp_path / "d" / "manifest.tsv"),
+        "--d-model", "8", "--ff-size", "8", "--heads", "2",
+        flag, value, "--out", str(tmp_path / "run")])
+    assert code == 2
+    [msg] = err.splitlines()
+    assert msg.startswith("error: ") and expected in msg
+
+
+@pytest.mark.parametrize("folds", ["0", "1", "-2"])
+def test_crossval_too_few_folds_exits_2(tmp_path, capsys, folds):
+    run(capsys, ["synth", "--samples", "6", "--out", str(tmp_path / "d")])
+    code, _, err = run(capsys, [
+        "crossval", "--manifest", str(tmp_path / "d" / "manifest.tsv"),
+        "--folds", folds, "--epochs", "1", "--d-model", "8",
+        "--ff-size", "8", "--heads", "2", "--out", str(tmp_path / "cv")])
+    assert code == 2
+    [msg] = err.splitlines()
+    assert msg == f"error: cross-validation needs at least 2 folds, got {folds}"
+
+
 def test_bench_attn_small(capsys):
     code, out, _ = run(capsys, ["bench-attn", "--lengths", "8,64"])
     assert code == 0
@@ -307,11 +343,16 @@ def _with_int_vocab(blob: bytes) -> bytes:
     return _edit_header(blob, lambda h: h.update(gloss_vocab=5))
 
 
+def _with_zero_heads(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h["config"].update(n_heads=0))
+
+
 @pytest.mark.parametrize("corrupt, expected", [
     (_with_unknown_key, "unknown config keys bogus"),
     (_with_string_d_model, "config d_model='8' is not a valid int"),
     (_with_bool_n_heads, "config n_heads=True is not a valid int"),
     (_with_int_vocab, "gloss_vocab is not a list of strings"),
+    (_with_zero_heads, "n_heads must be positive"),
     (lambda b: _rewrite_header(b, b"\xff\xfe{}"), "header is not UTF-8"),
     (lambda b: _rewrite_header(b, b"{config: 1"), "header is not JSON"),
     (lambda b: b[:-8] + struct.pack("<d", float("nan")),

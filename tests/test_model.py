@@ -414,6 +414,40 @@ def test_cached_steps_match_full_prefix(kind, n_decoders, pe_kind):
             m.decoder_forward(mem, [BOS], stage, cache)
 
 
+STEP_OPS = ["gather_rows", "add",                       # embedding + PE
+            "matmul", "matmul",                         # self K, V rows
+            "matmul", "attention", "matmul", "layer_norm",
+            "matmul", "attention", "matmul", "layer_norm",  # cross
+            "matmul", "relu", "matmul", "layer_norm",   # feed-forward
+            "matmul"]                                   # output logits
+
+
+@pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
+def test_cached_decoder_step_ops(monkeypatch, kind):
+    # One cached step of a one-layer decoder records 17 ops; the first
+    # step of a stage also projects the memory's cross K and V. No step
+    # builds a causal mask: its single row may see every cached key.
+    m = tiny_model(encoder_kind=kind)
+    memory = m.encode(np.random.default_rng(20).normal(size=(6, 5)))
+    ops = []
+    record = nc._record
+
+    def spy(data, op, *rest):
+        ops.append(op)
+        return record(data, op, *rest)
+
+    monkeypatch.setattr(nc, "_record", spy)
+    monkeypatch.setattr(sa, "causal_mask", None)
+    cache = DecoderCache()
+    for t, token in enumerate([BOS, 5, 6]):
+        ops.clear()
+        m.decoder_forward(memory, [token], "gloss", cache)
+        expected = list(STEP_OPS)
+        if t == 0:
+            expected[4:4] = ["matmul", "matmul"]
+        assert ops == expected, t
+
+
 def full_prefix_greedy(model, frames, max_len):
     """Greedy decoding that re-runs the decoder over the whole prefix."""
     model.eval()

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -370,11 +373,38 @@ def offset_attention_case(opname, rng):
     return f, Tensor(rng.normal(size=(L, d)))
 
 
+FUSED_CASES = ["matmul_bias_a", "matmul_bias_b", "matmul_bias_vec",
+               "matmul_bias_scalar", "layer_norm_residual_x",
+               "layer_norm_residual_r"]
+
+
+def fused_case(opname, rng, w):
+    """(f, point) checking one input's gradient of matmul with a bias or
+    layer_norm with a residual; the other inputs are fixed random tensors."""
+    if opname.startswith("matmul_bias_"):
+        wrt = opname.split("_")[2]
+        shapes = {"a": (4, 2), "b": (2, 3),
+                  "bias": () if wrt == "scalar" else (3,)}
+        wrt = "bias" if wrt in ("vec", "scalar") else wrt
+        op = nc.matmul
+    else:
+        wrt = opname.split("_")[3]
+        shapes = {"x": (4, 3), "gain": (3,), "bias": (3,), "r": (4, 3)}
+        op = nc.layer_norm
+    fixed = {n: Tensor(rng.normal(size=shape)) for n, shape in shapes.items()}
+
+    def f(x):
+        args = dict(fixed, **{wrt: x})
+        return nc.tsum(nc.mul(op(*args.values()), w))
+
+    return f, Tensor(rng.normal(size=shapes[wrt]))
+
+
 @pytest.mark.parametrize("opname", [
     "add", "add_col", "add_vec", "mul", "sigmoid", "relu", "scale",
     "concat", "slice", "masked_softmax", "log_softmax", "layer_norm",
     "conv1d", "gap", "gather", "pick", "broadcast_rows",
-] + ATTENTION_CASES + OFFSET_ATTENTION_CASES)
+] + ATTENTION_CASES + OFFSET_ATTENTION_CASES + FUSED_CASES)
 def test_gradients_match_finite_differences(opname):
     # 20 randomized trials per op, 64-bit, tol 1e-4 relative
     rng = np.random.default_rng(hash(opname) % (2 ** 32))
@@ -386,6 +416,8 @@ def test_gradients_match_finite_differences(opname):
             f, point = attention_case(opname, rng)
         elif opname.startswith("offset_attention_"):
             f, point = offset_attention_case(opname, rng)
+        elif opname in FUSED_CASES:
+            f, point = fused_case(opname, rng, w)
         elif opname == "add":
             other = Tensor(rng.normal(size=(4, 3)))
             f = lambda x: nc.tsum(nc.mul(nc.add(x, other), w))
@@ -454,11 +486,13 @@ def test_operations_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_nonfinite_rejected():
     with pytest.raises(nc.NonFiniteError):
         nc.mul(Tensor([1e308]), Tensor([1e308]))
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_finite_check_catches_every_position(bad):
     for shape in [(5,), (3, 4)]:
@@ -518,3 +552,127 @@ def test_inactive_dropout_records_nothing(rate, training):
         tape.backward(loss)
         grads.append(x.grad)
     assert np.array_equal(grads[0], grads[1])
+
+
+def grads_of(fn, arrays, w):
+    """Output and input gradients of tsum(fn(*inputs) * w)."""
+    inputs = [Tensor(a, requires_grad=True) for a in arrays]
+    with Tape() as tape:
+        out = fn(*inputs)
+        loss = nc.tsum(nc.mul(out, Tensor(w)))
+    tape.backward(loss)
+    return [out.data] + [t.grad for t in inputs]
+
+
+def assert_bit_equal(got, ref):
+    assert len(got) == len(ref)
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("bias_shape", [(5,), ()])
+def test_matmul_bias_bit_equal_to_matmul_then_add(bias_shape):
+    rng = np.random.default_rng(18)
+    for rows in (1, 7):
+        arrays = [rng.normal(size=(rows, 4)), rng.normal(size=(4, 5)),
+                  rng.normal(size=bias_shape)]
+        w = rng.normal(size=(rows, 5))
+        assert_bit_equal(grads_of(nc.matmul, arrays, w),
+                         grads_of(lambda a, b, c: nc.add(nc.matmul(a, b), c),
+                                  arrays, w))
+
+
+def test_matmul_bias_shape_error():
+    a, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+    for shape in ((3,), (1, 4), (2, 4)):
+        with pytest.raises(nc.ShapeError):
+            nc.matmul(a, b, Tensor(np.zeros(shape)))
+
+
+@pytest.mark.parametrize("shape", [(6,), (1, 6), (5, 6)])
+def test_layer_norm_residual_bit_equal_to_add_then_layer_norm(shape):
+    rng = np.random.default_rng(19)
+    arrays = [rng.normal(size=shape) * 3, rng.normal(size=6),
+              rng.normal(size=6), rng.normal(size=shape)]
+    w = rng.normal(size=shape)
+    assert_bit_equal(grads_of(nc.layer_norm, arrays, w),
+                     grads_of(lambda x, g, b, r: nc.layer_norm(nc.add(x, r), g, b),
+                              arrays, w))
+    with pytest.raises(nc.ShapeError):
+        nc.layer_norm(Tensor(arrays[0]), Tensor(arrays[1]), Tensor(arrays[2]),
+                      Tensor(np.zeros(shape[:-1] + (3,))))
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+def test_attention_without_mask_bit_equal_to_all_true_mask(n_heads):
+    rng = np.random.default_rng(20 + n_heads)
+    for lq, lk in ((1, 1), (1, 9), (6, 9)):
+        arrays = [rng.normal(size=(lq, 8)), rng.normal(size=(lk, 8)),
+                  rng.normal(size=(lk, 8))]
+        w = rng.normal(size=(lq, 8))
+        full = np.ones((lq, lk), dtype=bool)
+        assert_bit_equal(
+            grads_of(lambda q, k, v: nc.attention(q, k, v, None, n_heads),
+                     arrays, w),
+            grads_of(lambda q, k, v: nc.attention(q, k, v, full, n_heads),
+                     arrays, w))
+
+
+def test_fused_ops_reject_overflow():
+    big = Tensor([[1e200]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(nc.NonFiniteError):  # the product overflows
+            nc.matmul(big, big, Tensor([1.0]))
+        with pytest.raises(nc.NonFiniteError):  # the residual sum overflows
+            nc.layer_norm(Tensor([[1e308, 0.0]]), Tensor(np.ones(2)),
+                          Tensor(np.zeros(2)), Tensor([[1e308, 0.0]]))
+
+
+def test_tapes_are_per_thread():
+    # More threads than cores each build and run their own tape, entering
+    # it and recording every op in lockstep with the others, with a short
+    # switch interval; each thread's gradient must equal the one a lone
+    # thread computes from the same input.
+    n = 4
+    rng = np.random.default_rng(21)
+    xs = [rng.normal(size=(3, 4)) for _ in range(n)]
+    w0 = rng.normal(size=(4, 4))
+    barrier = threading.Barrier(n, timeout=30)
+
+    def grad(x0, sync):
+        w = Tensor(w0.copy(), requires_grad=True)
+        with Tape() as tape:
+            h = Tensor(x0)
+            for _ in range(4):
+                sync()
+                h = nc.sigmoid(nc.matmul(h, w))
+            sync()
+            loss = nc.tsum(h)
+        sync()
+        tape.backward(loss)
+        return w.grad
+
+    expected = [grad(x, lambda: None) for x in xs]
+    results: list = [None] * n
+
+    def worker(i):
+        try:
+            results[i] = grad(xs[i], barrier.wait)
+        except Exception as e:  # reported by the main thread
+            results[i] = e
+            barrier.abort()
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for got, ref in zip(results, expected):
+        assert isinstance(got, np.ndarray), got
+        assert np.array_equal(got, ref)

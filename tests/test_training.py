@@ -140,6 +140,22 @@ def test_make_folds_too_small():
         training.make_folds(3, 5, seed=0)
 
 
+@pytest.mark.parametrize("k", [1, 0, -2])
+def test_make_folds_needs_two_folds(k):
+    with pytest.raises(nc.ConfigError):
+        training.make_folds(10, k, seed=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("epochs", 0), ("batch_size", -1), ("lr_initial", 0.0),
+    ("lr_initial", float("nan"))])
+def test_train_config_rejects_nonpositive(field, value):
+    with pytest.raises(nc.ConfigError):
+        training.TrainConfig.set2(**{field: value})
+    with pytest.raises(nc.ConfigError):
+        training.TrainConfig(**{field: value})
+
+
 def _tiny_corpus(tmp_path, n=6, seed=9, noise=0.0):
     manifest = dataio.synth_generate(seed, n, 4, 5, noise, tmp_path)
     samples = manifest.load_samples()
