@@ -4,7 +4,8 @@ gradient-check, and benchmark attention.
 Exit codes: 0 success, 1 check failure, 2 usage/data error, 3 numeric
 divergence. Every command accepts ``--config FILE`` with flat key=value
 lines mirroring flag names; explicit flags win over file values, and
-unknown keys and values outside a flag's choices are rejected.
+unknown keys and values outside a flag's choices are rejected. COMMANDS
+declares every command, flag, type and default.
 """
 
 from __future__ import annotations
@@ -52,32 +53,29 @@ def _load_config_file(path: str, known: set[str]) -> dict[str, tuple]:
     return values
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict,
-                  actions: dict[str, argparse.Action]) -> None:
-    """Fill file values into args where the flag was left unset; a value
-    is cast with its flag's type and must be one of its choices, if any."""
-    if not getattr(args, "config", None):
-        for key, default in parser_defaults.items():
-            if getattr(args, key) is None:
-                setattr(args, key, default)
-        return
-    file_vals = _load_config_file(args.config, set(parser_defaults))
-    for key, default in parser_defaults.items():
+def _merge_config(args: argparse.Namespace, flags: dict) -> None:
+    """Fill each flag left unset from the config file, else with its
+    default; a file value is cast with the flag's type and must be one of
+    its choices, if it has any."""
+    file_vals = (_load_config_file(args.config, set(flags))
+                 if args.config else {})
+    for key, (kind, default, *_) in flags.items():
         if getattr(args, key) is not None:
             continue
-        if key in file_vals:
-            ln, raw = file_vals[key]
-            caster, choices = actions[key].type or str, actions[key].choices
-            try:
-                setattr(args, key, caster(raw))
-            except ValueError:
-                raise UsageError(f"{args.config}:{ln}: {key}={raw!r} is not "
-                                 f"a valid {caster.__name__}") from None
-            if choices and getattr(args, key) not in choices:
-                raise UsageError(f"{args.config}:{ln}: {key}={raw!r} is not "
-                                 f"one of {', '.join(choices)}")
-        else:
+        if key not in file_vals:
             setattr(args, key, default)
+            continue
+        ln, raw = file_vals[key]
+        caster = str if isinstance(kind, tuple) else kind
+        try:
+            value = caster(raw)
+        except ValueError:
+            raise UsageError(f"{args.config}:{ln}: {key}={raw!r} is not "
+                             f"a valid {caster.__name__}") from None
+        if isinstance(kind, tuple) and value not in kind:
+            raise UsageError(f"{args.config}:{ln}: {key}={raw!r} is not "
+                             f"one of {', '.join(kind)}")
+        setattr(args, key, value)
 
 
 # ---------------------------------------------------------------------------
@@ -178,9 +176,8 @@ def cmd_train(args) -> int:
 def cmd_crossval(args) -> int:
     manifest = dataio.read_manifest(args.manifest)
     cv_samples = manifest.load_samples(split="cv")
-    if len(cv_samples) < args.folds:
-        raise UsageError(f"{len(cv_samples)} cv samples cannot form "
-                         f"{args.folds} folds")
+    # cross_validate's fold rule, applied before any output or run directory
+    training.make_folds(len(cv_samples), args.folds, args.seed)
     mconfig, tconfig, gloss_vocab, text_vocab = _build_pipeline(args, cv_samples)
     _print_effective_config(mconfig, tconfig)
     encoded = training.encode_samples(cv_samples, gloss_vocab, text_vocab)
@@ -236,6 +233,8 @@ def evaluate_clipped(model: GlotModel, encoded) -> tuple:
 def cmd_gradcheck(args) -> int:
     if args.preset != "tiny":
         raise UsageError(f"unknown gradcheck preset {args.preset!r}")
+    if not args.tol > 0:
+        raise UsageError(f"--tol must be positive, got {args.tol:g}")
     cfg = GlotConfig.tiny(max_frames=8, gloss_vocab_size=7,
                           text_vocab_size=11, feat_dim=5)
     model = GlotModel(cfg, seed=args.seed)
@@ -305,112 +304,73 @@ def cmd_bench_attn(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common_train_flags(p: argparse.ArgumentParser) -> dict:
-    p.add_argument("--manifest", type=str)
-    p.add_argument("--hparams", choices=["set1", "set2"])
-    p.add_argument("--encoder", choices=["glot", "dense"])
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out", type=str)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--lr", type=float)
-    p.add_argument("--d-model", type=int, dest="d_model")
-    p.add_argument("--ff-size", type=int, dest="ff_size")
-    p.add_argument("--heads", type=int)
-    p.add_argument("--config", type=str, help="key=value config file")
-    # None: the flag is unset and the hparams preset decides
-    return dict(manifest=None, hparams="set2", encoder="glot", seed=0,
-                out="runs", epochs=None, batch_size=None, lr=None,
-                d_model=None, ff_size=None, heads=None)
+# {command: (handler, help, {flag: (type or tuple of choices, default)})}.
+# Flag --batch-size is key batch_size, in args and in config files alike.
+# A default of None leaves the value to a preset or to the command; a
+# third entry is the flag's help text.
+REQUIRED = object()  # default of a flag that must be given
+
+_TRAIN_FLAGS = dict(
+    manifest=(str, REQUIRED), hparams=(("set1", "set2"), "set2"),
+    encoder=(("glot", "dense"), "glot"), seed=(int, 0), out=(str, "runs"),
+    epochs=(int, None), batch_size=(int, None), lr=(float, None),
+    d_model=(int, None), ff_size=(int, None), heads=(int, None))
+
+COMMANDS = {
+    "synth": (cmd_synth, "generate a seeded synthetic corpus", dict(
+        seed=(int, 0), samples=(int, 16), signs=(int, 6), feat_dim=(int, 8),
+        noise=(float, 0.0), out=(str, "data"))),
+    "train": (cmd_train, "train on the cv split of a manifest", _TRAIN_FLAGS),
+    "crossval": (cmd_crossval, "k-fold cross-validation",
+                 dict(_TRAIN_FLAGS, folds=(int, 5))),
+    "eval": (cmd_eval, "greedy-decode a split and report BLEU", dict(
+        manifest=(str, REQUIRED), checkpoint=(str, REQUIRED),
+        split=(("cv", "test"), "test"), out=(str, None))),
+    "gradcheck": (cmd_gradcheck, "finite-difference check of every parameter",
+                  dict(preset=(str, "tiny"), tol=(float, 1e-3), seed=(int, 0),
+                       # hidden: a negative control of the sweep itself
+                       corrupt=(str, None, argparse.SUPPRESS))),
+    "bench-attn": (cmd_bench_attn, "exact attention pair counts and timings",
+                   dict(lengths=(str, "8,64,512,1024"), seed=(int, 0))),
+}
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
-    """(parser, per-command flag defaults, per-command flag actions)."""
+def build_parser() -> argparse.ArgumentParser:
+    """The glot parser with one subparser per COMMANDS entry; every flag
+    parses to None when absent, so _merge_config can tell it was unset."""
     parser = argparse.ArgumentParser(
         prog="glot",
         description="Gated log-sparse transformer pipeline for "
                     "sign->gloss->text experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-    defaults: dict[str, dict] = {}
-
-    p = sub.add_parser("synth", help="generate a seeded synthetic corpus")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--signs", type=int)
-    p.add_argument("--feat-dim", type=int, dest="feat_dim")
-    p.add_argument("--noise", type=float)
-    p.add_argument("--out", type=str)
-    p.add_argument("--config", type=str)
-    defaults["synth"] = dict(seed=0, samples=16, signs=6, feat_dim=8,
-                             noise=0.0, out="data")
-
-    p = sub.add_parser("train", help="train on the cv split of a manifest")
-    defaults["train"] = _add_common_train_flags(p)
-
-    p = sub.add_parser("crossval", help="k-fold cross-validation")
-    defaults["crossval"] = _add_common_train_flags(p)
-    p.add_argument("--folds", type=int)
-    defaults["crossval"]["folds"] = 5
-
-    p = sub.add_parser("eval", help="greedy-decode a split and report BLEU")
-    p.add_argument("--manifest", type=str)
-    p.add_argument("--checkpoint", type=str)
-    p.add_argument("--split", choices=["cv", "test"])
-    p.add_argument("--out", type=str)
-    p.add_argument("--config", type=str)
-    defaults["eval"] = dict(manifest=None, checkpoint=None, split="test",
-                            out=None)
-
-    p = sub.add_parser("gradcheck",
-                       help="finite-difference check of every parameter")
-    p.add_argument("--preset", dest="preset", type=str)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--corrupt", type=str, help=argparse.SUPPRESS)
-    p.add_argument("--config", type=str)
-    defaults["gradcheck"] = dict(preset="tiny", tol=1e-3, seed=0, corrupt=None)
-
-    p = sub.add_parser("bench-attn",
-                       help="exact attention pair counts and timings")
-    p.add_argument("--lengths", type=str)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config", type=str)
-    defaults["bench-attn"] = dict(lengths="8,64,512,1024", seed=0)
-
-    actions = {name: {a.dest: a for a in sp._actions}
-               for name, sp in sub.choices.items()}
-    return parser, defaults, actions
-
-
-_COMMANDS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "crossval": cmd_crossval,
-    "eval": cmd_eval,
-    "gradcheck": cmd_gradcheck,
-    "bench-attn": cmd_bench_attn,
-}
+    for name, (_, help_text, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key, (kind, _, *flag_help) in flags.items():
+            choices = kind if isinstance(kind, tuple) else None
+            p.add_argument("--" + key.replace("_", "-"),
+                           type=str if choices else kind, choices=choices,
+                           help=flag_help[0] if flag_help else None)
+        p.add_argument("--config", type=str, help="key=value config file")
+    return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, defaults, actions = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors and 0 on --help
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
+    handler, _, flags = COMMANDS[args.command]
     try:
-        _merge_config(args, defaults[args.command], actions[args.command])
-        for required in ("manifest", "checkpoint"):
-            if required in defaults[args.command] and \
-                    defaults[args.command][required] is None and \
-                    getattr(args, required, "x") is None:
-                raise UsageError(f"--{required} is required")
+        _merge_config(args, flags)
+        for key, value in vars(args).items():
+            if value is REQUIRED:
+                raise UsageError(f"--{key.replace('_', '-')} is required")
         # Non-finite values are reported by the ops' own checks (exit 3),
         # so numpy's overflow and invalid-value warnings would only repeat
         # them on stderr.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return _COMMANDS[args.command](args)
+            return handler(args)
     except (UsageError, DataError, FormatError, ConfigError, CheckpointError,
             nc.ShapeError, metrics.MetricError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -204,6 +204,8 @@ def synth_generate(seed: int, n_samples: int, n_signs: int, feat_dim: int,
     and pairs the sign names (gloss) with their grammar rewrite (text).
     The last 20% of samples (after a seeded shuffle) are tagged "test".
     """
+    if n_samples < 1:
+        raise DataError(f"need at least 1 sample, got {n_samples}")
     if n_signs < 2:
         raise DataError(f"need at least 2 latent signs, got {n_signs}")
     if feat_dim < 2:

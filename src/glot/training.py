@@ -27,7 +27,6 @@ class DivergenceError(ArithmeticError):
 
 @dataclass
 class TrainConfig:
-    hyperparameter_set: str = "set2"       # "set1" or "set2"
     epochs: int = 30
     batch_size: int = 32
     lr_initial: float = 1e-3
@@ -39,7 +38,6 @@ class TrainConfig:
     seed: int = 0
     checkpoint_dir: str | None = None
     stop_bleu1: float | None = None        # early exit once reached on val
-    max_decode_len: int | None = None
 
     def __post_init__(self):
         self.validate()
@@ -56,15 +54,14 @@ class TrainConfig:
 
     @classmethod
     def set1(cls, **overrides) -> "TrainConfig":
-        cfg = cls(hyperparameter_set="set1", epochs=30, batch_size=32,
-                  lr_initial=5e-5, lr_floor=2e-6, lr_factor=0.5,
-                  plateau_patience=3, schedule="plateau")
+        cfg = cls(epochs=30, batch_size=32, lr_initial=5e-5, lr_floor=2e-6,
+                  lr_factor=0.5, plateau_patience=3, schedule="plateau")
         return replace(cfg, **overrides)
 
     @classmethod
     def set2(cls, **overrides) -> "TrainConfig":
-        cfg = cls(hyperparameter_set="set2", epochs=30, batch_size=32,
-                  lr_initial=1e-3, schedule="constant")
+        cfg = cls(epochs=30, batch_size=32, lr_initial=1e-3,
+                  schedule="constant")
         return replace(cfg, **overrides)
 
 
@@ -273,8 +270,7 @@ def train(model: GlotModel, train_set: list[EncodedSample],
             opt.step(lr=sched.lr)
             losses.append(val)
         model.eval()
-        _, text_report = evaluate_bleu(model, val_set,
-                                       max_decode_len=cfg.max_decode_len)
+        _, text_report = evaluate_bleu(model, val_set)
         bleu = dict(text_report.bleu)
         rec = EpochRecord(epoch=epoch, train_loss=float(np.mean(losses)),
                           bleu=bleu, lr=sched.lr)

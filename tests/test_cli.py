@@ -46,6 +46,16 @@ def test_synth_invalid_signs_exits_2(tmp_path, capsys):
     assert "sign" in err
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_synth_nonpositive_samples_exits_2(tmp_path, capsys, samples):
+    code, out, err = run(capsys, ["synth", "--samples", samples,
+                                  "--out", str(tmp_path / "x")])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: need at least 1 sample, got {samples}"]
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_flag_rejected(capsys):
     assert run(capsys, ["synth", "--banana", "1"])[0] == 2
 
@@ -190,6 +200,13 @@ def test_gradcheck_passes_and_negative_control(tmp_path, capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_gradcheck_nonpositive_tol_exits_2(capsys, tol):
+    code, out, err = run(capsys, ["gradcheck", "--tol", tol])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: --tol must be positive, got {tol}"]
+
+
 def test_gradcheck_deterministic(capsys):
     _, out1, _ = run(capsys, ["gradcheck"])
     _, out2, _ = run(capsys, ["gradcheck"])
@@ -241,6 +258,7 @@ def test_crossval_too_few_folds_exits_2(tmp_path, capsys, folds):
     assert code == 2
     [msg] = err.splitlines()
     assert msg == f"error: cross-validation needs at least 2 folds, got {folds}"
+    assert not (tmp_path / "cv").exists()
 
 
 def test_bench_attn_small(capsys):
@@ -312,6 +330,31 @@ def test_config_file_values_inside_choices_accepted(tmp_path, capsys):
     code, _, err = run(capsys, ["train", "--config", str(cfg)])
     assert code == 2
     assert err.splitlines() == ["error: --manifest is required"]
+
+
+def _table_cases():
+    for command, (_, _, flags) in cli.COMMANDS.items():
+        for key, (kind, default, *_) in flags.items():
+            if isinstance(kind, tuple):
+                raw = next(c for c in kind if c != default)
+                yield command, key, raw, raw
+            else:
+                raw = {int: "3", float: "0.25", str: "x"}[kind]
+                yield command, key, raw, kind(raw)
+
+
+@pytest.mark.parametrize("command, key, raw, value", list(_table_cases()))
+def test_table_flag_and_config_key_agree(tmp_path, command, key, raw, value):
+    def merged(argv):
+        args = cli.build_parser().parse_args([command] + argv)
+        cli._merge_config(args, cli.COMMANDS[command][2])
+        return {k: v for k, v in vars(args).items() if k != "config"}
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={raw}\n")
+    from_flag = merged(["--" + key.replace("_", "-"), raw])
+    assert from_flag[key] == value
+    assert merged(["--config", str(cfg)]) == from_flag
 
 
 def _rewrite_header(blob: bytes, header: bytes) -> bytes:

@@ -1,3 +1,4 @@
+import inspect
 import sys
 import threading
 
@@ -400,11 +401,38 @@ def fused_case(opname, rng, w):
     return f, Tensor(rng.normal(size=shapes[wrt]))
 
 
-@pytest.mark.parametrize("opname", [
-    "add", "add_col", "add_vec", "mul", "sigmoid", "relu", "scale",
-    "concat", "slice", "masked_softmax", "log_softmax", "layer_norm",
-    "conv1d", "gap", "gather", "pick", "broadcast_rows",
-] + ATTENTION_CASES + OFFSET_ATTENTION_CASES + FUSED_CASES)
+GRADIENT_CASES = [
+    "add", "add_col", "add_vec", "add_scalar", "mul", "sigmoid", "relu",
+    "scale", "dropout", "concat", "concat_rows", "slice", "masked_softmax",
+    "log_softmax", "layer_norm", "conv1d", "gap", "gather", "pick",
+    "broadcast_rows",
+] + ATTENTION_CASES + OFFSET_ATTENTION_CASES + FUSED_CASES
+
+# One gradient case per recording op; every case ends in tsum, and matmul
+# is checked through its fused-bias cases.
+OP_CASES = {
+    "add": "add", "add_scalar": "add_scalar", "mul": "mul",
+    "scale": "scale", "sigmoid": "sigmoid", "relu": "relu",
+    "dropout": "dropout", "concat_channels": "concat",
+    "concat_rows": "concat_rows", "slice_cols": "slice",
+    "broadcast_rows": "broadcast_rows", "matmul": "matmul_bias_a",
+    "tsum": "add", "gather_rows": "gather", "pick_per_row": "pick",
+    "log_softmax_rows": "log_softmax", "attention": "masked_softmax",
+    "offset_attention": "offset_attention_q_L5", "layer_norm": "layer_norm",
+    "conv1d_same": "conv1d", "global_avg_pool": "gap",
+}
+
+
+def test_every_recording_op_has_a_gradient_case():
+    # the op rule of the benchmark's numcore probe
+    ops = {n for n, f in vars(nc).items()
+           if inspect.isfunction(f) and not n.startswith("_")
+           and "_record" in f.__code__.co_names}
+    assert ops == set(OP_CASES), "map each recording op to a gradient case"
+    assert {OP_CASES[op] for op in ops} <= set(GRADIENT_CASES)
+
+
+@pytest.mark.parametrize("opname", GRADIENT_CASES)
 def test_gradients_match_finite_differences(opname):
     # 20 randomized trials per op, 64-bit, tol 1e-4 relative
     rng = np.random.default_rng(hash(opname) % (2 ** 32))
@@ -427,6 +455,8 @@ def test_gradients_match_finite_differences(opname):
         elif opname == "add_vec":
             vec = Tensor(rng.normal(size=3))
             f = lambda x: nc.tsum(nc.mul(nc.add(x, vec), w))
+        elif opname == "add_scalar":
+            f = lambda x: nc.tsum(nc.mul(nc.add_scalar(x, 1.7), w))
         elif opname == "mul":
             other = Tensor(rng.normal(size=(4, 3)))
             f = lambda x: nc.tsum(nc.mul(nc.mul(x, other), w))
@@ -436,10 +466,19 @@ def test_gradients_match_finite_differences(opname):
             f = lambda x: nc.tsum(nc.mul(nc.relu(x), w))
         elif opname == "scale":
             f = lambda x: nc.tsum(nc.mul(nc.scale(x, 2.5), w))
+        elif opname == "dropout":
+            # a fresh generator per evaluation draws the same mask each time
+            seed = int(rng.integers(2 ** 32))
+            f = lambda x: nc.tsum(nc.mul(nc.dropout(
+                x, 0.3, np.random.default_rng(seed), training=True), w))
         elif opname == "concat":
             other = Tensor(rng.normal(size=(4, 2)))
             w5 = Tensor(rng.normal(size=(4, 5)))
             f = lambda x: nc.tsum(nc.mul(nc.concat_channels(x, other), w5))
+        elif opname == "concat_rows":
+            other = Tensor(rng.normal(size=(2, 3)))
+            w6 = Tensor(rng.normal(size=(6, 3)))
+            f = lambda x: nc.tsum(nc.mul(nc.concat_rows(x, other), w6))
         elif opname == "slice":
             w2 = Tensor(rng.normal(size=(4, 2)))
             f = lambda x: nc.tsum(nc.mul(nc.slice_cols(x, 1, 3), w2))
