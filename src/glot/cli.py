@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dataio, metrics, numcore as nc, sparse_attention as sa, training
-from .dataio import DataError, FormatError
-from .model import CheckpointError, GlotConfig, GlotModel, load_checkpoint
-from .numcore import ConfigError, Tensor
+from . import dataio, numcore as nc, sparse_attention as sa, training
+from .errors import GlotError
+from .model import GlotConfig, GlotModel, load_checkpoint
+from .numcore import Tensor
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -29,7 +29,7 @@ EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 
 
-class UsageError(Exception):
+class UsageError(GlotError):
     pass
 
 
@@ -148,17 +148,17 @@ def cmd_train(args) -> int:
     cv_samples = manifest.load_samples(split="cv")
     if not cv_samples:
         raise UsageError("manifest has no cv-split samples")
+    # the validation carve-out, checked before any output or run directory
+    order = np.random.default_rng(args.seed).permutation(len(cv_samples))
+    n_val = max(1, len(cv_samples) // 5)
+    if n_val == len(cv_samples):
+        raise UsageError("dataset too small to carve out a validation set")
     mconfig, tconfig, gloss_vocab, text_vocab = _build_pipeline(args, cv_samples)
     _print_effective_config(mconfig, tconfig)
 
     encoded = training.encode_samples(cv_samples, gloss_vocab, text_vocab)
-    rng = np.random.default_rng(args.seed)
-    order = rng.permutation(len(encoded))
-    n_val = max(1, len(encoded) // 5)
     val_set = [encoded[i] for i in order[:n_val]]
     train_set = [encoded[i] for i in order[n_val:]]
-    if not train_set:
-        raise UsageError("dataset too small to carve out a validation set")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -371,8 +371,7 @@ def main(argv: list[str] | None = None) -> int:
         # them on stderr.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             return handler(args)
-    except (UsageError, DataError, FormatError, ConfigError, CheckpointError,
-            nc.ShapeError, metrics.MetricError, OSError) as e:
+    except (GlotError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (training.DivergenceError, nc.NonFiniteError) as e:

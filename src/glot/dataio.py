@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import GlotError
+
 FEATURE_MAGIC = b"GLOTFEAT"
 FEATURE_VERSION = 1
 
@@ -23,11 +25,11 @@ PAD, BOS, EOS, UNK = 0, 1, 2, 4  # id 3 is the reserved <sep>
 RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<sep>", "<unk>")
 
 
-class FormatError(ValueError):
+class FormatError(GlotError, ValueError):
     """A file does not match its declared binary or text layout."""
 
 
-class DataError(ValueError):
+class DataError(GlotError, ValueError):
     """Token ids or dataset contents violate a contract."""
 
 

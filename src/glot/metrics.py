@@ -10,8 +10,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 
+from .errors import GlotError
 
-class MetricError(ValueError):
+
+class MetricError(GlotError, ValueError):
     pass
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from . import numcore as nc
 from . import sparse_attention as sa
 from .dataio import BOS, EOS, DataError, Vocabulary
+from .errors import GlotError
 from .numcore import ConfigError, Tensor
 
 CHECKPOINT_MAGIC = b"GLOTCKPT"
@@ -277,12 +278,14 @@ class GlotModel:
         return nc.dropout(x, self.config.dropout, rng=self._dropout_rng,
                           training=self.training)
 
-    def _pe(self, length: int, which: str, start: int = 0) -> Tensor:
-        """Positional rows start .. start+length-1."""
+    def _pe(self, which: str, lengths: list[int], start: int = 0) -> Tensor:
+        """Positional rows start .. start+n-1 for each n in lengths, stacked
+        as the rows of sequences packed one after another."""
         if self.config.pe_kind == "learned":
             table = self.params["pe_encoder" if which == "enc" else "pe_decoder"]
-            return nc.gather_rows(table, list(range(start, start + length)))
-        stop = start + length
+            return nc.gather_rows(table, np.concatenate(
+                [np.arange(start, start + n) for n in lengths]))
+        stop = start + max(lengths)
         if self._pe_table is None or len(self._pe_table) < stop:
             # Built once, on first use: rows of a longer sinusoidal table
             # are bit-identical to positional_encoding(stop, d).
@@ -290,7 +293,10 @@ class GlotModel:
             self._pe_table = positional_encoding(
                 max(stop, cfg.max_frames, cfg.max_target_len + 2), cfg.d_model)
             self._pe_table.setflags(write=False)
-        return Tensor(self._pe_table[start:stop])
+        if len(lengths) == 1:
+            return Tensor(self._pe_table[start:stop])
+        return Tensor(np.concatenate([self._pe_table[start:start + n]
+                                      for n in lengths]))
 
     def _project_kv(self, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
         p = self.params
@@ -300,18 +306,21 @@ class GlotModel:
              mask: np.ndarray | None,
              counter: sa.PairCounter | None = None,
              counter_tag: str = "dense",
-             kv: tuple[Tensor, Tensor] | None = None) -> Tensor:
+             kv: tuple[Tensor, Tensor] | None = None,
+             blocks: list[tuple[int, int]] | None = None) -> Tensor:
         """Multi-head attention; a mask of None allows every key. The pair
         counter tallies each allowed (query, key) position once per layer,
         heads sharing the pattern. ``kv`` supplies ready keys and values
-        (a decoding cache) in place of the projections of ``xkv``."""
+        (a decoding cache) in place of the projections of ``xkv``; blocks
+        and a per-block mask make the pattern block-diagonal, as in
+        nc.attention."""
         p = self.params
         q = nc.matmul(xq, p[prefix + "wq"])
         k, v = self._project_kv(prefix, xkv) if kv is None else kv
         if counter is not None:
             counter.add(counter_tag, q.shape[0] * k.shape[0] if mask is None
                         else int(mask.sum()))
-        heads = nc.attention(q, k, v, mask, self.config.n_heads)
+        heads = nc.attention(q, k, v, mask, self.config.n_heads, blocks)
         return nc.matmul(heads, p[prefix + "wo"])
 
     def _feed_forward(self, prefix: str, x: Tensor) -> Tensor:
@@ -338,7 +347,7 @@ class GlotModel:
                 f"{frames.shape[0]} frames exceed max_frames="
                 f"{self.config.max_frames}")
         x = nc.matmul(Tensor(frames), self.params["frame_embed"])
-        x = nc.add(x, self._pe(frames.shape[0], "enc"))
+        x = nc.add(x, self._pe("enc", [frames.shape[0]]))
         return self._dropout(x)
 
     def gate_value(self, lssa_out: Tensor, enc_prefix: str) -> Tensor:
@@ -408,7 +417,8 @@ class GlotModel:
                 else self.config.text_vocab_size)
 
     def decoder_forward(self, memory: Tensor, token_ids: list[int],
-                        stage: str, cache: DecoderCache | None = None
+                        stage: str, cache: DecoderCache | None = None,
+                        blocks: list[tuple[int, int]] | None = None
                         ) -> Tensor:
         """Causal self-attention over the target prefix, cross-attention
         over memory, feed-forward; returns L x vocab logits.
@@ -416,6 +426,12 @@ class GlotModel:
         With a cache, token_ids are the positions that follow the
         cache.start already decoded: only their rows are computed, and
         their keys and values join the cache.
+
+        ``blocks`` packs several sequences, one (target rows, memory rows)
+        pair each, that split token_ids and memory in order: each
+        sequence's rows take positions from 0 and attend only to the rows
+        of their own sequence and of its memory. A cache holds one
+        sequence, so it takes no blocks.
         """
         if stage not in ("gloss", "text"):
             raise nc.ConfigError(f"unknown decoder stage {stage!r}")
@@ -424,15 +440,24 @@ class GlotModel:
             raise DataError(f"token id out of range for {stage} vocabulary")
         start = 0 if cache is None else cache.start
         L = len(token_ids)
-        if start + L > self.config.max_target_len + 2:
-            raise DataError(f"target length {start + L} exceeds limit")
+        if blocks is None:
+            lengths, self_blocks = [L], None
+            # One new row may attend to every cached position.
+            self_mask = None if L == 1 else sa.causal_mask(start + L)[start:]
+        elif cache is not None:
+            raise nc.ContractError("a decoder cache holds one sequence; "
+                                   "it takes no blocks")
+        else:
+            lengths = [t for t, _ in blocks]
+            self_blocks = [(t, t) for t in lengths]
+            self_mask = [sa.causal_mask(t) for t in lengths]
+        if start + max(lengths) > self.config.max_target_len + 2:
+            raise DataError(f"target length {start + max(lengths)} exceeds "
+                            f"limit")
         p = self.params
         h = nc.gather_rows(p[f"embed_{stage}"], token_ids)
-        h = nc.add(h, self._pe(L, "dec", start))
+        h = nc.add(h, self._pe("dec", lengths, start))
         h = self._dropout(h)
-        # One new row may attend to every cached position; cross-attention
-        # always sees all of memory.
-        self_mask = None if L == 1 else sa.causal_mask(start + L)[start:]
         self_kv = cross_kv = None
         for i in range(self.config.n_decoders):
             pre = f"dec_{stage}{i}."
@@ -440,9 +465,11 @@ class GlotModel:
                 self_kv = cache.self_kv(i, *self._project_kv(pre + "self.", h))
                 cross_kv = cache.cross_kv(
                     i, lambda: self._project_kv(pre + "cross.", memory))
-            attn = self._mha(pre + "self.", h, h, self_mask, kv=self_kv)
+            attn = self._mha(pre + "self.", h, h, self_mask, kv=self_kv,
+                             blocks=self_blocks)
             h = self._norm(pre + "self_norm", h, self._dropout(attn))
-            attn = self._mha(pre + "cross.", h, memory, None, kv=cross_kv)
+            attn = self._mha(pre + "cross.", h, memory, None, kv=cross_kv,
+                             blocks=blocks)
             h = self._norm(pre + "cross_norm", h, self._dropout(attn))
             ff = self._feed_forward(pre, h)
             h = self._norm(pre + "ff_norm", h, self._dropout(ff))
@@ -450,31 +477,51 @@ class GlotModel:
             cache.start += L
         return nc.matmul(h, p[f"out_{stage}.w"], p[f"out_{stage}.b"])
 
-    def _gloss_memory(self, memory: Tensor, gloss_ids: list[int]) -> Tensor:
-        """Encoder memory extended with the embedded gloss sequence."""
-        if not gloss_ids:
-            return memory
-        emb = nc.gather_rows(self.params["embed_gloss"], gloss_ids)
-        emb = nc.add(emb, self._pe(len(gloss_ids), "dec"))
-        return nc.concat_rows(memory, emb)
+    def _gloss_memory(self, memories: list[Tensor],
+                      gloss_ids: list[list[int]]) -> Tensor:
+        """Each sample's encoder memory followed by its embedded gloss
+        sequence, stacked sample by sample."""
+        parts = []
+        for memory, ids in zip(memories, gloss_ids):
+            parts.append(memory)
+            if len(ids):
+                emb = nc.gather_rows(self.params["embed_gloss"], ids)
+                parts.append(nc.add(emb, self._pe("dec", [len(ids)])))
+        return nc.concat_rows(*parts)
 
-    def s2g2t_forward(self, frames: np.ndarray, gloss_ids: list[int],
-                      text_ids: list[int],
+    def s2g2t_forward(self, frames: list[np.ndarray],
+                      gloss_ids: list[list[int]], text_ids: list[list[int]],
                       counter: sa.PairCounter | None = None
                       ) -> tuple[Tensor, Tensor]:
-        """Teacher-forced two-stage forward pass.
+        """Teacher-forced two-stage forward pass over a batch.
 
-        Inputs are raw content ids; BOS shifting happens here. Returned
-        logits have one row per content token plus the EOS slot.
+        frames, gloss_ids and text_ids hold one entry per sample, and each
+        sample is encoded on its own. Each decoder stage then runs once
+        over the target rows of all samples, packed one sample after
+        another (decoder_forward's blocks), so no sample sees another's
+        rows. Inputs are raw content ids; BOS shifting happens here. Each
+        stage's logits stack, sample by sample, one row per content token
+        plus the EOS slot.
         """
         if gloss_ids is None or text_ids is None:
             raise nc.ContractError("teacher forcing needs gloss and text ids")
-        memory = self.encode(frames, counter=counter)
-        gloss_logits = self.decoder_forward(memory, [BOS] + list(gloss_ids),
-                                            "gloss")
-        text_memory = self._gloss_memory(memory, list(gloss_ids))
-        text_logits = self.decoder_forward(text_memory, [BOS] + list(text_ids),
-                                           "text")
+        if not len(frames) == len(gloss_ids) == len(text_ids) >= 1:
+            raise nc.ContractError("teacher forcing needs one gloss and one "
+                                   "text sequence per sample")
+        memories = [self.encode(f, counter=counter) for f in frames]
+        mem_rows = [m.shape[0] for m in memories]
+
+        def stage(memory: Tensor, rows: list[int], seqs, name: str) -> Tensor:
+            inputs = [[BOS, *ids] for ids in seqs]
+            return self.decoder_forward(
+                memory, [t for ids in inputs for t in ids], name,
+                blocks=[(len(ids), n) for ids, n in zip(inputs, rows)])
+
+        gloss_logits = stage(nc.concat_rows(*memories), mem_rows, gloss_ids,
+                             "gloss")
+        text_rows = [n + len(ids) for n, ids in zip(mem_rows, gloss_ids)]
+        text_logits = stage(self._gloss_memory(memories, gloss_ids),
+                            text_rows, text_ids, "text")
         return gloss_logits, text_logits
 
     def _greedy_stage(self, memory: Tensor, stage: str,
@@ -501,7 +548,7 @@ class GlotModel:
         try:
             memory = self.encode(frames)
             gloss_ids, gloss_trunc = self._greedy_stage(memory, "gloss", max_len)
-            text_memory = self._gloss_memory(memory, gloss_ids)
+            text_memory = self._gloss_memory([memory], [gloss_ids])
             text_ids, text_trunc = self._greedy_stage(text_memory, "text",
                                                       max_len)
         finally:
@@ -536,7 +583,7 @@ def save_checkpoint(model: GlotModel, path: Path | str) -> None:
             fh.write(t.data.astype("<f8").tobytes())
 
 
-class CheckpointError(ValueError):
+class CheckpointError(GlotError, ValueError):
     pass
 
 

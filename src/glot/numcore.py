@@ -21,16 +21,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .errors import GlotError
 
-class ShapeError(ValueError):
+
+class ShapeError(GlotError, ValueError):
     """Operand shapes do not satisfy an operation's contract."""
 
 
-class ConfigError(ValueError):
+class ConfigError(GlotError, ValueError):
     """A structural parameter (kernel size, width, rate) is invalid."""
 
 
-class ContractError(RuntimeError):
+class ContractError(GlotError, RuntimeError):
     """An operation was invoked outside its stated contract."""
 
 
@@ -236,13 +238,17 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
                    lambda g: (g[:, :wa], g[:, wa:]))
 
 
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise ShapeError(f"concat_rows: got {a.shape} and {b.shape}")
-    na = a.shape[0]
-    out = np.concatenate([a.data, b.data], axis=0)
-    return _record(out, "concat_rows", (a, b),
-                   lambda g: (g[:na], g[na:]))
+def concat_rows(*xs: Tensor) -> Tensor:
+    """Stack matrices of one width; a single matrix is returned as is,
+    recording nothing."""
+    if not xs or any(x.data.ndim != 2 or x.shape[1] != xs[0].shape[1]
+                     for x in xs):
+        raise ShapeError(f"concat_rows: got {[x.shape for x in xs]}")
+    if len(xs) == 1:
+        return xs[0]
+    bounds = np.cumsum([x.shape[0] for x in xs[:-1]])
+    out = np.concatenate([x.data for x in xs], axis=0)
+    return _record(out, "concat_rows", xs, lambda g: np.split(g, bounds))
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
@@ -347,23 +353,11 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(x.shape[1], -1)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
-              n_heads: int = 1) -> Tensor:
-    """Multi-head scaled dot-product attention restricted to a mask.
-
-    q is (Lq, d), k and v are (Lk, d) and mask is a boolean (Lq, Lk)
-    pattern shared by every head, or None to allow every key. Heads are the
-    reshape (L, d) -> (H, L, d/H); scores are scaled by 1/sqrt(d/H) and
-    each row is softmax-normalized over its mask-true entries only, so
-    masked weights are exactly 0. The per-head outputs are laid side by
-    side into an (Lq, d) result.
-    """
-    if q.data.ndim != 2 or k.shape != v.shape or k.shape[1:] != q.shape[1:]:
-        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
+            mask: np.ndarray | None, n_heads: int):
+    """attention's arithmetic on plain arrays: the (Lq, d) output and what
+    _attend_grads needs (the per-head q, k^T, v and weights alpha)."""
     (Lq, d), Lk = q.shape, k.shape[0]
-    if n_heads < 1 or d % n_heads:
-        raise ConfigError(f"attention: width {d} does not split into "
-                          f"{n_heads} heads")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (Lq, Lk):
@@ -372,30 +366,82 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None,
         if not mask.any(axis=1).all():
             raise ContractError("attention: a row has no allowed entries")
     dh = d // n_heads
-    c = 1.0 / math.sqrt(dh)
-    qh = np.ascontiguousarray(q.data.reshape(Lq, n_heads, dh).transpose(1, 0, 2))
-    kt = np.ascontiguousarray(k.data.reshape(Lk, n_heads, dh).transpose(1, 2, 0))
-    vh = np.ascontiguousarray(v.data.reshape(Lk, n_heads, dh).transpose(1, 0, 2))
+    qh = np.ascontiguousarray(q.reshape(Lq, n_heads, dh).transpose(1, 0, 2))
+    kt = np.ascontiguousarray(k.reshape(Lk, n_heads, dh).transpose(1, 2, 0))
+    vh = np.ascontiguousarray(v.reshape(Lk, n_heads, dh).transpose(1, 0, 2))
     alpha = qh @ kt
-    alpha *= c
+    alpha *= 1.0 / math.sqrt(dh)
     if mask is not None:
         np.copyto(alpha, -np.inf, where=~mask)
     alpha -= alpha.max(axis=-1, keepdims=True)
     np.exp(alpha, out=alpha)
     alpha /= alpha.sum(axis=-1, keepdims=True)
+    return _merge_heads(alpha @ vh), (qh, kt, vh, alpha)
+
+
+def _attend_grads(saved, g: np.ndarray):
+    """Gradients of q, k and v of one _attend call for output gradient g."""
+    qh, kt, vh, alpha = saved
+    n_heads, Lq, dh = qh.shape
+    gh = g.reshape(Lq, n_heads, dh).transpose(1, 0, 2)
+    dv = alpha.transpose(0, 2, 1) @ gh
+    ds = gh @ vh.transpose(0, 2, 1)
+    ds -= (ds * alpha).sum(axis=-1, keepdims=True)
+    ds *= alpha
+    ds *= 1.0 / math.sqrt(dh)
+    dq = ds @ kt.transpose(0, 2, 1)
+    dk = (qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1)
+    return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor,
+              mask: np.ndarray | Sequence | None = None, n_heads: int = 1,
+              blocks: Sequence[tuple[int, int]] | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention restricted to a mask.
+
+    q is (Lq, d), k and v are (Lk, d) and mask is a boolean (Lq, Lk)
+    pattern shared by every head, or None to allow every key. Heads are the
+    reshape (L, d) -> (H, L, d/H); scores are scaled by 1/sqrt(d/H) and
+    each row is softmax-normalized over its mask-true entries only, so
+    masked weights are exactly 0. The per-head outputs are laid side by
+    side into an (Lq, d) result.
+
+    ``blocks`` makes the pattern block-diagonal: (lq, lk) row counts that
+    split q and k, in order, into blocks whose query rows see only the
+    keys of their own block, and mask is then one pattern (or None) per
+    block. Each block runs the arithmetic of a call on its rows alone, and
+    no score outside the blocks is computed; a call without blocks is the
+    single block (Lq, Lk).
+    """
+    if q.data.ndim != 2 or k.shape != v.shape or k.shape[1:] != q.shape[1:]:
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
+    (Lq, d), Lk = q.shape, k.shape[0]
+    if n_heads < 1 or d % n_heads:
+        raise ConfigError(f"attention: width {d} does not split into "
+                          f"{n_heads} heads")
+    if blocks is None:
+        out, saved = _attend(q.data, k.data, v.data, mask, n_heads)
+        return _record(out, "attention", (q, k, v),
+                       lambda g: _attend_grads(saved, g))
+    masks = (None,) * len(blocks) if mask is None else mask
+    if (not blocks or len(masks) != len(blocks)
+            or min(min(b) for b in blocks) < 1
+            or tuple(map(sum, zip(*blocks))) != (Lq, Lk)):
+        raise ShapeError(f"attention: blocks {list(blocks)} with "
+                         f"{len(masks)} masks do not tile {(Lq, Lk)}")
+    q_cut = np.cumsum([lq for lq, _ in blocks[:-1]])
+    k_cut = np.cumsum([lk for _, lk in blocks[:-1]])
+    parts = [_attend(qb, kb, vb, m, n_heads) for qb, kb, vb, m in zip(
+        np.split(q.data, q_cut), np.split(k.data, k_cut),
+        np.split(v.data, k_cut), masks)]
 
     def bw(g):
-        gh = g.reshape(Lq, n_heads, dh).transpose(1, 0, 2)
-        dv = alpha.transpose(0, 2, 1) @ gh
-        ds = gh @ vh.transpose(0, 2, 1)
-        ds -= (ds * alpha).sum(axis=-1, keepdims=True)
-        ds *= alpha
-        ds *= c
-        dq = ds @ kt.transpose(0, 2, 1)
-        dk = (qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1)
-        return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
+        grads = [_attend_grads(saved, gb) for (_, saved), gb in
+                 zip(parts, np.split(g, q_cut))]
+        return tuple(np.concatenate(gs) for gs in zip(*grads))
 
-    return _record(_merge_heads(alpha @ vh), "attention", (q, k, v), bw)
+    return _record(np.concatenate([out for out, _ in parts]), "attention",
+                   (q, k, v), bw)
 
 
 @functools.lru_cache(maxsize=256)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
+from .errors import GlotError
 from .numcore import Tensor
 
 
@@ -27,7 +28,7 @@ from .numcore import Tensor
 GATHER_MIN_LENGTH = 128
 
 
-class DomainError(ValueError):
+class DomainError(GlotError, ValueError):
     """Position or length outside the valid domain."""
 
 
@@ -112,10 +113,14 @@ def _log_sparse_mask(length: int) -> np.ndarray:
     return mask
 
 
+@functools.lru_cache(maxsize=256)
 def causal_mask(length: int) -> np.ndarray:
+    """Boolean LxL lower triangle, built once per length and read-only."""
     if length < 1:
         raise DomainError(f"length must be >= 1, got {length}")
-    return np.tril(np.ones((length, length), dtype=bool))
+    mask = np.tril(np.ones((length, length), dtype=bool))
+    mask.setflags(write=False)
+    return mask
 
 
 def full_mask(length: int) -> np.ndarray:

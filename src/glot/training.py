@@ -1,6 +1,11 @@
 """Cross-entropy training with Adam, plateau learning-rate decay, and
 5-fold cross-validation with best-fold selection.
 
+Training records one graph per batch: each sample is encoded on its own,
+then the two decoder stages and the loss run once over the batch's
+target rows, packed one sample after another under block-diagonal
+attention (``batch_loss``).
+
 Two hyperparameter presets are carried through from the model side:
 set1 starts at 5e-5 and halves on plateau (patience 3) down to 2e-6;
 set2 holds 1e-3 constant. Both run 30 epochs with batch size 32 by
@@ -102,30 +107,43 @@ class FoldReport:
 # loss
 
 def cross_entropy_loss(logits: Tensor, targets: list[int],
-                       pad_id: int = PAD) -> Tensor:
-    """Mean negative log-likelihood over non-pad target positions."""
-    targets = list(targets)
-    if len(targets) != logits.shape[0]:
+                       pad_id: int = PAD,
+                       weights: np.ndarray | None = None) -> Tensor:
+    """Negative log-likelihood of the targets, summed over non-pad rows
+    with one weight per row; without weights, the mean over non-pad rows."""
+    targets = np.asarray(targets, dtype=np.int64)
+    if targets.shape != logits.shape[:1]:
         raise nc.ShapeError("one target per logit row required")
-    keep = [i for i, t in enumerate(targets) if t != pad_id]
-    if not keep:
+    keep = targets != pad_id
+    if not keep.any():
         raise ContractError("cross_entropy_loss: every position is padding")
+    if weights is None:
+        weights = keep / keep.sum()
+    elif np.shape(weights) != targets.shape:
+        raise nc.ShapeError("one weight per logit row required")
     lp = nc.log_softmax_rows(logits)
-    picked = nc.pick_per_row(lp, [t if t != pad_id else 0 for t in targets])
-    mask = np.zeros(len(targets))
-    mask[keep] = 1.0
-    total = nc.tsum(nc.mul(picked, Tensor(mask)))
-    return nc.scale(total, -1.0 / len(keep))
+    picked = nc.pick_per_row(lp, np.where(keep, targets, 0))
+    return nc.tsum(nc.mul(picked, Tensor(np.where(keep, -weights, 0.0))))
 
 
-def sample_loss(model: GlotModel, sample_frames: np.ndarray,
-                gloss_ids: list[int], text_ids: list[int]) -> Tensor:
-    """Teacher-forced CE(gloss) + CE(text), unweighted."""
-    gloss_logits, text_logits = model.s2g2t_forward(sample_frames, gloss_ids,
-                                                    text_ids)
-    gl = cross_entropy_loss(gloss_logits, list(gloss_ids) + [EOS])
-    tl = cross_entropy_loss(text_logits, list(text_ids) + [EOS])
-    return nc.add(gl, tl)
+def batch_loss(model: GlotModel, frames: list[np.ndarray],
+               gloss_ids: list[list[int]], text_ids: list[list[int]]
+               ) -> Tensor:
+    """Teacher-forced mean over the batch of CE(gloss) + CE(text), as one
+    graph: s2g2t_forward packs the samples' rows, and a row of sample i
+    weighs 1/(B n_i) in its stage's loss, n_i being the sample's non-pad
+    targets in that stage."""
+    logits = model.s2g2t_forward(frames, gloss_ids, text_ids)
+    B = len(frames)
+    losses = []
+    for stage_logits, seqs in zip(logits, (gloss_ids, text_ids)):
+        targets = [[*ids, EOS] for ids in seqs]
+        weights = [np.full(len(t), 1.0 / (B * sum(x != PAD for x in t)))
+                   for t in targets]
+        losses.append(cross_entropy_loss(
+            stage_logits, [x for t in targets for x in t],
+            weights=np.concatenate(weights)))
+    return nc.add(*losses)
 
 
 # ---------------------------------------------------------------------------
@@ -256,11 +274,9 @@ def train(model: GlotModel, train_set: list[EncodedSample],
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_set[i] for i in order[start:start + cfg.batch_size]]
             with Tape() as tape:
-                total = None
-                for s in batch:
-                    ls = sample_loss(model, s.features, s.gloss_ids, s.text_ids)
-                    total = ls if total is None else nc.add(total, ls)
-                loss = nc.scale(total, 1.0 / len(batch))
+                loss = batch_loss(model, [s.features for s in batch],
+                                  [s.gloss_ids for s in batch],
+                                  [s.text_ids for s in batch])
             val = loss.item()
             if not math.isfinite(val):
                 raise DivergenceError(
@@ -347,14 +363,15 @@ def gradient_check_model(model: GlotModel, frames: np.ndarray,
     ``corrupt`` names a parameter whose analytic gradient is deliberately
     perturbed; used as a negative control of the harness itself.
     """
+    batch = ([frames], [gloss_ids], [text_ids])
     model.eval()
     model.zero_grad()
     with Tape() as tape:
-        loss = sample_loss(model, frames, gloss_ids, text_ids)
+        loss = batch_loss(model, *batch)
     tape.backward(loss)
 
     def loss_value() -> float:
-        return sample_loss(model, frames, gloss_ids, text_ids).item()
+        return batch_loss(model, *batch).item()
 
     results = []
     for name, p in model.params.items():

@@ -261,6 +261,17 @@ def test_crossval_too_few_folds_exits_2(tmp_path, capsys, folds):
     assert not (tmp_path / "cv").exists()
 
 
+def test_train_too_small_for_validation_exits_2(tmp_path, capsys):
+    run(capsys, ["synth", "--samples", "1", "--out", str(tmp_path / "d")])
+    code, out, err = run(capsys, [
+        "train", "--manifest", str(tmp_path / "d" / "manifest.tsv"),
+        "--epochs", "1", "--out", str(tmp_path / "run")])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: dataset too small to carve out a validation set"]
+    assert not (tmp_path / "run").exists()
+
+
 def test_bench_attn_small(capsys):
     code, out, _ = run(capsys, ["bench-attn", "--lengths", "8,64"])
     assert code == 0
@@ -418,3 +429,31 @@ def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, expected):
     assert code == 2
     [msg] = err.splitlines()
     assert msg.startswith("error: ") and expected in msg
+
+
+def test_library_errors_share_one_base(monkeypatch, capsys):
+    from glot import metrics, model, numcore, sparse_attention, training
+    from glot.errors import GlotError
+    library = (cli.UsageError, dataio.DataError, dataio.FormatError,
+               numcore.ConfigError, numcore.ShapeError, numcore.ContractError,
+               model.CheckpointError, metrics.MetricError,
+               sparse_attention.DomainError)
+    assert all(issubclass(e, GlotError) for e in library)
+    assert not issubclass(training.DivergenceError, GlotError)
+    assert not issubclass(numcore.NonFiniteError, GlotError)
+
+    # a library error of any kind exits 2 with its one line; a
+    # divergence exits 3
+    def raising(error):
+        def handler(args):
+            raise error("stopped")
+        return handler
+
+    for error, code, prefix in ((numcore.ContractError, 2, "error"),
+                                (sparse_attention.DomainError, 2, "error"),
+                                (training.DivergenceError, 3, "divergence")):
+        monkeypatch.setitem(cli.COMMANDS, "bench-attn",
+                            (raising(error),) + cli.COMMANDS["bench-attn"][1:])
+        got, out, err = run(capsys, ["bench-attn"])
+        assert (got, out) == (code, "")
+        assert err.splitlines() == [f"{prefix}: stopped"]

@@ -240,7 +240,7 @@ def test_decoder_gradients():
 
         def f(p):
             m.params[name] = p
-            return training.sample_loss(m, frames, [5, 6], [5, 7, 9])
+            return training.batch_loss(m, [frames], [[5, 6]], [[5, 7, 9]])
 
         try:
             rep = nc.grad_check(f, Tensor(orig.data.copy()), tol=1e-3)
@@ -281,9 +281,9 @@ def test_s2g2t_shapes_and_finite_loss():
     m = tiny_model()
     rng = np.random.default_rng(14)
     frames = rng.normal(size=(5, 5))
-    gl, tl = m.s2g2t_forward(frames, [5, 6, 5], [5, 7, 9, 6])
+    gl, tl = m.s2g2t_forward([frames], [[5, 6, 5]], [[5, 7, 9, 6]])
     assert gl.shape == (4, 7) and tl.shape == (5, 11)
-    loss = training.sample_loss(m, frames, [5, 6, 5], [5, 7, 9, 6]).item()
+    loss = training.batch_loss(m, [frames], [[5, 6, 5]], [[5, 7, 9, 6]]).item()
     assert np.isfinite(loss)
     assert loss < np.log(7) + np.log(11) + 2.0
 
@@ -291,7 +291,39 @@ def test_s2g2t_shapes_and_finite_loss():
 def test_s2g2t_requires_sequences():
     m = tiny_model()
     with pytest.raises(nc.ContractError):
-        m.s2g2t_forward(np.zeros((2, 5)), None, [5])
+        m.s2g2t_forward([np.zeros((2, 5))], None, [[5]])
+    with pytest.raises(nc.ContractError):  # one sequence per sample
+        m.s2g2t_forward([np.zeros((2, 5))] * 2, [[5]], [[5]])
+
+
+@pytest.mark.parametrize("kind, n_decoders", [
+    ("glot", 1), ("dense_baseline", 1), ("glot", 2)])
+def test_packed_batch_matches_one_pass_per_sample(kind, n_decoders):
+    # The packed decoders see each sample's rows exactly as an unpacked,
+    # causally masked pass over that sample alone does.
+    m = tiny_model(encoder_kind=kind, n_decoders=n_decoders)
+    rng = np.random.default_rng(21)
+    frames = [rng.normal(size=(n, 5)) for n in (3, 7, 5)]
+    gloss, text = [[5, 6], [6, 5, 6, 5], []], [[5, 7, 9], [8], [10, 6, 7, 5]]
+    got = m.s2g2t_forward(frames, gloss, text)
+    refs = ([], [])
+    for f, g, t in zip(frames, gloss, text):
+        memory = m.encode(f)
+        refs[0].append(m.decoder_forward(memory, [BOS, *g], "gloss").data)
+        refs[1].append(m.decoder_forward(m._gloss_memory([memory], [g]),
+                                         [BOS, *t], "text").data)
+    for logits, ref in zip(got, refs):
+        ref = np.concatenate(ref)
+        assert logits.shape == ref.shape
+        assert np.max(np.abs(logits.data - ref)) <= 1e-12
+
+
+def test_packed_decoder_rejects_a_cache():
+    m = tiny_model()
+    memory = m.encode(np.zeros((3, 5)))
+    with pytest.raises(nc.ContractError):
+        m.decoder_forward(memory, [BOS], "gloss", DecoderCache(),
+                          blocks=[(1, 3)])
 
 
 def test_loss_decreases_on_two_samples():
@@ -304,9 +336,7 @@ def test_loss_decreases_on_two_samples():
     m.train()
     for _ in range(50):
         with nc.Tape() as tape:
-            loss = nc.scale(nc.add(
-                training.sample_loss(m, *data[0]),
-                training.sample_loss(m, *data[1])), 0.5)
+            loss = training.batch_loss(m, *zip(*data))
         losses.append(loss.item())
         opt.zero_grad()
         tape.backward(loss)
@@ -335,7 +365,7 @@ def test_encoder_kinds_share_pipeline():
     frames = rng.normal(size=(5, 5))
     for kind in ("glot", "dense_baseline"):
         m = tiny_model(encoder_kind=kind)
-        loss = training.sample_loss(m, frames, [5, 6], [5, 7]).item()
+        loss = training.batch_loss(m, [frames], [[5, 6]], [[5, 7]]).item()
         assert np.isfinite(loss)
         res = m.greedy_decode(frames, max_len=4)
         assert len(res.text_ids) <= 4
@@ -401,7 +431,7 @@ def test_cached_steps_match_full_prefix(kind, n_decoders, pe_kind):
     memory = m.encode(rng.normal(size=(6, 5)))
     L = m.config.max_target_len + 2
     for stage, mem in (("gloss", memory),
-                       ("text", m._gloss_memory(memory, [5, 6, 5]))):
+                       ("text", m._gloss_memory([memory], [[5, 6, 5]]))):
         vocab = m._stage_vocab_size(stage)
         ids = [BOS] + [int(t) for t in rng.integers(5, vocab, size=L - 1)]
         cache = DecoderCache()
@@ -463,7 +493,7 @@ def full_prefix_greedy(model, frames, max_len):
         return ids[1:], True
 
     gloss, gloss_trunc = stage(memory, "gloss")
-    text, text_trunc = stage(model._gloss_memory(memory, gloss), "text")
+    text, text_trunc = stage(model._gloss_memory([memory], [gloss]), "text")
     return GreedyResult(gloss, text, gloss_trunc, text_trunc)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -250,3 +252,91 @@ def test_no_divergence_across_seeds(tmp_path):
         model = GlotModel(cfg, gloss_vocab=gv, text_vocab=tv, seed=seed)
         tcfg = training.TrainConfig.set2(epochs=1, batch_size=5, seed=seed)
         training.train(model, encoded[:4], encoded[4:], tcfg)
+
+
+def test_train_with_dropout_bit_reproducible(tmp_path):
+    cfg, gv, tv, encoded = _tiny_corpus(tmp_path / "data")
+    cfg = replace(cfg, dropout=0.2)
+
+    def run():
+        model = GlotModel(cfg, gloss_vocab=gv, text_vocab=tv, seed=1)
+        tcfg = training.TrainConfig.set2(epochs=2, batch_size=3, seed=4)
+        return training.train(model, encoded[:4], encoded[4:], tcfg), model
+
+    (rep1, m1), (rep2, m2) = run(), run()
+    assert [e.line() for e in rep1.epochs] == [e.line() for e in rep2.epochs]
+    for name in m1.params:
+        assert np.array_equal(m1.params[name].data, m2.params[name].data)
+
+
+# Three samples of mixed frame, gloss and text lengths; the last has no
+# gloss, so its text memory is its encoder memory alone.
+BATCH = ([np.random.default_rng(40).normal(size=(n, 5)) for n in (3, 7, 5)],
+         [[5, 6], [6, 5, 6, 5], []],
+         [[5, 7, 9], [8], [10, 6, 7, 5]])
+
+
+def _batch_model(kind, **overrides):
+    cfg = GlotConfig.tiny(max_frames=8, feat_dim=5, encoder_kind=kind,
+                          **overrides)
+    return GlotModel(cfg, seed=3)
+
+
+def _loss_and_grads(model, *batch):
+    model.zero_grad()
+    with Tape() as tape:
+        loss = training.batch_loss(model, *batch)
+    tape.backward(loss)
+    return loss.item(), {n: np.zeros_like(p.data) if p.grad is None
+                         else p.grad for n, p in model.params.items()}
+
+
+@pytest.mark.parametrize("kind, pe_kind", [
+    ("glot", "sinusoidal"), ("dense_baseline", "sinusoidal"),
+    ("glot", "learned")])
+def test_batch_loss_is_mean_of_sample_losses(kind, pe_kind):
+    model = _batch_model(kind, pe_kind=pe_kind)
+    loss, grads = _loss_and_grads(model, *BATCH)
+    singles = [_loss_and_grads(model, *([x] for x in sample))
+               for sample in zip(*BATCH)]
+    mean = sum(v for v, _ in singles) / len(singles)
+    assert abs(loss - mean) <= 1e-12 * abs(mean)
+    for name, g in grads.items():
+        ref = sum(s[name] for _, s in singles) / len(singles)
+        scale = max(np.abs(ref).max(), 1e-300)
+        assert np.abs(g - ref).max() <= 1e-12 * scale, name
+
+
+@pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
+def test_batch_loss_gradients_match_finite_differences(kind):
+    model = _batch_model(kind)
+    for name in ("frame_embed", "dec_gloss0.self.wq", "dec_text0.cross.wk",
+                 "embed_gloss"):
+        orig = model.params[name]
+
+        def f(p):
+            model.params[name] = p
+            return training.batch_loss(model, *BATCH)
+
+        try:
+            rep = nc.grad_check(f, Tensor(orig.data.copy()), tol=1e-3)
+        finally:
+            model.params[name] = orig
+        assert rep.passed, (name, rep.max_rel_err)
+
+
+def test_decoder_and_loss_record_once_per_batch():
+    # A sample adds its encoder's ops and its gloss embedding's (the
+    # third sample has none); the decoders and the loss record the same
+    # ops for any batch size. Packing a second memory adds one concat_rows.
+    model = _batch_model("glot")
+    with Tape() as tape:
+        model.encode(BATCH[0][0])
+    per_encode = len(tape)
+    entries = []
+    for n in (1, 2, 3):
+        with Tape() as tape:
+            training.batch_loss(model, *(part[:n] for part in BATCH))
+        entries.append(len(tape))
+    assert entries[1] - entries[0] == per_encode + 2 + 1
+    assert entries[2] - entries[1] == per_encode
