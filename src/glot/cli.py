@@ -242,9 +242,10 @@ def cmd_gradcheck(args) -> int:
     frames = rng.normal(size=(6, cfg.feat_dim))
     gloss_ids = [5, 6, 5]
     text_ids = [5, 7, 9, 6]
-    results = training.gradient_check_model(model, frames, gloss_ids, text_ids,
-                                            tol=args.tol,
-                                            corrupt=args.corrupt)
+    model.eval()
+    results = nc.grad_check(
+        lambda: training.batch_loss(model, [frames], [gloss_ids], [text_ids]),
+        model.params, tol=args.tol, corrupt=args.corrupt)
     width = max(len(r.name) for r in results)
     failed = 0
     for r in results:
@@ -270,7 +271,10 @@ def _median_ms(fn) -> float:
 
 
 def cmd_bench_attn(args) -> int:
-    lengths = [int(s) for s in args.lengths.split(",") if s]
+    try:
+        lengths = [int(s) for s in args.lengths.split(",") if s]
+    except ValueError:
+        lengths = []
     if not lengths or any(n < 1 for n in lengths):
         raise UsageError("--lengths needs positive comma-separated integers")
     d = 16

@@ -212,6 +212,9 @@ def synth_generate(seed: int, n_samples: int, n_signs: int, feat_dim: int,
         raise DataError(f"need at least 2 latent signs, got {n_signs}")
     if feat_dim < 2:
         raise DataError(f"need feat_dim >= 2, got {feat_dim}")
+    if not 0 <= noise_sigma < np.inf:
+        raise DataError(f"noise_sigma must be finite and >= 0, got "
+                        f"{noise_sigma}")
     out_dir = Path(out_dir)
     (out_dir / "features").mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GlotError
 
@@ -87,11 +87,28 @@ def brevity_penalty(c: int, r: int) -> float:
     return math.exp(1.0 - r / c)
 
 
-def _compose(numers: dict[int, int], denoms: dict[int, int],
-             c: int, r: int, max_n: int) -> BleuReport:
-    precisions = {}
-    for n in range(1, max_n + 1):
-        precisions[n] = numers[n] / denoms[n] if denoms[n] else 0.0
+def corpus_bleu(pairs: list[tuple[list[str], list[list[str]]]],
+                max_n: int = 4) -> BleuReport:
+    """Accumulate clipped counts and lengths over all pairs before taking
+    ratios; BLEU-1..max_n for max_n in 1..4."""
+    if not 1 <= max_n <= 4:
+        raise MetricError(f"max_n must be in 1..4, got {max_n}")
+    if not pairs:
+        raise MetricError("corpus_bleu requires at least one pair")
+    numers = {n: 0 for n in range(1, max_n + 1)}
+    denoms = {n: 0 for n in range(1, max_n + 1)}
+    c = r = 0
+    for candidate, references in pairs:
+        if not references:
+            raise MetricError("every pair needs at least one reference")
+        for n in range(1, max_n + 1):
+            num, den = ngram_counts(candidate, references, n)
+            numers[n] += num
+            denoms[n] += den
+        c += len(candidate)
+        r += closest_ref_length(len(candidate), references)
+    precisions = {n: numers[n] / denoms[n] if denoms[n] else 0.0
+                  for n in range(1, max_n + 1)}
     bp = brevity_penalty(c, r)
     bleu = {}
     for n in range(1, max_n + 1):
@@ -107,34 +124,5 @@ def _compose(numers: dict[int, int], denoms: dict[int, int],
 
 def sentence_bleu(candidate: list[str], references: list[list[str]],
                   max_n: int = 4) -> BleuReport:
-    if not 1 <= max_n <= 4:
-        raise MetricError(f"max_n must be in 1..4, got {max_n}")
-    if not references:
-        raise MetricError("at least one reference is required")
-    numers, denoms = {}, {}
-    for n in range(1, max_n + 1):
-        numers[n], denoms[n] = ngram_counts(candidate, references, n)
-    c = len(candidate)
-    r = closest_ref_length(c, references)
-    return _compose(numers, denoms, c, r, max_n)
-
-
-def corpus_bleu(pairs: list[tuple[list[str], list[list[str]]]],
-                max_n: int = 4) -> BleuReport:
-    """Accumulate clipped counts and lengths over all pairs before taking
-    ratios; reduces to sentence_bleu on a single pair."""
-    if not pairs:
-        raise MetricError("corpus_bleu requires at least one pair")
-    numers = {n: 0 for n in range(1, max_n + 1)}
-    denoms = {n: 0 for n in range(1, max_n + 1)}
-    c_total = r_total = 0
-    for candidate, references in pairs:
-        if not references:
-            raise MetricError("every pair needs at least one reference")
-        for n in range(1, max_n + 1):
-            num, den = ngram_counts(candidate, references, n)
-            numers[n] += num
-            denoms[n] += den
-        c_total += len(candidate)
-        r_total += closest_ref_length(len(candidate), references)
-    return _compose(numers, denoms, c_total, r_total, max_n)
+    """BLEU of one candidate: corpus_bleu of the single pair."""
+    return corpus_bleu([(candidate, references)], max_n)

@@ -305,20 +305,19 @@ class GlotModel:
     def _mha(self, prefix: str, xq: Tensor, xkv: Tensor,
              mask: np.ndarray | None,
              counter: sa.PairCounter | None = None,
-             counter_tag: str = "dense",
              kv: tuple[Tensor, Tensor] | None = None,
              blocks: list[tuple[int, int]] | None = None) -> Tensor:
         """Multi-head attention; a mask of None allows every key. The pair
-        counter tallies each allowed (query, key) position once per layer,
-        heads sharing the pattern. ``kv`` supplies ready keys and values
-        (a decoding cache) in place of the projections of ``xkv``; blocks
-        and a per-block mask make the pattern block-diagonal, as in
-        nc.attention."""
+        counter tallies each allowed (query, key) position once per layer
+        under the tag "dense", heads sharing the pattern. ``kv`` supplies
+        ready keys and values (a decoding cache) in place of the
+        projections of ``xkv``; blocks and a per-block mask make the
+        pattern block-diagonal, as in nc.attention."""
         p = self.params
         q = nc.matmul(xq, p[prefix + "wq"])
         k, v = self._project_kv(prefix, xkv) if kv is None else kv
         if counter is not None:
-            counter.add(counter_tag, q.shape[0] * k.shape[0] if mask is None
+            counter.add("dense", q.shape[0] * k.shape[0] if mask is None
                         else int(mask.sum()))
         heads = nc.attention(q, k, v, mask, self.config.n_heads, blocks)
         return nc.matmul(heads, p[prefix + "wo"])
@@ -390,8 +389,7 @@ class GlotModel:
     def encoder_block_dense(self, x: Tensor, i: int,
                             counter: sa.PairCounter | None = None) -> Tensor:
         pre = f"enc{i}."
-        attn = self._mha(pre + "attn.", x, x, None,
-                         counter=counter, counter_tag="dense")
+        attn = self._mha(pre + "attn.", x, x, None, counter=counter)
         x = self._norm(pre + "attn_norm", x, self._dropout(attn))
         ff = self._feed_forward(pre, x)
         return self._norm(pre + "ff_norm", x, self._dropout(ff))

@@ -2,8 +2,10 @@
 
 Everything downstream (attention, gating, the full encoder/decoder) is
 expressed in terms of the operations here, so each one carries an exact
-backward rule and can be verified against central finite differences via
-``grad_check``.
+backward rule. ``grad_check(loss, wrt)`` verifies them, from one op to the
+whole model: it runs backward once over a zero-argument ``loss()`` and
+compares the gradient of each named tensor in ``wrt`` against central
+finite differences.
 
 All arithmetic is 64-bit. Broadcasting is deliberately narrow: two shapes
 combine only if they are equal, one side is a scalar, a ``(d,)`` vector
@@ -596,10 +598,10 @@ def global_avg_pool(v: Tensor) -> Tensor:
 # gradient verification
 
 @dataclass
-class GradCheckReport:
+class GradCheck:
+    name: str
     max_rel_err: float
     passed: bool
-    n_coords: int
 
 
 def numeric_grad(f: Callable[[], float], arr: np.ndarray,
@@ -626,17 +628,33 @@ def rel_err(a: np.ndarray, n: np.ndarray) -> float:
     return float(np.max(np.abs(a - n) / denom)) if a.size else 0.0
 
 
-def grad_check(f: Callable[[Tensor], Tensor], point: Tensor,
-               step: float = 1e-5, tol: float = 1e-4) -> GradCheckReport:
-    """Compare backward gradients of a scalar function against central
-    finite differences, coordinate by coordinate."""
+def grad_check(loss: Callable[[], Tensor], wrt: dict[str, Tensor],
+               step: float = 1e-5, tol: float = 1e-4,
+               corrupt: str | None = None) -> list[GradCheck]:
+    """Compare the backward gradient of the scalar loss() with respect to
+    each named tensor of wrt against central finite differences.
+
+    One tape records loss() and one backward pass fills the analytic
+    gradients (only the .grad of wrt's tensors is cleared first); then
+    each tensor's data is perturbed in place, one coordinate at a time.
+    ``corrupt`` names a tensor of wrt whose analytic gradient is offset by
+    1, a negative control of the check itself.
+    """
     if step <= 0:
         raise ConfigError("grad_check step must be positive")
-    x = Tensor(point.data.copy(), requires_grad=True)
+    if corrupt is not None and corrupt not in wrt:
+        raise ConfigError(f"grad_check: no tensor named {corrupt!r} to corrupt")
+    for t in wrt.values():
+        t.zero_grad()
     with Tape() as tape:
-        loss = f(x)
-    tape.backward(loss)
-    analytic = x.grad if x.grad is not None else np.zeros_like(x.data)
-    worst = rel_err(analytic, numeric_grad(lambda: f(x).item(), x.data, step))
-    return GradCheckReport(max_rel_err=worst, passed=worst <= tol,
-                           n_coords=x.data.size)
+        out = loss()
+    tape.backward(out)
+    checks = []
+    for name, t in wrt.items():
+        analytic = t.grad if t.grad is not None else np.zeros_like(t.data)
+        if name == corrupt:
+            analytic = analytic + 1.0
+        err = rel_err(analytic, numeric_grad(lambda: loss().item(), t.data,
+                                             step))
+        checks.append(GradCheck(name, err, err <= tol))
+    return checks

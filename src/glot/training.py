@@ -342,43 +342,3 @@ def cross_validate(samples: list[EncodedSample], cfg: TrainConfig,
     best = max(reports, key=lambda r: (r.best_bleu4, -r.fold_index))
     return reports, best
 
-
-# ---------------------------------------------------------------------------
-# whole-model gradient verification
-
-@dataclass
-class GroupCheck:
-    name: str
-    max_rel_err: float
-    passed: bool
-
-
-def gradient_check_model(model: GlotModel, frames: np.ndarray,
-                         gloss_ids: list[int], text_ids: list[int],
-                         tol: float = 1e-3, step: float = 1e-5,
-                         corrupt: str | None = None) -> list[GroupCheck]:
-    """Compare every parameter's backward gradient against central finite
-    differences of the teacher-forced loss.
-
-    ``corrupt`` names a parameter whose analytic gradient is deliberately
-    perturbed; used as a negative control of the harness itself.
-    """
-    batch = ([frames], [gloss_ids], [text_ids])
-    model.eval()
-    model.zero_grad()
-    with Tape() as tape:
-        loss = batch_loss(model, *batch)
-    tape.backward(loss)
-
-    def loss_value() -> float:
-        return batch_loss(model, *batch).item()
-
-    results = []
-    for name, p in model.params.items():
-        analytic = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if corrupt == name:
-            analytic = analytic + 1.0
-        numeric = nc.numeric_grad(loss_value, p.data, step=step)
-        err = nc.rel_err(analytic, numeric)
-        results.append(GroupCheck(name=name, max_rel_err=err, passed=err <= tol))
-    return results

@@ -60,8 +60,11 @@ def test_criterion_3_gradient_acceptance():
     model = GlotModel(cfg, seed=0)
     frames = np.random.default_rng(1).normal(size=(6, 5))
     t0 = time.perf_counter()
-    results = training.gradient_check_model(model, frames, [5, 6, 5],
-                                            [5, 7, 9, 6], tol=1e-3)
+    model.eval()
+    results = nc.grad_check(
+        lambda: training.batch_loss(model, [frames], [[5, 6, 5]],
+                                    [[5, 7, 9, 6]]),
+        model.params, tol=1e-3)
     dt = time.perf_counter() - t0
     failures = [r for r in results if not r.passed]
     assert not failures, failures

@@ -15,11 +15,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["tiny_learn", "long_video"])
-def test_bench_run_is_correct(workload):
+# The traced run (--trace 1) also checks what the bench's probes assume
+# of src/: the op rule of numcore, the stacked_lssa and decoder_forward
+# signatures and the attention pair counts.
+@pytest.mark.parametrize("workload, trace", [
+    pytest.param(w, t, id=w + ("-traced" if t == "1" else ""))
+    for t in ("0", "1") for w in ("tiny_learn", "long_video")])
+def test_bench_run_is_correct(workload, trace):
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload,
-         "--seconds", "1", "--trace", "0"],
+         "--seconds", "1", "--trace", trace],
         cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     result = json.loads(proc.stdout.strip().splitlines()[-1])

@@ -56,6 +56,16 @@ def test_synth_nonpositive_samples_exits_2(tmp_path, capsys, samples):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("noise", ["-1", "nan", "inf"])
+def test_synth_bad_noise_exits_2(tmp_path, capsys, noise):
+    code, out, err = run(capsys, ["synth", "--noise", noise,
+                                  "--out", str(tmp_path / "x")])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        f"error: noise_sigma must be finite and >= 0, got {float(noise)}"]
+    assert not (tmp_path / "x").exists()
+
+
 def test_unknown_flag_rejected(capsys):
     assert run(capsys, ["synth", "--banana", "1"])[0] == 2
 
@@ -200,6 +210,13 @@ def test_gradcheck_passes_and_negative_control(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_gradcheck_unknown_corrupt_name_exits_2(capsys):
+    code, out, err = run(capsys, ["gradcheck", "--corrupt", "nosuchparam"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: grad_check: no tensor named 'nosuchparam' to corrupt"]
+
+
 @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
 def test_gradcheck_nonpositive_tol_exits_2(capsys, tol):
     code, out, err = run(capsys, ["gradcheck", "--tol", tol])
@@ -282,6 +299,14 @@ def test_bench_attn_small(capsys):
 
 def test_bench_attn_bad_lengths(capsys):
     assert run(capsys, ["bench-attn", "--lengths", "0"])[0] == 2
+
+
+@pytest.mark.parametrize("lengths", ["8,abc", "1.5", "8,,-4"])
+def test_bench_attn_unparsable_lengths_exits_2(capsys, lengths):
+    code, out, err = run(capsys, ["bench-attn", "--lengths", lengths])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: --lengths needs positive comma-separated integers"]
 
 
 def test_config_file_merging(tmp_path, capsys):

@@ -142,3 +142,9 @@ def test_record_schema():
 def test_empty_corpus_rejected():
     with pytest.raises(metrics.MetricError):
         metrics.corpus_bleu([])
+
+
+@pytest.mark.parametrize("max_n", [0, 5])
+def test_corpus_bleu_rejects_max_n_outside_1_to_4(max_n):
+    with pytest.raises(metrics.MetricError, match=f"got {max_n}"):
+        metrics.corpus_bleu([(["a"], [["a"]])], max_n=max_n)

@@ -63,18 +63,9 @@ def test_embed_frames_gradient():
     m = tiny_model()
     frames = np.random.default_rng(1).normal(size=(4, 5))
     w = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
-    orig = m.params["frame_embed"]
-
-    def f(fe):
-        m.params["frame_embed"] = fe
-        out = m.embed_frames(frames)
-        return nc.tsum(nc.mul(out, w))
-
-    try:
-        rep = nc.grad_check(f, Tensor(orig.data.copy()))
-    finally:
-        m.params["frame_embed"] = orig
-    assert rep.passed
+    [c] = nc.grad_check(lambda: nc.tsum(nc.mul(m.embed_frames(frames), w)),
+                        {"frame_embed": m.params["frame_embed"]})
+    assert c.passed
 
 
 def test_gate_value_examples():
@@ -234,19 +225,12 @@ def test_decoder_gradients():
     m = tiny_model()
     rng = np.random.default_rng(13)
     frames = rng.normal(size=(3, 5))
-    for name in ("dec_gloss0.self.wq", "dec_text0.cross.wv", "embed_gloss",
-                 "out_text.w"):
-        orig = m.params[name]
-
-        def f(p):
-            m.params[name] = p
-            return training.batch_loss(m, [frames], [[5, 6]], [[5, 7, 9]])
-
-        try:
-            rep = nc.grad_check(f, Tensor(orig.data.copy()), tol=1e-3)
-        finally:
-            m.params[name] = orig
-        assert rep.passed, name
+    names = ("dec_gloss0.self.wq", "dec_text0.cross.wv", "embed_gloss",
+             "out_text.w")
+    checks = nc.grad_check(
+        lambda: training.batch_loss(m, [frames], [[5, 6]], [[5, 7, 9]]),
+        {n: m.params[n] for n in names}, tol=1e-3)
+    assert [c.name for c in checks if not c.passed] == []
 
 
 def test_encoder_gradients_above_gather_crossover():
@@ -254,27 +238,15 @@ def test_encoder_gradients_above_gather_crossover():
     F = sa.GATHER_MIN_LENGTH + 5
     m = tiny_model(max_frames=F, n_lssa_layers=2)
     rng = np.random.default_rng(14)
-    x0 = rng.normal(size=(F, 8))
+    x = Tensor(rng.normal(size=(F, 8)), requires_grad=True)
     w = Tensor(rng.normal(size=(F, 8)))
     mask = sa.build_mask(F)
-
-    def block(x):
-        return nc.tsum(nc.mul(m.encoder_block_glot(x, 0, mask), w))
-
-    assert nc.grad_check(block, Tensor(x0), tol=1e-4).passed
-    for name in ("enc0.lssa0.wq", "enc0.lssa0.wk", "enc0.lssa1.wq",
-                 "enc0.lssa1.wk"):
-        orig = m.params[name]
-
-        def f(p):
-            m.params[name] = p
-            return block(Tensor(x0))
-
-        try:
-            rep = nc.grad_check(f, Tensor(orig.data.copy()), tol=1e-4)
-        finally:
-            m.params[name] = orig
-        assert rep.passed, (name, rep.max_rel_err)
+    names = ("enc0.lssa0.wq", "enc0.lssa0.wk", "enc0.lssa1.wq",
+             "enc0.lssa1.wk")
+    checks = nc.grad_check(
+        lambda: nc.tsum(nc.mul(m.encoder_block_glot(x, 0, mask), w)),
+        {"x": x, **{n: m.params[n] for n in names}}, tol=1e-4)
+    assert [(c.name, c.max_rel_err) for c in checks if not c.passed] == []
 
 
 def test_s2g2t_shapes_and_finite_loss():

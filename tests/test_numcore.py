@@ -288,9 +288,9 @@ def test_backward_matmul_finite_differences():
     rng = np.random.default_rng(6)
     a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
     b = rng.normal(size=(3, 2))
-    rep = nc.grad_check(lambda t: nc.tsum(nc.matmul(t, Tensor(b))), a,
+    [c] = nc.grad_check(lambda: nc.tsum(nc.matmul(a, Tensor(b))), {"a": a},
                         tol=1e-5)
-    assert rep.passed
+    assert c.passed
 
 
 def test_tape_cleared_after_backward():
@@ -302,8 +302,9 @@ def test_tape_cleared_after_backward():
 
 
 def test_grad_check_linear_function():
-    rep = nc.grad_check(nc.tsum, Tensor(np.random.default_rng(7).normal(size=(3, 3))))
-    assert rep.max_rel_err < 1e-8
+    x = Tensor(np.random.default_rng(7).normal(size=(3, 3)), requires_grad=True)
+    [c] = nc.grad_check(lambda: nc.tsum(x), {"x": x})
+    assert c.max_rel_err < 1e-8
 
 
 def test_grad_check_softmax_pick():
@@ -313,8 +314,9 @@ def test_grad_check_softmax_pick():
         sm = nc.attention(x, eye, eye, np.ones((1, 4), bool))
         return nc.tsum(nc.slice_cols(sm, 0, 1))
 
-    rep = nc.grad_check(f, Tensor(np.random.default_rng(8).normal(size=(1, 4))))
-    assert rep.passed
+    x = Tensor(np.random.default_rng(8).normal(size=(1, 4)), requires_grad=True)
+    [c] = nc.grad_check(lambda: f(x), {"x": x})
+    assert c.passed
 
 
 def test_grad_check_layer_norm_composite():
@@ -326,8 +328,22 @@ def test_grad_check_layer_norm_composite():
     def f(x):
         return nc.tsum(nc.mul(nc.layer_norm(x, gain, bias), weights))
 
-    rep = nc.grad_check(f, Tensor(np.random.default_rng(12).normal(size=(3, d))))
-    assert rep.passed
+    x = Tensor(np.random.default_rng(12).normal(size=(3, d)), requires_grad=True)
+    [c] = nc.grad_check(lambda: f(x), {"x": x})
+    assert c.passed
+
+
+def test_grad_check_one_result_per_tensor_and_data_restored():
+    rng = np.random.default_rng(15)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    before = a.data.copy(), b.data.copy()
+    for corrupt, passed in ((None, [True, True]), ("b", [True, False])):
+        checks = nc.grad_check(lambda: nc.tsum(nc.matmul(a, b)),
+                               {"a": a, "b": b}, tol=1e-8, corrupt=corrupt)
+        assert [(c.name, c.passed) for c in checks] == list(zip("ab", passed))
+    assert np.array_equal(a.data, before[0])
+    assert np.array_equal(b.data, before[1])
 
 
 ATTENTION_CASES = [f"attention_{wrt}_h{h}_{kind}"
@@ -548,8 +564,9 @@ def test_gradients_match_finite_differences(opname):
                 nc.broadcast_rows(nc.global_avg_pool(x), 5), wb))
         if point is None:
             point = Tensor(rng.normal(size=(4, 3)))
-        rep = nc.grad_check(f, point)
-        assert rep.passed, f"{opname} trial {trial}: {rep.max_rel_err}"
+        x = Tensor(point.data, requires_grad=True)
+        [c] = nc.grad_check(lambda: f(x), {"x": x})
+        assert c.passed, f"{opname} trial {trial}: {c.max_rel_err}"
 
 
 def test_operations_deterministic():

@@ -155,26 +155,14 @@ def test_lssa_gradients():
     rng = np.random.default_rng(6)
     F, d = 5, 3
     mask = sa.build_mask(F)
-    x0 = rng.normal(size=(F, d))
-    wq0 = rng.normal(size=(d, d))
-    wk0 = rng.normal(size=(d, d))
+    x, wq, wk = (Tensor(rng.normal(size=shape), requires_grad=True)
+                 for shape in ((F, d), (d, d), (d, d)))
     w = Tensor(rng.normal(size=(F, d)))
-
-    def wrt_x(x):
-        params = sa.LssaParams(Tensor(wq0), Tensor(wk0))
-        return nc.tsum(nc.mul(sa.lssa_layer(x, params, mask), w))
-
-    def wrt_wq(wq):
-        params = sa.LssaParams(wq, Tensor(wk0))
-        return nc.tsum(nc.mul(sa.lssa_layer(Tensor(x0), params, mask), w))
-
-    def wrt_wk(wk):
-        params = sa.LssaParams(Tensor(wq0), wk)
-        return nc.tsum(nc.mul(sa.lssa_layer(Tensor(x0), params, mask), w))
-
-    assert nc.grad_check(wrt_x, Tensor(x0)).passed
-    assert nc.grad_check(wrt_wq, Tensor(wq0)).passed
-    assert nc.grad_check(wrt_wk, Tensor(wk0)).passed
+    params = sa.LssaParams(wq, wk)
+    checks = nc.grad_check(
+        lambda: nc.tsum(nc.mul(sa.lssa_layer(x, params, mask), w)),
+        {"x": x, "wq": wq, "wk": wk})
+    assert [c.name for c in checks if not c.passed] == []
 
 
 def test_pair_counter_instrumentation():

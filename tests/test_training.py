@@ -234,13 +234,15 @@ def test_cross_validate_selects_best(tmp_path):
                                   if r.best_bleu4 == best_b4)
 
 
-def test_gradient_check_model_negative_control():
+def test_full_model_grad_check_negative_control():
     cfg = GlotConfig.tiny(max_frames=8, feat_dim=5)
     model = GlotModel(cfg, seed=0)
     frames = np.random.default_rng(0).normal(size=(3, 5))
     target = "enc0.gate_b"
-    results = training.gradient_check_model(model, frames, [5, 6], [5, 7],
-                                            corrupt=target)
+    model.eval()
+    results = nc.grad_check(
+        lambda: training.batch_loss(model, [frames], [[5, 6]], [[5, 7]]),
+        model.params, tol=1e-3, corrupt=target)
     bad = [r for r in results if not r.passed]
     assert [r.name for r in bad] == [target]
 
@@ -310,19 +312,11 @@ def test_batch_loss_is_mean_of_sample_losses(kind, pe_kind):
 @pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
 def test_batch_loss_gradients_match_finite_differences(kind):
     model = _batch_model(kind)
-    for name in ("frame_embed", "dec_gloss0.self.wq", "dec_text0.cross.wk",
-                 "embed_gloss"):
-        orig = model.params[name]
-
-        def f(p):
-            model.params[name] = p
-            return training.batch_loss(model, *BATCH)
-
-        try:
-            rep = nc.grad_check(f, Tensor(orig.data.copy()), tol=1e-3)
-        finally:
-            model.params[name] = orig
-        assert rep.passed, (name, rep.max_rel_err)
+    names = ("frame_embed", "dec_gloss0.self.wq", "dec_text0.cross.wk",
+             "embed_gloss")
+    checks = nc.grad_check(lambda: training.batch_loss(model, *BATCH),
+                           {n: model.params[n] for n in names}, tol=1e-3)
+    assert [(c.name, c.max_rel_err) for c in checks if not c.passed] == []
 
 
 def test_decoder_and_loss_record_once_per_batch():
