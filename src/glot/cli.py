@@ -11,6 +11,7 @@ declares every command, flag, type and default.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from dataclasses import replace
@@ -39,7 +40,7 @@ def _load_config_file(path: str, known: set[str]) -> dict[str, tuple]:
     if not p.exists():
         raise UsageError(f"config file not found: {path}")
     values = {}
-    for ln, line in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
+    for ln, line in enumerate(dataio.read_utf8(p).splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -233,8 +234,9 @@ def evaluate_clipped(model: GlotModel, encoded) -> tuple:
 def cmd_gradcheck(args) -> int:
     if args.preset != "tiny":
         raise UsageError(f"unknown gradcheck preset {args.preset!r}")
-    if not args.tol > 0:
-        raise UsageError(f"--tol must be positive, got {args.tol:g}")
+    if not 0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be positive and finite, got "
+                         f"{args.tol:g}")
     cfg = GlotConfig.tiny(max_frames=8, gloss_vocab_size=7,
                           text_vocab_size=11, feat_dim=5)
     model = GlotModel(cfg, seed=args.seed)
@@ -370,6 +372,8 @@ def main(argv: list[str] | None = None) -> int:
         for key, value in vars(args).items():
             if value is REQUIRED:
                 raise UsageError(f"--{key.replace('_', '-')} is required")
+        if getattr(args, "seed", 0) < 0:
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         # Non-finite values are reported by the ops' own checks (exit 3),
         # so numpy's overflow and invalid-value warnings would only repeat
         # them on stderr.

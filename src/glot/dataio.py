@@ -166,11 +166,22 @@ def write_manifest(path: Path | str, entries: list[ManifestEntry]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def read_utf8(path: Path | str) -> str:
+    """The text of a UTF-8 file; FormatError, naming the file and line,
+    if it holds a byte sequence that is not UTF-8."""
+    blob = Path(path).read_bytes()
+    try:
+        return blob.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line = blob.count(b"\n", 0, e.start) + 1
+        raise FormatError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def read_manifest(path: Path | str) -> Manifest:
     path = Path(path)
     entries = []
     seen = set()
-    for ln, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for ln, line in enumerate(read_utf8(path).splitlines(), 1):
         line = line.strip("\n")
         if not line.strip() or line.lstrip().startswith("#"):
             continue

@@ -16,6 +16,7 @@ A/B comparisons.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import struct
@@ -304,21 +305,15 @@ class GlotModel:
 
     def _mha(self, prefix: str, xq: Tensor, xkv: Tensor,
              mask: np.ndarray | None,
-             counter: sa.PairCounter | None = None,
              kv: tuple[Tensor, Tensor] | None = None,
              blocks: list[tuple[int, int]] | None = None) -> Tensor:
-        """Multi-head attention; a mask of None allows every key. The pair
-        counter tallies each allowed (query, key) position once per layer
-        under the tag "dense", heads sharing the pattern. ``kv`` supplies
-        ready keys and values (a decoding cache) in place of the
+        """Multi-head attention; a mask of None allows every key. ``kv``
+        supplies ready keys and values (a decoding cache) in place of the
         projections of ``xkv``; blocks and a per-block mask make the
         pattern block-diagonal, as in nc.attention."""
         p = self.params
         q = nc.matmul(xq, p[prefix + "wq"])
         k, v = self._project_kv(prefix, xkv) if kv is None else kv
-        if counter is not None:
-            counter.add("dense", q.shape[0] * k.shape[0] if mask is None
-                        else int(mask.sum()))
         heads = nc.attention(q, k, v, mask, self.config.n_heads, blocks)
         return nc.matmul(heads, p[prefix + "wo"])
 
@@ -336,17 +331,21 @@ class GlotModel:
     # ------------------------------------------------------------------
     # encoder
 
-    def embed_frames(self, frames: np.ndarray) -> Tensor:
-        frames = np.asarray(frames, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != self.config.feat_dim:
-            raise nc.ShapeError(
-                f"frames must be Fx{self.config.feat_dim}, got {frames.shape}")
-        if frames.shape[0] > self.config.max_frames:
-            raise nc.ShapeError(
-                f"{frames.shape[0]} frames exceed max_frames="
-                f"{self.config.max_frames}")
-        x = nc.matmul(Tensor(frames), self.params["frame_embed"])
-        x = nc.add(x, self._pe("enc", [frames.shape[0]]))
+    def embed_frames(self, frames: list[np.ndarray]) -> Tensor:
+        """The frame embeddings plus positions of a batch of clips, packed
+        one clip after another; each clip's positions start at 0."""
+        frames = [np.asarray(f, dtype=np.float64) for f in frames]
+        for f in frames:
+            if f.ndim != 2 or f.shape[1] != self.config.feat_dim:
+                raise nc.ShapeError(
+                    f"frames must be Fx{self.config.feat_dim}, got {f.shape}")
+            if f.shape[0] > self.config.max_frames:
+                raise nc.ShapeError(
+                    f"{f.shape[0]} frames exceed max_frames="
+                    f"{self.config.max_frames}")
+        x = nc.matmul(Tensor(np.concatenate(frames)),
+                      self.params["frame_embed"])
+        x = nc.add(x, self._pe("enc", [len(f) for f in frames]))
         return self._dropout(x)
 
     def gate_value(self, lssa_out: Tensor, enc_prefix: str) -> Tensor:
@@ -355,56 +354,58 @@ class GlotModel:
         return nc.sigmoid(nc.matmul(lssa_out, p[enc_prefix + "gate_w"],
                                     p[enc_prefix + "gate_b"]))
 
-    def gating_combine(self, g: Tensor, lssa_out: Tensor,
-                       gap_vec: Tensor) -> Tensor:
-        """Row p = g[p]*lssa_out[p] + (1-g[p])*gap_vec."""
-        if g.shape != (lssa_out.shape[0], 1) or gap_vec.shape != (lssa_out.shape[1],):
-            raise nc.ShapeError(
-                f"gating_combine: g {g.shape}, lssa {lssa_out.shape}, "
-                f"gap {gap_vec.shape}")
-        one_minus_g = nc.add_scalar(nc.scale(g, -1.0), 1.0)
-        gap_rows = nc.broadcast_rows(gap_vec, lssa_out.shape[0])
-        return nc.add(nc.mul(g, lssa_out), nc.mul(one_minus_g, gap_rows))
-
-    def encoder_block_glot(self, x: Tensor, i: int, mask: np.ndarray,
+    def encoder_block_glot(self, x: Tensor, i: int, lengths: list[int],
                            counter: sa.PairCounter | None = None) -> Tensor:
+        """One GLoT block over clips of these row counts packed in x. Only
+        the log-sparse stack runs per clip, on that clip's rows."""
         p = self.params
         pre = f"enc{i}."
         d_b = self.config.d_branch
         x1 = nc.slice_cols(x, 0, d_b)
         x2 = nc.slice_cols(x, d_b, self.config.d_model)
 
-        conv_out = nc.conv1d_same(x1, p[pre + "conv_w"], p[pre + "conv_b"])
+        conv_out = nc.conv1d_same(x1, p[pre + "conv_w"], p[pre + "conv_b"],
+                                  lengths)
 
         layers = [sa.LssaParams(p[pre + f"lssa{j}.wq"], p[pre + f"lssa{j}.wk"])
                   for j in range(self.config.lssa_depth)]
-        lssa_out = sa.stacked_lssa(x2, layers, mask, counter=counter)
+        lssa_out = nc.concat_rows(*[
+            sa.stacked_lssa(nc.slice_rows(x2, s, s + F), layers,
+                            sa.build_mask(F), counter=counter)
+            for s, F in zip(itertools.accumulate(lengths, initial=0),
+                            lengths)])
         values = nc.matmul(x2, p[pre + "wv"])
-        gap = nc.global_avg_pool(values)
+        gap = nc.global_avg_pool(values, lengths)
         g = self.gate_value(lssa_out, pre)
-        fused = self.gating_combine(g, lssa_out, gap)
+        fused = nc.gated_mix(g, lssa_out, gap, lengths)
 
         return self._norm(pre + "norm", x, nc.concat_channels(conv_out, fused))
 
-    def encoder_block_dense(self, x: Tensor, i: int,
+    def encoder_block_dense(self, x: Tensor, i: int, lengths: list[int],
                             counter: sa.PairCounter | None = None) -> Tensor:
+        """One transformer block over clips of these row counts packed in
+        x; self-attention stays within each clip. The pair counter tallies
+        each (query, key) pair once, heads sharing it, under "dense"."""
         pre = f"enc{i}."
-        attn = self._mha(pre + "attn.", x, x, None, counter=counter)
+        if counter is not None:
+            counter.add("dense", sum(F * F for F in lengths))
+        blocks = None if len(lengths) == 1 else [(F, F) for F in lengths]
+        attn = self._mha(pre + "attn.", x, x, None, blocks=blocks)
         x = self._norm(pre + "attn_norm", x, self._dropout(attn))
         ff = self._feed_forward(pre, x)
         return self._norm(pre + "ff_norm", x, self._dropout(ff))
 
-    def encode(self, frames: np.ndarray,
+    def encode(self, frames: list[np.ndarray],
                counter: sa.PairCounter | None = None) -> Tensor:
+        """Encoder memory of a batch of clips, packed one clip after
+        another: row-wise layers run once over all rows, and no clip's
+        rows see another's."""
         x = self.embed_frames(frames)
-        F = x.shape[0]
-        if self.config.encoder_kind == "glot":
-            mask = sa.build_mask(F)
-            for i in range(self.config.n_encoders):
-                x = self.encoder_block_glot(x, i, mask, counter=counter)
-        else:
-            for i in range(self.config.n_encoders):
-                x = self.encoder_block_dense(x, i, counter=counter)
+        lengths = [len(f) for f in frames]
+        block = (self.encoder_block_glot if self.config.encoder_kind == "glot"
+                 else self.encoder_block_dense)
+        for i in range(self.config.n_encoders):
+            x = block(x, i, lengths, counter=counter)
         return x
 
     # ------------------------------------------------------------------
@@ -475,13 +476,15 @@ class GlotModel:
             cache.start += L
         return nc.matmul(h, p[f"out_{stage}.w"], p[f"out_{stage}.b"])
 
-    def _gloss_memory(self, memories: list[Tensor],
+    def _gloss_memory(self, memory: Tensor, lengths: list[int],
                       gloss_ids: list[list[int]]) -> Tensor:
-        """Each sample's encoder memory followed by its embedded gloss
-        sequence, stacked sample by sample."""
+        """Each sample's encoder memory rows (lengths packs them in
+        memory) followed by its embedded gloss sequence, stacked sample by
+        sample."""
         parts = []
-        for memory, ids in zip(memories, gloss_ids):
-            parts.append(memory)
+        for start, n, ids in zip(itertools.accumulate(lengths, initial=0),
+                                 lengths, gloss_ids):
+            parts.append(nc.slice_rows(memory, start, start + n))
             if len(ids):
                 emb = nc.gather_rows(self.params["embed_gloss"], ids)
                 parts.append(nc.add(emb, self._pe("dec", [len(ids)])))
@@ -493,8 +496,8 @@ class GlotModel:
                       ) -> tuple[Tensor, Tensor]:
         """Teacher-forced two-stage forward pass over a batch.
 
-        frames, gloss_ids and text_ids hold one entry per sample, and each
-        sample is encoded on its own. Each decoder stage then runs once
+        frames, gloss_ids and text_ids hold one entry per sample. One
+        encode packs the samples' clips, and each decoder stage runs once
         over the target rows of all samples, packed one sample after
         another (decoder_forward's blocks), so no sample sees another's
         rows. Inputs are raw content ids; BOS shifting happens here. Each
@@ -506,8 +509,8 @@ class GlotModel:
         if not len(frames) == len(gloss_ids) == len(text_ids) >= 1:
             raise nc.ContractError("teacher forcing needs one gloss and one "
                                    "text sequence per sample")
-        memories = [self.encode(f, counter=counter) for f in frames]
-        mem_rows = [m.shape[0] for m in memories]
+        memory = self.encode(frames, counter=counter)
+        mem_rows = [len(f) for f in frames]
 
         def stage(memory: Tensor, rows: list[int], seqs, name: str) -> Tensor:
             inputs = [[BOS, *ids] for ids in seqs]
@@ -515,10 +518,9 @@ class GlotModel:
                 memory, [t for ids in inputs for t in ids], name,
                 blocks=[(len(ids), n) for ids, n in zip(inputs, rows)])
 
-        gloss_logits = stage(nc.concat_rows(*memories), mem_rows, gloss_ids,
-                             "gloss")
+        gloss_logits = stage(memory, mem_rows, gloss_ids, "gloss")
         text_rows = [n + len(ids) for n, ids in zip(mem_rows, gloss_ids)]
-        text_logits = stage(self._gloss_memory(memories, gloss_ids),
+        text_logits = stage(self._gloss_memory(memory, mem_rows, gloss_ids),
                             text_rows, text_ids, "text")
         return gloss_logits, text_logits
 
@@ -544,9 +546,10 @@ class GlotModel:
         was_training = self.training
         self.eval()
         try:
-            memory = self.encode(frames)
+            memory = self.encode([frames])
             gloss_ids, gloss_trunc = self._greedy_stage(memory, "gloss", max_len)
-            text_memory = self._gloss_memory([memory], [gloss_ids])
+            text_memory = self._gloss_memory(memory, [memory.shape[0]],
+                                             [gloss_ids])
             text_ids, text_trunc = self._greedy_stage(text_memory, "text",
                                                       max_len)
         finally:

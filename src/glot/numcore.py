@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -188,15 +189,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
                               _reduce_to(g * a.data, b.shape)))
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-    return _record(x.data * c, "scale", (x,), lambda g: (g * c,))
-
-
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    return _record(x.data + float(c), "add_scalar", (x,), lambda g: (g,))
-
-
 def sigmoid(x: Tensor) -> Tensor:
     xd = x.data
     out = np.empty_like(xd)
@@ -265,11 +257,20 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     return _record(x.data[:, start:stop].copy(), "slice_cols", (x,), bw)
 
 
-def broadcast_rows(v: Tensor, n_rows: int) -> Tensor:
-    if v.data.ndim != 1:
-        raise ShapeError(f"broadcast_rows expects a vector, got {v.shape}")
-    out = np.tile(v.data, (n_rows, 1))
-    return _record(out, "broadcast_rows", (v,), lambda g: (g.sum(axis=0),))
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start .. stop-1 of a matrix, a view of x's data (no op writes
+    to its inputs); all of its rows are x itself, recording nothing."""
+    if x.data.ndim != 2 or not (0 <= start < stop <= x.shape[0]):
+        raise ShapeError(f"slice_rows: bad range [{start}, {stop}) for {x.shape}")
+    if stop - start == x.shape[0]:
+        return x
+
+    def bw(g):
+        full = np.zeros_like(x.data)
+        full[start:stop] = g
+        return (full,)
+
+    return _record(x.data[start:stop], "slice_rows", (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -550,11 +551,36 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     return _record(out, "layer_norm", inputs, bw)
 
 
-def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
+def _clip_lengths(lengths: Sequence[int] | None, n_rows: int,
+                  op: str) -> list[int]:
+    """The row counts of the clips packed in n_rows rows, one after
+    another; None is the single clip of all rows."""
+    if lengths is None:
+        return [n_rows]
+    lengths = [int(n) for n in lengths]
+    if not lengths or min(lengths) < 1 or sum(lengths) != n_rows:
+        raise ShapeError(f"{op}: clip lengths {lengths} do not tile "
+                         f"{n_rows} rows")
+    return lengths
+
+
+def _clip_sums(a: np.ndarray, lengths: list[int]) -> np.ndarray:
+    """(B, d) column sums of each clip's rows of a, each summed as if
+    it stood alone."""
+    if len(lengths) == 1:
+        return a.sum(axis=0, keepdims=True)
+    return np.stack([a[s:s + n].sum(axis=0) for s, n in
+                     zip(itertools.accumulate(lengths, initial=0), lengths)])
+
+
+def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor,
+                lengths: Sequence[int] | None = None) -> Tensor:
     """Length-preserving 1-D convolution over the sequence axis.
 
     x is (F, c_in), kernels (c_out, c_in, k) with odd k, bias (c_out,);
-    positions outside the sequence are zero.
+    positions outside the sequence are zero. ``lengths`` packs clips of
+    those row counts into x, one after another: each clip is padded with
+    its own zeros, so no output row sees another clip's rows.
     """
     if x.data.ndim != 2 or kernels.data.ndim != 3:
         raise ShapeError("conv1d_same: x must be FxC, kernels CxCxK")
@@ -563,35 +589,74 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor) -> Tensor:
         raise ConfigError(f"conv1d_same kernel width must be odd, got {k}")
     if x.shape[1] != c_in or bias.shape != (c_out,):
         raise ShapeError("conv1d_same: channel mismatch")
-    F = x.shape[0]
-    h = k // 2
-    xp = np.zeros((F + k - 1, c_in))
-    xp[h:h + F] = x.data
-    out = np.tile(bias.data, (F, 1))
+    lengths = _clip_lengths(lengths, x.shape[0], "conv1d_same")
+    B, h = len(lengths), k // 2
+    # The clips sit in a stack with k-1 zero rows between clips (and h
+    # above and below it), so clip i's rows lie i*(k-1) rows further
+    # down the M outputs; the (B-1)*(k-1) outputs that straddle two clips
+    # are computed and dropped.
+    M = x.shape[0] + (B - 1) * (k - 1)
+    rows = slice(None) if B == 1 else (
+        np.arange(x.shape[0]) + np.repeat(np.arange(B) * (k - 1), lengths))
+    xp = np.zeros((M + k - 1, c_in))
+    xp[h:h + M][rows] = x.data
+    out = np.tile(bias.data, (M, 1))
     for j in range(k):
-        out += xp[j:j + F] @ kernels.data[:, :, j].T
+        out += xp[j:j + M] @ kernels.data[:, :, j].T
 
     def bw(g):
+        gp = np.zeros_like(out)
+        gp[rows] = g
         dx_p = np.zeros_like(xp)
         dk = np.zeros_like(kernels.data)
         for j in range(k):
-            dx_p[j:j + F] += g @ kernels.data[:, :, j]
-            dk[:, :, j] = g.T @ xp[j:j + F]
-        return (dx_p[h:h + F], dk, g.sum(axis=0))
+            dx_p[j:j + M] += gp @ kernels.data[:, :, j]
+            dk[:, :, j] = gp.T @ xp[j:j + M]
+        return (dx_p[h:h + M][rows], dk, g.sum(axis=0))
 
-    return _record(out, "conv1d_same", (x, kernels, bias), bw)
+    return _record(out[rows], "conv1d_same", (x, kernels, bias), bw)
 
 
-def global_avg_pool(v: Tensor) -> Tensor:
-    """Mean over the sequence axis of an FxD matrix, producing a D vector."""
+def global_avg_pool(v: Tensor, lengths: Sequence[int] | None = None
+                    ) -> Tensor:
+    """Mean over the sequence axis of an FxD matrix, producing a D vector;
+    with ``lengths``, the (B, D) means of the B clips packed in v."""
     if v.data.ndim != 2:
         raise ShapeError("global_avg_pool expects a matrix")
-    F = v.shape[0]
-    if F < 1:
+    if v.shape[0] < 1:
         raise ShapeError("global_avg_pool: empty sequence")
-    out = v.data.mean(axis=0)
-    return _record(out, "global_avg_pool", (v,),
-                   lambda g: (np.tile(g / F, (F, 1)),))
+    one_clip = lengths is None
+    lengths = _clip_lengths(lengths, v.shape[0], "global_avg_pool")
+    n = np.array(lengths, dtype=np.float64)[:, None]
+    out = _clip_sums(v.data, lengths) / n
+    return _record(out[0] if one_clip else out, "global_avg_pool", (v,),
+                   lambda g: (np.repeat(g.reshape(out.shape) / n, lengths,
+                                        axis=0),))
+
+
+def gated_mix(g: Tensor, a: Tensor, b: Tensor,
+              lengths: Sequence[int] | None = None) -> Tensor:
+    """Row p = g[p]*a[p] + (1-g[p])*b: a per-row convex mix of a (F, d)
+    matrix with a (d,) vector, by a (F, 1) gate. With ``lengths``, b is
+    (B, d) and the rows of clip i mix with b[i]."""
+    B = 1 if lengths is None else len(lengths)
+    if (a.data.ndim != 2 or g.shape != (a.shape[0], 1) or b.shape != (
+            a.shape[1:] if lengths is None else (B, a.shape[1]))):
+        raise ShapeError(f"gated_mix: g {g.shape}, a {a.shape}, b {b.shape}")
+    lengths = _clip_lengths(lengths, a.shape[0], "gated_mix")
+    b_rows = np.repeat(b.data.reshape(B, -1), lengths, axis=0)
+    one_minus_g = 1.0 - g.data
+    out = g.data * a.data + one_minus_g * b_rows
+
+    def bw(go):
+        # two sums, not one over a - b: the arithmetic of the mul/add
+        # chain this op replaced, so one clip's gradients keep their bits
+        dg = ((go * a.data).sum(axis=1, keepdims=True)
+              - (go * b_rows).sum(axis=1, keepdims=True))
+        db = _clip_sums(go * one_minus_g, lengths)
+        return dg, go * g.data, db.reshape(b.shape)
+
+    return _record(out, "gated_mix", (g, a, b), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Cross-entropy training with Adam, plateau learning-rate decay, and
 5-fold cross-validation with best-fold selection.
 
-Training records one graph per batch: each sample is encoded on its own,
-then the two decoder stages and the loss run once over the batch's
-target rows, packed one sample after another under block-diagonal
-attention (``batch_loss``).
+Training records one graph per batch: one encode packs the batch's clips
+(only the log-sparse stack runs clip by clip), then the two decoder
+stages and the loss run once over the batch's target rows, packed one
+sample after another under block-diagonal attention (``batch_loss``).
+Adam then updates every parameter in one pass over flat arrays.
 
 Two hyperparameter presets are carried through from the model side:
 set1 starts at 5e-5 and halves on plateau (patience 3) down to 2e-6;
@@ -53,9 +54,9 @@ class TrainConfig:
         if self.batch_size < 1:
             raise nc.ConfigError(f"batch_size must be positive, got "
                                  f"{self.batch_size}")
-        if not self.lr_initial > 0:
-            raise nc.ConfigError(f"lr_initial must be positive, got "
-                                 f"{self.lr_initial:g}")
+        if not 0 < self.lr_initial < math.inf:
+            raise nc.ConfigError(f"lr_initial must be positive and finite, "
+                                 f"got {self.lr_initial:g}")
 
     @classmethod
     def set1(cls, **overrides) -> "TrainConfig":
@@ -150,30 +151,53 @@ def batch_loss(model: GlotModel, frames: list[np.ndarray],
 # optimizer and schedule
 
 class Adam:
-    """Standard Adam with bias correction (beta1=0.9, beta2=0.999)."""
+    """Standard Adam with bias correction (beta1=0.9, beta2=0.999).
+
+    The moments of all parameters sit in two flat arrays, one segment per
+    parameter in the order of params, so a step updates every parameter
+    that has a gradient in one pass of array arithmetic. Each element
+    meets the same expressions in the same order as in a per-parameter
+    loop, so the result is the same to the bit.
+    """
 
     def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
         self.params = params
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
-        self.m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self.v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._bounds = np.cumsum([0, *(p.data.size for p in params.values())])
+        self.m = np.zeros(self._bounds[-1])
+        self.v = np.zeros(self._bounds[-1])
 
     def step(self, lr: float) -> None:
+        """One update of every parameter with a gradient; a parameter
+        without one keeps its data and moments."""
         self.t += 1
         b1c = 1.0 - self.beta1 ** self.t
         b2c = 1.0 - self.beta2 ** self.t
-        for name in self.params:
-            p = self.params[name]
-            if p.grad is None:
-                continue
-            g = p.grad
-            self.m[name] = self.beta1 * self.m[name] + (1 - self.beta1) * g
-            self.v[name] = self.beta2 * self.v[name] + (1 - self.beta2) * g * g
-            mhat = self.m[name] / b1c
-            vhat = self.v[name] / b2c
-            p.data = p.data - lr * mhat / (np.sqrt(vhat) + self.eps)
+        tensors = list(self.params.values())
+        live = [i for i, p in enumerate(tensors) if p.grad is not None]
+        if not live:
+            return
+        seg = (slice(None) if len(live) == len(tensors) else np.concatenate(
+            [np.arange(self._bounds[i], self._bounds[i + 1]) for i in live]))
+        g = np.concatenate([tensors[i].grad.reshape(-1) for i in live])
+        m = self.beta1 * self.m[seg] + (1 - self.beta1) * g
+        v = self.beta2 * self.v[seg] + (1 - self.beta2) * g * g
+        self.m[seg], self.v[seg] = m, v
+        mhat = m / b1c
+        vhat = v / b2c
+        data = np.concatenate([tensors[i].data.reshape(-1) for i in live])
+        data = data - lr * mhat / (np.sqrt(vhat) + self.eps)
+        # Each parameter gets an array of its own: left as views into one
+        # flat array, they made greedy decoding about 8% slower on the
+        # tiny_learn benchmark.
+        start = 0
+        for i in live:
+            p = tensors[i]
+            stop = start + p.data.size
+            p.data = data[start:stop].reshape(p.data.shape).copy()
+            start = stop
 
     def zero_grad(self) -> None:
         for p in self.params.values():

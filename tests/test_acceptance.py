@@ -5,7 +5,6 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from glot import cli, dataio, metrics, numcore as nc, sparse_attention as sa
 from glot import training
@@ -75,24 +74,21 @@ def test_criterion_3_gradient_acceptance():
 
 
 def test_criterion_4_gating_contract():
-    cfg = GlotConfig.tiny(max_frames=8, feat_dim=5)
-    model = GlotModel(cfg, seed=0)
     rng = np.random.default_rng(2)
     for _ in range(1000):
         F = int(rng.integers(1, 7))
         lssa_out = rng.normal(size=(F, 4)) * 3
         gap = rng.normal(size=4) * 3
         g = rng.uniform(1e-6, 1 - 1e-6, size=(F, 1))
-        out = model.gating_combine(Tensor(g), Tensor(lssa_out),
-                                   Tensor(gap)).data
+        out = nc.gated_mix(Tensor(g), Tensor(lssa_out), Tensor(gap)).data
         lo = np.minimum(lssa_out, gap)
         hi = np.maximum(lssa_out, gap)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
     lssa_out = Tensor(rng.normal(size=(5, 4)))
     gap = Tensor(rng.normal(size=4))
-    pure_lssa = model.gating_combine(Tensor(np.ones((5, 1))), lssa_out, gap)
+    pure_lssa = nc.gated_mix(Tensor(np.ones((5, 1))), lssa_out, gap)
     assert np.array_equal(pure_lssa.data, lssa_out.data)
-    pure_gap = model.gating_combine(Tensor(np.zeros((5, 1))), lssa_out, gap)
+    pure_gap = nc.gated_mix(Tensor(np.zeros((5, 1))), lssa_out, gap)
     assert np.array_equal(pure_gap.data, np.tile(gap.data, (5, 1)))
     _passed(4, "1000 random gates stay inside the [min,max] envelope; "
                "g=0 and g=1 reproduce the pure branches bit-exactly")

@@ -221,7 +221,43 @@ def test_gradcheck_unknown_corrupt_name_exits_2(capsys):
 def test_gradcheck_nonpositive_tol_exits_2(capsys, tol):
     code, out, err = run(capsys, ["gradcheck", "--tol", tol])
     assert code == 2 and out == ""
-    assert err.splitlines() == [f"error: --tol must be positive, got {tol}"]
+    assert err.splitlines() == [
+        f"error: --tol must be positive and finite, got {tol}"]
+
+
+def test_gradcheck_infinite_tol_exits_2(capsys):
+    # an infinite tolerance would pass every group
+    code, out, err = run(capsys, ["gradcheck", "--tol", "inf"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: --tol must be positive and finite, got inf"]
+
+
+@pytest.mark.parametrize("command", ["synth", "train", "crossval", "gradcheck",
+                                     "bench-attn"])
+def test_negative_seed_exits_2_before_any_output(tmp_path, capsys, command):
+    manifest = dataio.synth_generate(0, 6, 3, 5, 0.0, tmp_path / "d")
+    before = tree_digest(tmp_path)
+    argv = [command, "--seed", "-1"]
+    if command in ("synth", "train", "crossval"):
+        argv += ["--out", str(tmp_path / "out")]
+    if command in ("train", "crossval"):
+        argv += ["--manifest", str(tmp_path / "d" / "manifest.tsv")]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: --seed must be non-negative, got -1"]
+    assert tree_digest(tmp_path) == before and len(manifest.entries) == 6
+
+
+def test_train_infinite_lr_exits_2_before_any_output(tmp_path, capsys):
+    run(capsys, ["synth", "--samples", "6", "--out", str(tmp_path / "d")])
+    code, out, err = run(capsys, [
+        "train", "--manifest", str(tmp_path / "d" / "manifest.tsv"),
+        "--lr", "inf", "--out", str(tmp_path / "run")])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: lr_initial must be positive and finite, got inf"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_gradcheck_deterministic(capsys):
@@ -357,6 +393,28 @@ def test_config_file_value_outside_choices_exits_2(tmp_path, capsys,
     key, val = line.split("=")
     assert msg.startswith(f"error: {cfg}:{2 if command != 'eval' else 1}: "
                           f"{key}={val!r} is not one of ")
+
+
+def test_non_utf8_manifest_exits_2(tmp_path, capsys):
+    run(capsys, ["synth", "--samples", "6", "--out", str(tmp_path / "d")])
+    manifest = tmp_path / "d" / "manifest.tsv"
+    lines = manifest.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"sign", b"s\xffgn", 1)
+    manifest.write_bytes(b"".join(lines))
+    code, out, err = run(capsys, ["train", "--manifest", str(manifest),
+                                  "--out", str(tmp_path / "run")])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {manifest}:3: not UTF-8 text"]
+    assert not (tmp_path / "run").exists()
+
+
+def test_non_utf8_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"\xff\xfeseed=3\n")
+    code, out, err = run(capsys, ["train", "--config", str(cfg),
+                                  "--out", str(tmp_path / "run")])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {cfg}:1: not UTF-8 text"]
 
 
 def test_config_file_values_inside_choices_accepted(tmp_path, capsys):

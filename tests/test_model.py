@@ -43,27 +43,27 @@ def test_positional_encoding_values():
 
 def test_embed_frames_zero_input_gives_pe():
     m = tiny_model()
-    out = m.embed_frames(np.zeros((4, 5)))
+    out = m.embed_frames([np.zeros((4, 5))])
     assert np.allclose(out.data, positional_encoding(4, 8), atol=1e-15)
 
 
 def test_embed_frames_shape():
     m = tiny_model(feat_dim=12)
-    out = m.embed_frames(np.random.default_rng(0).normal(size=(5, 12)))
+    out = m.embed_frames([np.random.default_rng(0).normal(size=(5, 12))])
     assert out.shape == (5, 8)
 
 
 def test_embed_frames_width_mismatch():
     m = tiny_model()
     with pytest.raises(nc.ShapeError):
-        m.embed_frames(np.zeros((4, 9)))
+        m.embed_frames([np.zeros((4, 9))])
 
 
 def test_embed_frames_gradient():
     m = tiny_model()
     frames = np.random.default_rng(1).normal(size=(4, 5))
     w = Tensor(np.random.default_rng(2).normal(size=(4, 8)))
-    [c] = nc.grad_check(lambda: nc.tsum(nc.mul(m.embed_frames(frames), w)),
+    [c] = nc.grad_check(lambda: nc.tsum(nc.mul(m.embed_frames([frames]), w)),
                         {"frame_embed": m.params["frame_embed"]})
     assert c.passed
 
@@ -89,32 +89,42 @@ def test_gate_value_examples():
 
 
 def test_gating_combine_limits_and_midpoint():
-    m = tiny_model()
     rng = np.random.default_rng(4)
     lssa_out = Tensor(rng.normal(size=(3, 4)))
     gap = Tensor(rng.normal(size=4))
     ones = Tensor(np.ones((3, 1)))
     zeros = Tensor(np.zeros((3, 1)))
-    assert np.array_equal(m.gating_combine(ones, lssa_out, gap).data,
+    assert np.array_equal(nc.gated_mix(ones, lssa_out, gap).data,
                           lssa_out.data)
-    out0 = m.gating_combine(zeros, lssa_out, gap).data
+    out0 = nc.gated_mix(zeros, lssa_out, gap).data
     assert np.array_equal(out0, np.tile(gap.data, (3, 1)))
-    half = m.gating_combine(Tensor(np.full((3, 1), 0.5)),
-                            Tensor(np.array([[2.0, 4.0]] * 3)),
-                            Tensor(np.array([0.0, 2.0])))
+    half = nc.gated_mix(Tensor(np.full((3, 1), 0.5)),
+                        Tensor(np.array([[2.0, 4.0]] * 3)),
+                        Tensor(np.array([0.0, 2.0])))
     assert np.allclose(half.data, [[1.0, 3.0]] * 3)
 
 
 def test_gating_convex_containment():
-    m = tiny_model()
     rng = np.random.default_rng(5)
     for _ in range(50):
         lssa_out = rng.normal(size=(4, 4))
         gap = rng.normal(size=4)
         g = rng.uniform(0.01, 0.99, size=(4, 1))
-        out = m.gating_combine(Tensor(g), Tensor(lssa_out), Tensor(gap)).data
+        out = nc.gated_mix(Tensor(g), Tensor(lssa_out), Tensor(gap)).data
         lo = np.minimum(lssa_out, gap)
         hi = np.maximum(lssa_out, gap)
+        assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
+    # packed clips of 1 and 3 rows: each row stays inside its own clip's
+    # envelope
+    for _ in range(50):
+        lssa_out = rng.normal(size=(4, 4))
+        gap = rng.normal(size=(2, 4))
+        g = rng.uniform(0.01, 0.99, size=(4, 1))
+        out = nc.gated_mix(Tensor(g), Tensor(lssa_out), Tensor(gap),
+                           [1, 3]).data
+        gap_rows = gap[[0, 1, 1, 1]]
+        lo = np.minimum(lssa_out, gap_rows)
+        hi = np.maximum(lssa_out, gap_rows)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
 
 
@@ -122,7 +132,7 @@ def test_encoder_forward_shape_preserving():
     m = tiny_model()
     rng = np.random.default_rng(6)
     for F in (1, 2, 5, 8):
-        out = m.encode(rng.normal(size=(F, 5)))
+        out = m.encode([rng.normal(size=(F, 5))])
         assert out.shape == (F, 8)
 
 
@@ -130,7 +140,7 @@ def test_dense_encoder_shape_preserving():
     m = tiny_model(encoder_kind="dense_baseline")
     rng = np.random.default_rng(7)
     for F in (1, 3, 8):
-        out = m.encode(rng.normal(size=(F, 5)))
+        out = m.encode([rng.normal(size=(F, 5))])
         assert out.shape == (F, 8)
 
 
@@ -151,7 +161,7 @@ def test_encoder_reduced_form_oracle():
     rng = np.random.default_rng(8)
     F = 6
     x = rng.normal(size=(F, 8))
-    out = m.encoder_block_glot(Tensor(x), 0, sa.build_mask(F)).data
+    out = m.encoder_block_glot(Tensor(x), 0, [F]).data
 
     x1, x2 = x[:, :d_b], x[:, d_b:]
     fused = np.zeros_like(x2)
@@ -192,7 +202,7 @@ def test_attention_rows_sum_to_one():
 
 def test_decoder_shapes():
     m = tiny_model()
-    mem = m.encode(np.random.default_rng(11).normal(size=(4, 5)))
+    mem = m.encode([np.random.default_rng(11).normal(size=(4, 5))])
     logits = m.decoder_forward(mem, [BOS, 5, 6], "gloss")
     assert logits.shape == (3, 7)
     logits = m.decoder_forward(mem, [BOS, 5, 6, 7], "text")
@@ -201,7 +211,7 @@ def test_decoder_shapes():
 
 def test_decoder_rejects_bad_token():
     m = tiny_model()
-    mem = m.encode(np.zeros((2, 5)))
+    mem = m.encode([np.zeros((2, 5))])
     with pytest.raises(DataError):
         m.decoder_forward(mem, [BOS, 99], "gloss")
 
@@ -209,7 +219,7 @@ def test_decoder_rejects_bad_token():
 def test_decoder_causality():
     m = tiny_model()
     rng = np.random.default_rng(12)
-    mem = m.encode(rng.normal(size=(4, 5)))
+    mem = m.encode([rng.normal(size=(4, 5))])
     base_ids = [BOS, 5, 6, 5, 6]
     base = m.decoder_forward(mem, base_ids, "gloss").data
     for _ in range(50):
@@ -240,11 +250,10 @@ def test_encoder_gradients_above_gather_crossover():
     rng = np.random.default_rng(14)
     x = Tensor(rng.normal(size=(F, 8)), requires_grad=True)
     w = Tensor(rng.normal(size=(F, 8)))
-    mask = sa.build_mask(F)
     names = ("enc0.lssa0.wq", "enc0.lssa0.wk", "enc0.lssa1.wq",
              "enc0.lssa1.wk")
     checks = nc.grad_check(
-        lambda: nc.tsum(nc.mul(m.encoder_block_glot(x, 0, mask), w)),
+        lambda: nc.tsum(nc.mul(m.encoder_block_glot(x, 0, [F]), w)),
         {"x": x, **{n: m.params[n] for n in names}}, tol=1e-4)
     assert [(c.name, c.max_rel_err) for c in checks if not c.passed] == []
 
@@ -280,9 +289,9 @@ def test_packed_batch_matches_one_pass_per_sample(kind, n_decoders):
     got = m.s2g2t_forward(frames, gloss, text)
     refs = ([], [])
     for f, g, t in zip(frames, gloss, text):
-        memory = m.encode(f)
+        memory = m.encode([f])
         refs[0].append(m.decoder_forward(memory, [BOS, *g], "gloss").data)
-        refs[1].append(m.decoder_forward(m._gloss_memory([memory], [g]),
+        refs[1].append(m.decoder_forward(m._gloss_memory(memory, [len(f)], [g]),
                                          [BOS, *t], "text").data)
     for logits, ref in zip(got, refs):
         ref = np.concatenate(ref)
@@ -292,7 +301,7 @@ def test_packed_batch_matches_one_pass_per_sample(kind, n_decoders):
 
 def test_packed_decoder_rejects_a_cache():
     m = tiny_model()
-    memory = m.encode(np.zeros((3, 5)))
+    memory = m.encode([np.zeros((3, 5))])
     with pytest.raises(nc.ContractError):
         m.decoder_forward(memory, [BOS], "gloss", DecoderCache(),
                           blocks=[(1, 3)])
@@ -348,11 +357,11 @@ def test_instrumented_pair_counts():
     frames = rng.normal(size=(6, 5))
     counter = sa.PairCounter()
     m = tiny_model(n_lssa_layers=1)
-    m.encode(frames, counter=counter)
+    m.encode([frames], counter=counter)
     assert counter.total("logsparse") == sa.count_attention_pairs(6, "logsparse")
     counter = sa.PairCounter()
     m = tiny_model(encoder_kind="dense_baseline")
-    m.encode(frames, counter=counter)
+    m.encode([frames], counter=counter)
     assert counter.total("dense") == 36
 
 
@@ -381,7 +390,7 @@ def test_checkpoint_rejects_corruption(tmp_path):
 
 def test_learned_positional_encoding_option():
     m = tiny_model(pe_kind="learned")
-    out = m.embed_frames(np.zeros((3, 5)))
+    out = m.embed_frames([np.zeros((3, 5))])
     assert np.array_equal(out.data, m.params["pe_encoder"].data[:3])
 
 
@@ -400,10 +409,10 @@ def test_positional_table_slices_are_bit_identical():
 def test_cached_steps_match_full_prefix(kind, n_decoders, pe_kind):
     m = tiny_model(encoder_kind=kind, n_decoders=n_decoders, pe_kind=pe_kind)
     rng = np.random.default_rng(19)
-    memory = m.encode(rng.normal(size=(6, 5)))
+    memory = m.encode([rng.normal(size=(6, 5))])
     L = m.config.max_target_len + 2
     for stage, mem in (("gloss", memory),
-                       ("text", m._gloss_memory([memory], [[5, 6, 5]]))):
+                       ("text", m._gloss_memory(memory, [6], [[5, 6, 5]]))):
         vocab = m._stage_vocab_size(stage)
         ids = [BOS] + [int(t) for t in rng.integers(5, vocab, size=L - 1)]
         cache = DecoderCache()
@@ -430,7 +439,7 @@ def test_cached_decoder_step_ops(monkeypatch, kind):
     # step of a stage also projects the memory's cross K and V. No step
     # builds a causal mask: its single row may see every cached key.
     m = tiny_model(encoder_kind=kind)
-    memory = m.encode(np.random.default_rng(20).normal(size=(6, 5)))
+    memory = m.encode([np.random.default_rng(20).normal(size=(6, 5))])
     ops = []
     record = nc._record
 
@@ -453,7 +462,7 @@ def test_cached_decoder_step_ops(monkeypatch, kind):
 def full_prefix_greedy(model, frames, max_len):
     """Greedy decoding that re-runs the decoder over the whole prefix."""
     model.eval()
-    memory = model.encode(frames)
+    memory = model.encode([frames])
 
     def stage(mem, name):
         ids = [BOS]
@@ -465,7 +474,7 @@ def full_prefix_greedy(model, frames, max_len):
         return ids[1:], True
 
     gloss, gloss_trunc = stage(memory, "gloss")
-    text, text_trunc = stage(model._gloss_memory([memory], [gloss]), "text")
+    text, text_trunc = stage(model._gloss_memory(memory, [len(frames)], [gloss]), "text")
     return GreedyResult(gloss, text, gloss_trunc, text_trunc)
 
 

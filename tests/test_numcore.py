@@ -231,6 +231,91 @@ def test_global_avg_pool():
     assert np.allclose(out.data, 7.0)
 
 
+CLIPS = [3, 1, 4]
+
+
+def clip_rows():
+    bounds = np.cumsum([0, *CLIPS])
+    return [slice(s, e) for s, e in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("width", [1, 3, 5])
+def test_conv1d_clips_match_one_call_per_clip(width):
+    # Each clip is padded with its own zeros, so outputs and input
+    # gradients equal one call per clip, and the kernel and bias gradients
+    # the per-clip sum, up to the order of float sums (BLAS may block a
+    # taller matrix product differently).
+    rng = np.random.default_rng(30)
+    x, k, b = (rng.normal(size=(8, 2)), rng.normal(size=(3, 2, width)),
+               rng.normal(size=3))
+    w = rng.normal(size=(8, 3))
+    packed = grads_of(lambda *t: nc.conv1d_same(*t, CLIPS), [x, k, b], w)
+    per = [grads_of(nc.conv1d_same, [x[r], k, b], w[r]) for r in clip_rows()]
+    refs = [np.concatenate([p[i] for p in per]) for i in (0, 1)]
+    refs += [sum(p[i] for p in per) for i in (2, 3)]
+    for got, ref in zip(packed, refs):
+        assert got.shape == ref.shape
+        assert np.allclose(got, ref, rtol=1e-13, atol=1e-13)
+
+
+def test_pool_and_gated_mix_clips_match_one_call_per_clip():
+    rng = np.random.default_rng(31)
+    v, w = rng.normal(size=(8, 2)), rng.normal(size=(3, 2))
+    packed = grads_of(lambda t: nc.global_avg_pool(t, CLIPS), [v], w)
+    per = [grads_of(nc.global_avg_pool, [v[r]], w[i])
+           for i, r in enumerate(clip_rows())]
+    assert np.array_equal(packed[0], np.stack([p[0] for p in per]))
+    assert np.array_equal(packed[1], np.concatenate([p[1] for p in per]))
+
+    g, a, b = rng.uniform(size=(8, 1)), rng.normal(size=(8, 2)), w
+    w = rng.normal(size=(8, 2))
+    packed = grads_of(lambda *t: nc.gated_mix(*t, CLIPS), [g, a, b], w)
+    per = [grads_of(nc.gated_mix, [g[r], a[r], b[i]], w[r])
+           for i, r in enumerate(clip_rows())]
+    for i in range(3):
+        assert np.array_equal(packed[i], np.concatenate([p[i] for p in per]))
+    assert np.array_equal(packed[3], np.stack([p[3] for p in per]))
+
+
+@pytest.mark.parametrize("F", [1, 5])
+def test_gated_mix_bit_equal_to_the_unfused_chain(F):
+    # the mul/add chain with 1 - g as (g * -1) + 1 that gated_mix replaced
+    rng = np.random.default_rng(32)
+    g, a, b = rng.uniform(size=(F, 1)), rng.normal(size=(F, 4)), rng.normal(size=4)
+    w = rng.normal(size=(F, 4))
+    one_minus_g, b_rows = g * -1.0 + 1.0, np.tile(b, (F, 1))
+    assert_bit_equal(grads_of(nc.gated_mix, [g, a, b], w), [
+        g * a + one_minus_g * b_rows,
+        (w * a).sum(axis=1, keepdims=True)
+        + (w * b_rows).sum(axis=1, keepdims=True) * -1.0,
+        w * g,
+        (w * one_minus_g).sum(axis=0)])
+
+
+@pytest.mark.parametrize("lengths", [[], [2, 2], [0, 5], [6, -1]])
+def test_clip_lengths_must_tile_the_rows(lengths):
+    x = Tensor(np.zeros((5, 2)))
+    with pytest.raises(nc.ShapeError):
+        nc.conv1d_same(x, Tensor(np.zeros((2, 2, 3))), Tensor(np.zeros(2)),
+                       lengths)
+    with pytest.raises(nc.ShapeError):
+        nc.global_avg_pool(x, lengths)
+    with pytest.raises(nc.ShapeError):
+        nc.gated_mix(Tensor(np.zeros((5, 1))), x,
+                     Tensor(np.zeros((len(lengths), 2))), lengths)
+
+
+def test_slice_rows_of_every_row_records_nothing():
+    x = Tensor(np.arange(6.0).reshape(3, 2), requires_grad=True)
+    with Tape() as tape:
+        assert nc.slice_rows(x, 0, 3) is x
+        assert nc.slice_rows(x, 1, 2).data.tolist() == [[2.0, 3.0]]
+    assert len(tape) == 1
+    for start, stop in ((0, 0), (2, 1), (-1, 2), (0, 4)):
+        with pytest.raises(nc.ShapeError):
+            nc.slice_rows(x, start, stop)
+
+
 def test_sigmoid_at_zero():
     assert nc.sigmoid(Tensor([0.0])).data[0] == 0.5
 
@@ -448,26 +533,68 @@ def fused_case(opname, rng, w):
     return f, Tensor(rng.normal(size=shapes[wrt]))
 
 
+CLIP_CASES = ["slice_rows", "conv1d_clips_x", "conv1d_clips_kernels",
+              "gap_clips"] + [f"gated_mix_{wrt}{clips}" for clips in ("", "_clips")
+                              for wrt in ("g", "a", "b")]
+
+
+def clip_case(opname, rng, w):
+    """(f, point) checking one input's gradient of an op over clips packed
+    as rows (lengths 1 and 3 of a 4-row matrix), or of slice_rows or
+    gated_mix over one clip; the other inputs are fixed."""
+    lengths = [1, 3]
+    if opname == "slice_rows":
+        w2 = Tensor(rng.normal(size=(2, 3)))
+        return lambda x: nc.tsum(nc.mul(nc.slice_rows(x, 1, 3), w2)), None
+    if opname.startswith("conv1d_clips_"):
+        # width 5 pads each clip with two zero rows a side
+        fixed = {"x": Tensor(rng.normal(size=(4, 3))),
+                 "kernels": Tensor(rng.normal(size=(2, 3, 5)))}
+        bias, w2 = Tensor(rng.normal(size=2)), Tensor(rng.normal(size=(4, 2)))
+        wrt = opname.split("_")[2]
+
+        def f(x):
+            args = dict(fixed, **{wrt: x})
+            return nc.tsum(nc.mul(nc.conv1d_same(
+                args["x"], args["kernels"], bias, lengths), w2))
+
+        return f, Tensor(rng.normal(size=fixed[wrt].shape))
+    if opname == "gap_clips":
+        w2 = Tensor(rng.normal(size=(2, 3)))
+        return lambda x: nc.tsum(nc.mul(nc.global_avg_pool(x, lengths),
+                                        w2)), None
+    wrt = opname.split("_")[2]
+    clips = opname.endswith("_clips")
+    shapes = {"g": (4, 1), "a": (4, 3), "b": (2, 3) if clips else (3,)}
+    fixed = {n: Tensor(rng.normal(size=shape)) for n, shape in shapes.items()}
+
+    def f(x):
+        args = dict(fixed, **{wrt: x})
+        return nc.tsum(nc.mul(nc.gated_mix(
+            args["g"], args["a"], args["b"], lengths if clips else None), w))
+
+    return f, Tensor(rng.normal(size=shapes[wrt]))
+
+
 GRADIENT_CASES = [
-    "add", "add_col", "add_vec", "add_scalar", "mul", "sigmoid", "relu",
-    "scale", "dropout", "concat", "concat_rows", "slice", "masked_softmax",
+    "add", "add_col", "add_vec", "mul", "sigmoid", "relu",
+    "dropout", "concat", "concat_rows", "slice", "masked_softmax",
     "log_softmax", "layer_norm", "conv1d", "gap", "gather", "pick",
-    "broadcast_rows",
 ] + ATTENTION_CASES + BLOCK_ATTENTION_CASES + OFFSET_ATTENTION_CASES \
-  + FUSED_CASES
+  + FUSED_CASES + CLIP_CASES
 
 # One gradient case per recording op; every case ends in tsum, and matmul
 # is checked through its fused-bias cases.
 OP_CASES = {
-    "add": "add", "add_scalar": "add_scalar", "mul": "mul",
-    "scale": "scale", "sigmoid": "sigmoid", "relu": "relu",
+    "add": "add", "mul": "mul", "sigmoid": "sigmoid", "relu": "relu",
     "dropout": "dropout", "concat_channels": "concat",
     "concat_rows": "concat_rows", "slice_cols": "slice",
-    "broadcast_rows": "broadcast_rows", "matmul": "matmul_bias_a",
+    "slice_rows": "slice_rows", "matmul": "matmul_bias_a",
     "tsum": "add", "gather_rows": "gather", "pick_per_row": "pick",
     "log_softmax_rows": "log_softmax", "attention": "block_attention_q_h2_causal",
     "offset_attention": "offset_attention_q_L5", "layer_norm": "layer_norm",
-    "conv1d_same": "conv1d", "global_avg_pool": "gap",
+    "conv1d_same": "conv1d_clips_kernels", "global_avg_pool": "gap_clips",
+    "gated_mix": "gated_mix_g_clips",
 }
 
 
@@ -497,6 +624,8 @@ def test_gradients_match_finite_differences(opname):
             f, point = offset_attention_case(opname, rng)
         elif opname in FUSED_CASES:
             f, point = fused_case(opname, rng, w)
+        elif opname in CLIP_CASES:
+            f, point = clip_case(opname, rng, w)
         elif opname == "add":
             other = Tensor(rng.normal(size=(4, 3)))
             f = lambda x: nc.tsum(nc.mul(nc.add(x, other), w))
@@ -506,8 +635,6 @@ def test_gradients_match_finite_differences(opname):
         elif opname == "add_vec":
             vec = Tensor(rng.normal(size=3))
             f = lambda x: nc.tsum(nc.mul(nc.add(x, vec), w))
-        elif opname == "add_scalar":
-            f = lambda x: nc.tsum(nc.mul(nc.add_scalar(x, 1.7), w))
         elif opname == "mul":
             other = Tensor(rng.normal(size=(4, 3)))
             f = lambda x: nc.tsum(nc.mul(nc.mul(x, other), w))
@@ -515,8 +642,6 @@ def test_gradients_match_finite_differences(opname):
             f = lambda x: nc.tsum(nc.mul(nc.sigmoid(x), w))
         elif opname == "relu":
             f = lambda x: nc.tsum(nc.mul(nc.relu(x), w))
-        elif opname == "scale":
-            f = lambda x: nc.tsum(nc.mul(nc.scale(x, 2.5), w))
         elif opname == "dropout":
             # a fresh generator per evaluation draws the same mask each time
             seed = int(rng.integers(2 ** 32))
@@ -558,10 +683,6 @@ def test_gradients_match_finite_differences(opname):
             cols = [0, 2, 1, 2]
             wv4 = Tensor(rng.normal(size=4))
             f = lambda x: nc.tsum(nc.mul(nc.pick_per_row(x, cols), wv4))
-        elif opname == "broadcast_rows":
-            wb = Tensor(rng.normal(size=(5, 3)))
-            f = lambda x: nc.tsum(nc.mul(
-                nc.broadcast_rows(nc.global_avg_pool(x), 5), wb))
         if point is None:
             point = Tensor(rng.normal(size=(4, 3)))
         x = Tensor(point.data, requires_grad=True)
@@ -591,9 +712,9 @@ def test_finite_check_catches_every_position(bad):
             x = np.random.default_rng(14).normal(size=shape)
             x[pos] = bad
             with pytest.raises(nc.NonFiniteError):
-                nc.add_scalar(Tensor(x), 0.0)
+                nc.add(Tensor(x), Tensor(0.0))
     with pytest.raises(nc.NonFiniteError):  # +Inf and -Inf sum to NaN
-        nc.add_scalar(Tensor([np.inf, 1.0, -np.inf]), 0.0)
+        nc.add(Tensor([np.inf, 1.0, -np.inf]), Tensor(0.0))
 
 
 def test_concat_rows_of_one_matrix_records_nothing():

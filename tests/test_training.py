@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from glot import dataio, numcore as nc, training
-from glot.dataio import EOS, PAD
+from glot.dataio import PAD
 from glot.model import GlotConfig, GlotModel
 from glot.numcore import Tape, Tensor
 
@@ -310,6 +310,73 @@ def test_batch_loss_is_mean_of_sample_losses(kind, pe_kind):
 
 
 @pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
+@pytest.mark.parametrize("n", [1, 3])
+def test_packed_encode_matches_encoding_clip_by_clip(kind, n):
+    # One encode over the packed clips against one encode per clip, its
+    # memories stacked: the batch loss to 1e-12 relative and every
+    # gradient to 1e-12 of its group's largest entry (the row-wise layers
+    # sum a weight's gradient over all clips at once); a lone clip is the
+    # same computation, so equal to the bit.
+    batch = [part[:n] for part in BATCH]
+    model = _batch_model(kind)
+    packed_loss, packed = _loss_and_grads(model, *batch)
+    model.encode = lambda frames, counter=None: nc.concat_rows(*(
+        GlotModel.encode(model, [f], counter) for f in frames))
+    loss, grads = _loss_and_grads(model, *batch)
+    tol = 0.0 if n == 1 else 1e-12
+    assert abs(packed_loss - loss) <= tol * abs(loss)
+    for name, g in grads.items():
+        scale = max(np.abs(g).max(), 1e-300)
+        assert np.abs(packed[name] - g).max() <= tol * scale, name
+
+
+def _adam_reference_step(params, m, v, t, lr, beta1=0.9, beta2=0.999,
+                         eps=1e-8):
+    """The per-parameter Adam loop that the one-pass step replaced."""
+    b1c = 1.0 - beta1 ** t
+    b2c = 1.0 - beta2 ** t
+    for name, p in params.items():
+        if p.grad is None:
+            continue
+        g = p.grad
+        m[name] = beta1 * m[name] + (1 - beta1) * g
+        v[name] = beta2 * v[name] + (1 - beta2) * g * g
+        mhat = m[name] / b1c
+        vhat = v[name] / b2c
+        p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
+
+
+def test_adam_one_pass_bit_equal_to_per_parameter_loop():
+    # "frozen" has no gradient for 10 steps, then one: its data and
+    # moments stay untouched until then.
+    rng = np.random.default_rng(41)
+    shapes = {"w": (3, 4), "b": (4,), "s": (), "frozen": (2, 2)}
+    start = {n: rng.normal(size=shape) for n, shape in shapes.items()}
+    params = {n: Tensor(a.copy(), requires_grad=True) for n, a in start.items()}
+    ref = {n: Tensor(a.copy(), requires_grad=True) for n, a in start.items()}
+    opt = training.Adam(params)
+    m = {n: np.zeros(shape) for n, shape in shapes.items()}
+    v = {n: np.zeros(shape) for n, shape in shapes.items()}
+    for t in range(1, 12):
+        for n, shape in shapes.items():
+            # "s" also misses every third step
+            skip = (n == "frozen" and t <= 10) or (n == "s" and t % 3 == 0)
+            g = None if skip else rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+            params[n].grad = ref[n].grad = g
+        opt.step(lr=1e-2)
+        _adam_reference_step(ref, m, v, t, lr=1e-2)
+        for n in shapes:
+            assert params[n].data.shape == shapes[n]
+            assert np.array_equal(params[n].data, ref[n].data), (t, n)
+        # the flat moments hold each parameter's segment in params' order
+        for flat, per_param in ((opt.m, m), (opt.v, v)):
+            assert np.array_equal(flat, np.concatenate(
+                [per_param[n].reshape(-1) for n in shapes])), t
+        if t == 10:
+            assert np.array_equal(params["frozen"].data, start["frozen"])
+
+
+@pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
 def test_batch_loss_gradients_match_finite_differences(kind):
     model = _batch_model(kind)
     names = ("frame_embed", "dec_gloss0.self.wq", "dec_text0.cross.wk",
@@ -320,17 +387,21 @@ def test_batch_loss_gradients_match_finite_differences(kind):
 
 
 def test_decoder_and_loss_record_once_per_batch():
-    # A sample adds its encoder's ops and its gloss embedding's (the
-    # third sample has none); the decoders and the loss record the same
-    # ops for any batch size. Packing a second memory adds one concat_rows.
-    model = _batch_model("glot")
-    with Tape() as tape:
-        model.encode(BATCH[0][0])
-    per_encode = len(tape)
-    entries = []
-    for n in (1, 2, 3):
-        with Tape() as tape:
-            training.batch_loss(model, *(part[:n] for part in BATCH))
-        entries.append(len(tape))
-    assert entries[1] - entries[0] == per_encode + 2 + 1
-    assert entries[2] - entries[1] == per_encode
+    # The encoder's row-wise layers, the decoders and the loss record the
+    # same ops for any batch size. A sample adds the slices of its rows
+    # (the log-sparse stack's input and its text memory), its gloss
+    # embedding's two ops (the third sample has none) and, for glot, its
+    # log-sparse stack of 3 ops per layer. Packing a second sample adds
+    # glot's concat_rows of the stacks' outputs. A lone sample's slices
+    # are its whole memory and record nothing.
+    for kind in ("glot", "dense_baseline"):
+        model = _batch_model(kind)
+        stack = 3 * model.config.lssa_depth if kind == "glot" else 0
+        slices = 2 if kind == "glot" else 1
+        entries = []
+        for n in (1, 2, 3):
+            with Tape() as tape:
+                training.batch_loss(model, *(part[:n] for part in BATCH))
+            entries.append(len(tape))
+        assert entries[1] - entries[0] == stack + 2 * slices + 2 + (stack > 0)
+        assert entries[2] - entries[1] == stack + slices
