@@ -131,32 +131,40 @@ def positional_encoding(length: int, width: int) -> np.ndarray:
 class DecoderCache:
     """Decoder state carried across the steps of one greedy stage.
 
-    Per decoder layer it keeps the self-attention key/value rows of every
-    position decoded so far and the cross-attention key/value projections
-    of the stage's memory, made on the first step. Earlier rows are kept
-    as plain arrays, so no gradient reaches them: the cache is for
-    inference.
+    Per decoder layer it keeps the self-attention keys and values of
+    every position decoded so far, and the cross-attention keys and values
+    of the stage's memory, projected once, on the stage's first step. All
+    are kept split into heads as the attention kernel takes them: keys as
+    (H, d/H, rows), values as (H, rows, d/H). They are plain arrays, so a
+    cached step records no gradient: the cache is for inference.
     """
 
     def __init__(self):
         self.start = 0      # positions already decoded
-        self._self: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._cross: dict[int, tuple[Tensor, Tensor]] = {}
+        self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        self.cross_kv: list[tuple[np.ndarray, np.ndarray]] = []
 
-    def self_kv(self, layer: int, k: Tensor, v: Tensor) -> tuple[Tensor, Tensor]:
-        """Append this step's key/value rows; return all rows so far."""
-        if layer in self._self:
-            old_k, old_v = self._self[layer]
-            k = Tensor(np.concatenate([old_k, k.data]))
-            v = Tensor(np.concatenate([old_v, v.data]))
-        self._self[layer] = (k.data, v.data)
-        return k, v
+    def extend(self, layer: int, kt: np.ndarray, vh: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """Append this step's head-split keys and values to the layer's;
+        return all of them so far."""
+        if layer < len(self.self_kv):
+            old_kt, old_vh = self.self_kv[layer]
+            kt = np.concatenate([old_kt, kt], axis=2)
+            vh = np.concatenate([old_vh, vh], axis=1)
+            self.self_kv[layer] = (kt, vh)
+        else:
+            self.self_kv.append((kt, vh))
+        return kt, vh
 
-    def cross_kv(self, layer: int, project) -> tuple[Tensor, Tensor]:
-        """The memory's key/value projections, made by project() once."""
-        if layer not in self._cross:
-            self._cross[layer] = project()
-        return self._cross[layer]
+
+def _affine(x: np.ndarray, w: Tensor, b: Tensor | None = None) -> np.ndarray:
+    """nc.matmul's arithmetic on arrays, finite-checked under its name."""
+    out = x @ w.data
+    if b is not None:
+        out += b.data
+    nc._check_finite(out, "matmul")
+    return out
 
 
 @dataclass
@@ -279,41 +287,36 @@ class GlotModel:
         return nc.dropout(x, self.config.dropout, rng=self._dropout_rng,
                           training=self.training)
 
-    def _pe(self, which: str, lengths: list[int], start: int = 0) -> Tensor:
-        """Positional rows start .. start+n-1 for each n in lengths, stacked
-        as the rows of sequences packed one after another."""
+    def _sinusoids(self, stop: int) -> np.ndarray:
+        """Rows 0 .. stop-1 of the sinusoidal table, which is built to the
+        longest position asked for so far: rows of a longer table are
+        bit-identical to positional_encoding(stop, d)."""
+        if self._pe_table is None or len(self._pe_table) < stop:
+            self._pe_table = positional_encoding(stop, self.config.d_model)
+            self._pe_table.setflags(write=False)
+        return self._pe_table[:stop]
+
+    def _pe(self, which: str, lengths: list[int]) -> Tensor:
+        """Positional rows 0 .. n-1 for each n in lengths, stacked as the
+        rows of sequences packed one after another."""
         if self.config.pe_kind == "learned":
             table = self.params["pe_encoder" if which == "enc" else "pe_decoder"]
             return nc.gather_rows(table, np.concatenate(
-                [np.arange(start, start + n) for n in lengths]))
-        stop = start + max(lengths)
-        if self._pe_table is None or len(self._pe_table) < stop:
-            # Built once, on first use: rows of a longer sinusoidal table
-            # are bit-identical to positional_encoding(stop, d).
-            cfg = self.config
-            self._pe_table = positional_encoding(
-                max(stop, cfg.max_frames, cfg.max_target_len + 2), cfg.d_model)
-            self._pe_table.setflags(write=False)
+                [np.arange(n) for n in lengths]))
+        table = self._sinusoids(max(lengths))
         if len(lengths) == 1:
-            return Tensor(self._pe_table[start:stop])
-        return Tensor(np.concatenate([self._pe_table[start:start + n]
-                                      for n in lengths]))
-
-    def _project_kv(self, prefix: str, x: Tensor) -> tuple[Tensor, Tensor]:
-        p = self.params
-        return nc.matmul(x, p[prefix + "wk"]), nc.matmul(x, p[prefix + "wv"])
+            return Tensor(table)
+        return Tensor(np.concatenate([table[:n] for n in lengths]))
 
     def _mha(self, prefix: str, xq: Tensor, xkv: Tensor,
              mask: np.ndarray | None,
-             kv: tuple[Tensor, Tensor] | None = None,
              blocks: list[tuple[int, int]] | None = None) -> Tensor:
-        """Multi-head attention; a mask of None allows every key. ``kv``
-        supplies ready keys and values (a decoding cache) in place of the
-        projections of ``xkv``; blocks and a per-block mask make the
-        pattern block-diagonal, as in nc.attention."""
+        """Multi-head attention; a mask of None allows every key. Blocks
+        and a per-block mask make the pattern block-diagonal, as in
+        nc.attention."""
         p = self.params
         q = nc.matmul(xq, p[prefix + "wq"])
-        k, v = self._project_kv(prefix, xkv) if kv is None else kv
+        k, v = nc.matmul(xkv, p[prefix + "wk"]), nc.matmul(xkv, p[prefix + "wv"])
         heads = nc.attention(q, k, v, mask, self.config.n_heads, blocks)
         return nc.matmul(heads, p[prefix + "wo"])
 
@@ -422,59 +425,114 @@ class GlotModel:
         """Causal self-attention over the target prefix, cross-attention
         over memory, feed-forward; returns L x vocab logits.
 
-        With a cache, token_ids are the positions that follow the
-        cache.start already decoded: only their rows are computed, and
-        their keys and values join the cache.
+        Without a cache, token_ids is a whole sequence from position 0,
+        and every op records onto the open tape. ``blocks`` packs several
+        sequences, one (target rows, memory rows) pair each, that split
+        token_ids and memory in order: each sequence's rows take positions
+        from 0 and attend only to the rows of their own sequence and of
+        its memory.
 
-        ``blocks`` packs several sequences, one (target rows, memory rows)
-        pair each, that split token_ids and memory in order: each
-        sequence's rows take positions from 0 and attend only to the rows
-        of their own sequence and of its memory. A cache holds one
-        sequence, so it takes no blocks.
+        With a cache (eval mode only: a step applies no dropout), token_ids
+        are the positions that follow the cache.start already decoded: only
+        their rows are computed, on plain arrays, by the forward kernels of
+        the ops above, and their keys and values join the cache. Each
+        kernel's output is checked for finiteness under the name of that
+        op. The logits come back as a Tensor that records nothing. A cache
+        holds one sequence, so it takes no blocks.
         """
         if stage not in ("gloss", "text"):
             raise nc.ConfigError(f"unknown decoder stage {stage!r}")
         vocab = self._stage_vocab_size(stage)
         if any(not 0 <= t < vocab for t in token_ids):
             raise DataError(f"token id out of range for {stage} vocabulary")
-        start = 0 if cache is None else cache.start
         L = len(token_ids)
-        if blocks is None:
+        if cache is not None:
+            if blocks is not None:
+                raise nc.ContractError("a decoder cache holds one sequence; "
+                                       "it takes no blocks")
+            if self.training:
+                raise nc.ContractError("a cached decoder step applies no "
+                                       "dropout; it runs in eval mode only")
+            longest = cache.start + L
+        elif blocks is None:
             lengths, self_blocks = [L], None
-            # One new row may attend to every cached position.
-            self_mask = None if L == 1 else sa.causal_mask(start + L)[start:]
-        elif cache is not None:
-            raise nc.ContractError("a decoder cache holds one sequence; "
-                                   "it takes no blocks")
+            self_mask = sa.causal_mask(L)
+            longest = L
         else:
             lengths = [t for t, _ in blocks]
             self_blocks = [(t, t) for t in lengths]
             self_mask = [sa.causal_mask(t) for t in lengths]
-        if start + max(lengths) > self.config.max_target_len + 2:
-            raise DataError(f"target length {start + max(lengths)} exceeds "
-                            f"limit")
+            longest = max(lengths)
+        if longest > self.config.max_target_len + 2:
+            raise DataError(f"target length {longest} exceeds limit")
+        if cache is not None:
+            return self._decoder_step(memory, token_ids, stage, cache)
         p = self.params
         h = nc.gather_rows(p[f"embed_{stage}"], token_ids)
-        h = nc.add(h, self._pe("dec", lengths, start))
+        h = nc.add(h, self._pe("dec", lengths))
         h = self._dropout(h)
-        self_kv = cross_kv = None
         for i in range(self.config.n_decoders):
             pre = f"dec_{stage}{i}."
-            if cache is not None:
-                self_kv = cache.self_kv(i, *self._project_kv(pre + "self.", h))
-                cross_kv = cache.cross_kv(
-                    i, lambda: self._project_kv(pre + "cross.", memory))
-            attn = self._mha(pre + "self.", h, h, self_mask, kv=self_kv,
-                             blocks=self_blocks)
+            attn = self._mha(pre + "self.", h, h, self_mask, self_blocks)
             h = self._norm(pre + "self_norm", h, self._dropout(attn))
-            attn = self._mha(pre + "cross.", h, memory, None, kv=cross_kv,
-                             blocks=blocks)
+            attn = self._mha(pre + "cross.", h, memory, None, blocks)
             h = self._norm(pre + "cross_norm", h, self._dropout(attn))
             ff = self._feed_forward(pre, h)
             h = self._norm(pre + "ff_norm", h, self._dropout(ff))
-        if cache is not None:
-            cache.start += L
         return nc.matmul(h, p[f"out_{stage}.w"], p[f"out_{stage}.b"])
+
+    def _decoder_step(self, memory: Tensor, token_ids: list[int], stage: str,
+                      cache: DecoderCache) -> Tensor:
+        """decoder_forward with a cache: the ops' forward arithmetic on
+        arrays, in the taped path's order, each output finite-checked."""
+        p, H, check = self.params, self.config.n_heads, nc._check_finite
+        start, L = cache.start, len(token_ids)
+
+        def project_kv(prefix: str, x: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+            return (nc._split_heads(_affine(x, p[prefix + "wk"]), H, True),
+                    nc._split_heads(_affine(x, p[prefix + "wv"]), H))
+
+        def attend(prefix: str, x: np.ndarray, kt: np.ndarray,
+                   vh: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+            q = nc._split_heads(_affine(x, p[prefix + "wq"]), H)
+            heads, _ = nc._attend_heads(q, kt, vh, mask)
+            check(heads, "attention")
+            return _affine(heads, p[prefix + "wo"])
+
+        def norm(prefix: str, x: np.ndarray, residual: np.ndarray
+                 ) -> np.ndarray:
+            out, _, _ = nc._norm_rows(x + residual, p[prefix + "_g"].data,
+                                      p[prefix + "_b"].data)
+            check(out, "layer_norm")
+            return out
+
+        h = p[f"embed_{stage}"].data[np.asarray(token_ids, dtype=np.int64)]
+        check(h, "gather_rows")
+        if self.config.pe_kind == "learned":
+            pe = p["pe_decoder"].data[start:start + L]
+            check(pe, "gather_rows")
+        else:
+            pe = self._sinusoids(start + L)[start:]
+        h = h + pe
+        check(h, "add")
+        # One new row may attend to every cached position.
+        self_mask = None if L == 1 else sa.causal_mask(start + L)[start:]
+        for i in range(self.config.n_decoders):
+            pre = f"dec_{stage}{i}."
+            self_kv = cache.extend(i, *project_kv(pre + "self.", h))
+            if i == len(cache.cross_kv):
+                cache.cross_kv.append(project_kv(pre + "cross.", memory.data))
+            h = norm(pre + "self_norm", h,
+                     attend(pre + "self.", h, *self_kv, self_mask))
+            h = norm(pre + "cross_norm", h,
+                     attend(pre + "cross.", h, *cache.cross_kv[i], None))
+            ff = np.maximum(_affine(h, p[pre + "ff.w1"], p[pre + "ff.b1"]), 0.0)
+            check(ff, "relu")
+            h = norm(pre + "ff_norm", h,
+                     _affine(ff, p[pre + "ff.w2"], p[pre + "ff.b2"]))
+        cache.start += L
+        return Tensor(_affine(h, p[f"out_{stage}.w"], p[f"out_{stage}.b"]))
 
     def _gloss_memory(self, memory: Tensor, lengths: list[int],
                       gloss_ids: list[list[int]]) -> Tensor:

@@ -7,6 +7,11 @@ whole model: it runs backward once over a zero-argument ``loss()`` and
 compares the gradient of each named tensor in ``wrt`` against central
 finite differences.
 
+The forward arithmetic of attention and layer norm lives in array
+kernels (``_split_heads`` and ``_attend_heads``, ``_norm_rows``) that the
+taped ops call and that the model's cached decoder step, which records no
+gradient, calls on plain arrays.
+
 All arithmetic is 64-bit. Broadcasting is deliberately narrow: two shapes
 combine only if they are equal, one side is a scalar, a ``(d,)`` vector
 meets an ``(F, d)`` matrix, or an ``(F, 1)`` column meets an ``(F, d)``
@@ -356,11 +361,33 @@ def _merge_heads(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(x.shape[1], -1)
 
 
+def _split_heads(x: np.ndarray, n_heads: int, keys: bool = False
+                 ) -> np.ndarray:
+    """(L, d) rows as the C-contiguous per-head (H, L, d/H) array that
+    _attend_heads takes, or for keys its transpose (H, d/H, L)."""
+    xh = x.reshape(x.shape[0], n_heads, -1)
+    return np.ascontiguousarray(xh.transpose((1, 2, 0) if keys else (1, 0, 2)))
+
+
+def _attend_heads(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
+                  mask: np.ndarray | None):
+    """Scores, softmax over the mask-true keys, weighted sum: the
+    (Lq, d) output of head-split q, k^T and v, and the weights alpha."""
+    alpha = qh @ kt
+    alpha *= 1.0 / math.sqrt(qh.shape[2])
+    if mask is not None:
+        np.copyto(alpha, -np.inf, where=~mask)
+    alpha -= alpha.max(axis=-1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    return _merge_heads(alpha @ vh), alpha
+
+
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
             mask: np.ndarray | None, n_heads: int):
     """attention's arithmetic on plain arrays: the (Lq, d) output and what
     _attend_grads needs (the per-head q, k^T, v and weights alpha)."""
-    (Lq, d), Lk = q.shape, k.shape[0]
+    Lq, Lk = q.shape[0], k.shape[0]
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != (Lq, Lk):
@@ -368,18 +395,10 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
                              f"{(Lq, Lk)}")
         if not mask.any(axis=1).all():
             raise ContractError("attention: a row has no allowed entries")
-    dh = d // n_heads
-    qh = np.ascontiguousarray(q.reshape(Lq, n_heads, dh).transpose(1, 0, 2))
-    kt = np.ascontiguousarray(k.reshape(Lk, n_heads, dh).transpose(1, 2, 0))
-    vh = np.ascontiguousarray(v.reshape(Lk, n_heads, dh).transpose(1, 0, 2))
-    alpha = qh @ kt
-    alpha *= 1.0 / math.sqrt(dh)
-    if mask is not None:
-        np.copyto(alpha, -np.inf, where=~mask)
-    alpha -= alpha.max(axis=-1, keepdims=True)
-    np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=-1, keepdims=True)
-    return _merge_heads(alpha @ vh), (qh, kt, vh, alpha)
+    qh, kt, vh = (_split_heads(q, n_heads), _split_heads(k, n_heads, True),
+                  _split_heads(v, n_heads))
+    out, alpha = _attend_heads(qh, kt, vh, mask)
+    return out, (qh, kt, vh, alpha)
 
 
 def _attend_grads(saved, g: np.ndarray):
@@ -510,14 +529,31 @@ def offset_attention(q: Tensor, k: Tensor, v: Tensor,
 # ---------------------------------------------------------------------------
 # normalization, convolution, pooling
 
+_NORM_EPS = 1e-5
+
+
+def _norm_rows(xs: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+               eps: float = _NORM_EPS):
+    """layer_norm's arithmetic on plain arrays: gain * xhat + bias for
+    the rows xhat of xs normalized along the last axis, with xhat and the
+    inverse deviations 1/sqrt(var + eps) that its gradient needs. Means
+    are sums over d, which is the arithmetic of np.mean and np.var to the
+    bit without their per-call overhead."""
+    d = xs.shape[-1]
+    xc = xs - xs.sum(axis=-1, keepdims=True) / d
+    var = (xc * xc).sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return gain * xhat + bias, xhat, inv
+
+
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               residual: Tensor | None = None, eps: float = 1e-5) -> Tensor:
+               residual: Tensor | None = None, eps: float = _NORM_EPS
+               ) -> Tensor:
     """Normalize along the last axis (rows of a matrix independently).
 
     With a residual, the input is x + residual, and both get its gradient.
     Uses population variance; eps keeps the constant-input case finite.
-    Means are sums over d, which is the arithmetic of np.mean and np.var
-    to the bit without their per-call overhead.
     """
     if eps <= 0:
         raise ConfigError("layer_norm eps must be positive")
@@ -531,11 +567,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     else:
         raise ShapeError(f"layer_norm: residual {residual.shape} vs "
                          f"input {x.shape}")
-    xc = xs - xs.sum(axis=-1, keepdims=True) / d
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = gain.data * xhat + bias.data
+    out, xhat, inv = _norm_rows(xs, gain.data, bias.data, eps)
 
     def bw(g):
         dgain = _reduce_to(g * xhat, gain.shape)

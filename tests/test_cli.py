@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -512,6 +515,33 @@ def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, expected):
     assert code == 2
     [msg] = err.splitlines()
     assert msg.startswith("error: ") and expected in msg
+
+
+def test_eval_overflow_in_a_cached_step_exits_3(tmp_path):
+    # A finite but huge FF weight overflows inside the cached decoder
+    # steps of glot eval: one divergence line, and numpy's overflow
+    # warnings stay off stderr. A fresh interpreter shows stderr as a
+    # user sees it.
+    samples = dataio.synth_generate(0, 4, 3, 5, 0.0,
+                                    tmp_path / "d").load_samples()
+    gv = dataio.build_vocab([s.gloss for s in samples])
+    tv = dataio.build_vocab([s.text for s in samples])
+    cfg = GlotConfig.tiny(max_frames=32, feat_dim=5, gloss_vocab_size=len(gv),
+                          text_vocab_size=len(tv))
+    model = GlotModel(cfg, gloss_vocab=gv, text_vocab=tv)
+    model.params["dec_gloss0.ff.w1"].data[0, 0] = sys.float_info.max
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(model, ckpt)
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "glot.cli", "eval",
+         "--manifest", str(tmp_path / "d" / "manifest.tsv"),
+         "--checkpoint", str(ckpt), "--split", "cv"],
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "divergence: matmul produced non-finite values"]
 
 
 def test_library_errors_share_one_base(monkeypatch, capsys):

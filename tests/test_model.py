@@ -425,38 +425,82 @@ def test_cached_steps_match_full_prefix(kind, n_decoders, pe_kind):
             m.decoder_forward(mem, [BOS], stage, cache)
 
 
-STEP_OPS = ["gather_rows", "add",                       # embedding + PE
-            "matmul", "matmul",                         # self K, V rows
-            "matmul", "attention", "matmul", "layer_norm",
-            "matmul", "attention", "matmul", "layer_norm",  # cross
-            "matmul", "relu", "matmul", "layer_norm",   # feed-forward
-            "matmul"]                                   # output logits
+STEP_CHECKS = ["gather_rows", "add",                    # embedding + PE
+               "matmul", "matmul",                      # self K, V rows
+               "matmul", "attention", "matmul", "layer_norm",
+               "matmul", "attention", "matmul", "layer_norm",  # cross
+               "matmul", "relu", "matmul", "layer_norm",   # feed-forward
+               "matmul"]                                   # output logits
 
 
 @pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
-def test_cached_decoder_step_ops(monkeypatch, kind):
-    # One cached step of a one-layer decoder records 17 ops; the first
-    # step of a stage also projects the memory's cross K and V. No step
-    # builds a causal mask: its single row may see every cached key.
+def test_cached_decoder_step_records_nothing(monkeypatch, kind):
+    # A cached step of a one-layer decoder runs the ops' forward kernels
+    # on arrays: inside an open tape it appends nothing, it checks each
+    # kernel output under the name of the op the taped path runs there,
+    # in that order, and only a stage's first step projects the memory's
+    # cross K and V. No step builds a causal mask: its single row may see
+    # every cached key.
     m = tiny_model(encoder_kind=kind)
-    memory = m.encode([np.random.default_rng(20).normal(size=(6, 5))])
-    ops = []
-    record = nc._record
+    checked = []
+    check = nc._check_finite
 
-    def spy(data, op, *rest):
-        ops.append(op)
-        return record(data, op, *rest)
+    def spy(arr, op):
+        checked.append(op)
+        check(arr, op)
 
-    monkeypatch.setattr(nc, "_record", spy)
-    monkeypatch.setattr(sa, "causal_mask", None)
     cache = DecoderCache()
-    for t, token in enumerate([BOS, 5, 6]):
-        ops.clear()
-        m.decoder_forward(memory, [token], "gloss", cache)
-        expected = list(STEP_OPS)
-        if t == 0:
-            expected[4:4] = ["matmul", "matmul"]
-        assert ops == expected, t
+    with nc.Tape() as tape:
+        memory = m.encode([np.random.default_rng(20).normal(size=(6, 5))])
+        recorded = len(tape)
+        assert memory.requires_grad and recorded > 0
+        monkeypatch.setattr(nc, "_check_finite", spy)
+        monkeypatch.setattr(sa, "causal_mask", None)
+        for t, token in enumerate([BOS, 5, 6]):
+            checked.clear()
+            logits = m.decoder_forward(memory, [token], "gloss", cache)
+            expected = list(STEP_CHECKS)
+            if t == 0:
+                expected[4:4] = ["matmul", "matmul"]
+            assert checked == expected, t
+            assert len(tape) == recorded and not logits.requires_grad
+    assert [kt.shape for kt, _ in cache.self_kv] == [(2, 4, 3)]
+    assert [kt.shape for kt, _ in cache.cross_kv] == [(2, 4, 6)]
+
+
+def test_cached_step_reports_the_op_that_overflows():
+    # One huge first-layer FF weight: a row whose input at that entry
+    # exceeds 1 overflows the FF matmul, and the step names that op.
+    m = tiny_model()
+    memory = m.encode([np.random.default_rng(23).normal(size=(6, 5))])
+    m.params["dec_gloss0.ff.w1"].data[0, 0] = np.finfo(np.float64).max
+    cache = DecoderCache()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            nc.NonFiniteError, match="^matmul produced non-finite values$"):
+        for token in [BOS, 5, 6, 5, 6, 5, 6]:
+            m.decoder_forward(memory, [token], "gloss", cache)
+
+
+def test_cached_step_rejects_training_mode():
+    # a cached step applies no dropout, so it does not run in training mode
+    m = tiny_model(dropout=0.1)
+    memory = m.encode([np.zeros((3, 5))])
+    m.train()
+    with pytest.raises(nc.ContractError, match="eval mode"):
+        m.decoder_forward(memory, [BOS], "gloss", DecoderCache())
+    m.eval()
+    assert m.decoder_forward(memory, [BOS], "gloss", DecoderCache()).shape == (1, 7)
+
+
+def test_positional_table_grows_to_the_longest_position_only():
+    # A header's max_frames does not size the sinusoidal table: it grows
+    # to the longest position encoded or decoded so far.
+    frames = np.random.default_rng(22).normal(size=(6, 5))
+    huge = tiny_model(max_frames=2_000_000, n_lssa_layers=3)
+    got = huge.greedy_decode(frames, max_len=4)
+    assert len(huge._pe_table) == 6
+    assert got == tiny_model(max_frames=8, n_lssa_layers=3).greedy_decode(
+        frames, max_len=4)
 
 
 def full_prefix_greedy(model, frames, max_len):
