@@ -53,11 +53,8 @@ class Vocabulary:
         """Non-reserved tokens in id order."""
         return self.id_to_token[len(RESERVED_TOKENS):]
 
-    def encode(self, tokens: list[str], add_bos_eos: bool = False) -> list[int]:
-        ids = [self.token_to_id.get(t, UNK) for t in tokens]
-        if add_bos_eos:
-            ids = [BOS] + ids + [EOS]
-        return ids
+    def encode(self, tokens: list[str]) -> list[int]:
+        return [self.token_to_id.get(t, UNK) for t in tokens]
 
     def decode(self, ids: list[int]) -> list[str]:
         out = []

@@ -24,18 +24,17 @@ class BleuReport:
     brevity_penalty: float
     candidate_length: int
     reference_length: int
-    degenerate: bool = False          # empty candidate somewhere
 
-    def record(self, prefix: str = "") -> str:
+    def record(self) -> str:
         """Single-line key=value form for machine parsing."""
         parts = []
         for n in sorted(self.bleu):
-            parts.append(f"{prefix}bleu{n}={self.bleu[n]:.6f}")
+            parts.append(f"bleu{n}={self.bleu[n]:.6f}")
         for n in sorted(self.precisions):
-            parts.append(f"{prefix}p{n}={self.precisions[n]:.6f}")
-        parts.append(f"{prefix}bp={self.brevity_penalty:.6f}")
-        parts.append(f"{prefix}c={self.candidate_length}")
-        parts.append(f"{prefix}r={self.reference_length}")
+            parts.append(f"p{n}={self.precisions[n]:.6f}")
+        parts.append(f"bp={self.brevity_penalty:.6f}")
+        parts.append(f"c={self.candidate_length}")
+        parts.append(f"r={self.reference_length}")
         return " ".join(parts)
 
 
@@ -79,7 +78,7 @@ def closest_ref_length(candidate_len: int,
 
 def brevity_penalty(c: int, r: int) -> float:
     """1 when the candidate is longer than the reference, else e^(1 - r/c).
-    An empty candidate is degenerate and scores 0."""
+    An empty candidate scores 0."""
     if c == 0:
         return 0.0
     if c > r:
@@ -118,8 +117,7 @@ def corpus_bleu(pairs: list[tuple[list[str], list[list[str]]]],
         else:
             bleu[n] = bp * math.exp(math.fsum(math.log(p) for p in ps) / n)
     return BleuReport(bleu=bleu, precisions=precisions, brevity_penalty=bp,
-                      candidate_length=c, reference_length=r,
-                      degenerate=(c == 0))
+                      candidate_length=c, reference_length=r)
 
 
 def sentence_bleu(candidate: list[str], references: list[list[str]],

@@ -51,7 +51,6 @@ class GlotConfig:
     text_vocab_size: int = 11
     feat_dim: int = 5
     encoder_kind: str = "glot"      # "glot" or "dense_baseline"
-    pe_kind: str = "sinusoidal"     # "sinusoidal" or "learned"
 
     def validate(self) -> None:
         if self.d_model < 2 or self.d_model % 2:
@@ -66,8 +65,6 @@ class GlotConfig:
             raise ConfigError("dropout must be in [0, 1)")
         if self.encoder_kind not in ("glot", "dense_baseline"):
             raise ConfigError(f"unknown encoder_kind {self.encoder_kind!r}")
-        if self.pe_kind not in ("sinusoidal", "learned"):
-            raise ConfigError(f"unknown pe_kind {self.pe_kind!r}")
         for name in ("n_encoders", "n_decoders", "ff_size", "max_frames",
                      "max_target_len", "gloss_vocab_size", "text_vocab_size",
                      "feat_dim"):
@@ -113,6 +110,59 @@ def _with_overrides(cfg: GlotConfig, overrides: dict) -> GlotConfig:
         setattr(cfg, key, val)
     cfg.validate()
     return cfg
+
+
+def parameter_specs(cfg: GlotConfig):
+    """Every parameter of a model of this config as (name, shape, init),
+    in the order the model initializes, stores and checkpoints them. init
+    is "ones", "zeros", or the bound b of a uniform draw in [-b, b); the
+    draws take the rng in this order."""
+    d, d_b = cfg.d_model, cfg.d_branch
+
+    def norm(prefix: str):
+        yield prefix + "_g", (d,), "ones"
+        yield prefix + "_b", (d,), "zeros"
+
+    def feed_forward(pre: str):
+        yield pre + "ff.w1", (d, cfg.ff_size), 1.0 / math.sqrt(d)
+        yield pre + "ff.b1", (cfg.ff_size,), "zeros"
+        yield pre + "ff.w2", (cfg.ff_size, d), 1.0 / math.sqrt(cfg.ff_size)
+        yield pre + "ff.b2", (d,), "zeros"
+
+    yield "frame_embed", (cfg.feat_dim, d), 1.0 / math.sqrt(cfg.feat_dim)
+    for i in range(cfg.n_encoders):
+        pre = f"enc{i}."
+        if cfg.encoder_kind == "glot":
+            yield (pre + "conv_w", (d_b, d_b, cfg.conv_kernel),
+                   1.0 / math.sqrt(d_b * cfg.conv_kernel))
+            yield pre + "conv_b", (d_b,), "zeros"
+            for j in range(cfg.lssa_depth):
+                yield pre + f"lssa{j}.wq", (d_b, d_b), 1.0 / math.sqrt(d_b)
+                yield pre + f"lssa{j}.wk", (d_b, d_b), 1.0 / math.sqrt(d_b)
+            yield pre + "wv", (d_b, d_b), 1.0 / math.sqrt(d_b)
+            yield pre + "gate_w", (d_b, 1), 0.1
+            yield pre + "gate_b", (), 0.1
+            yield from norm(pre + "norm")
+        else:
+            for w in ("wq", "wk", "wv", "wo"):
+                yield pre + "attn." + w, (d, d), 1.0 / math.sqrt(d)
+            yield from norm(pre + "attn_norm")
+            yield from feed_forward(pre)
+            yield from norm(pre + "ff_norm")
+
+    for stage, vocab in (("gloss", cfg.gloss_vocab_size),
+                         ("text", cfg.text_vocab_size)):
+        yield f"embed_{stage}", (vocab, d), 1.0 / math.sqrt(d)
+        for i in range(cfg.n_decoders):
+            pre = f"dec_{stage}{i}."
+            for grp in ("self", "cross"):
+                for w in ("wq", "wk", "wv", "wo"):
+                    yield pre + f"{grp}.{w}", (d, d), 1.0 / math.sqrt(d)
+                yield from norm(pre + f"{grp}_norm")
+            yield from feed_forward(pre)
+            yield from norm(pre + "ff_norm")
+        yield f"out_{stage}.w", (d, vocab), 1.0 / math.sqrt(d)
+        yield f"out_{stage}.b", (vocab,), "zeros"
 
 
 def positional_encoding(length: int, width: int) -> np.ndarray:
@@ -200,75 +250,14 @@ class GlotModel:
     # parameters
 
     def _init_params(self, rng: np.random.Generator) -> None:
-        cfg = self.config
-        d, d_b = cfg.d_model, cfg.d_branch
-
-        def uniform(fan_in: int, shape) -> Tensor:
-            lim = 1.0 / math.sqrt(fan_in)
-            return Tensor(rng.uniform(-lim, lim, size=shape), requires_grad=True)
-
-        def ones(shape) -> Tensor:
-            return Tensor(np.ones(shape), requires_grad=True)
-
-        def zeros(shape) -> Tensor:
-            return Tensor(np.zeros(shape), requires_grad=True)
-
-        p = self.params
-        p["frame_embed"] = uniform(cfg.feat_dim, (cfg.feat_dim, d))
-        if cfg.pe_kind == "learned":
-            p["pe_encoder"] = uniform(d, (cfg.max_frames, d))
-            p["pe_decoder"] = uniform(d, (cfg.max_target_len + 2, d))
-
-        for i in range(cfg.n_encoders):
-            pre = f"enc{i}."
-            if cfg.encoder_kind == "glot":
-                p[pre + "conv_w"] = uniform(d_b * cfg.conv_kernel,
-                                            (d_b, d_b, cfg.conv_kernel))
-                p[pre + "conv_b"] = zeros((d_b,))
-                for j in range(cfg.lssa_depth):
-                    p[pre + f"lssa{j}.wq"] = uniform(d_b, (d_b, d_b))
-                    p[pre + f"lssa{j}.wk"] = uniform(d_b, (d_b, d_b))
-                p[pre + "wv"] = uniform(d_b, (d_b, d_b))
-                p[pre + "gate_w"] = Tensor(rng.uniform(-0.1, 0.1, (d_b, 1)),
-                                           requires_grad=True)
-                p[pre + "gate_b"] = Tensor(rng.uniform(-0.1, 0.1, ()),
-                                           requires_grad=True)
-                p[pre + "norm_g"] = ones((d,))
-                p[pre + "norm_b"] = zeros((d,))
+        for name, shape, init in parameter_specs(self.config):
+            if init == "ones":
+                data = np.ones(shape)
+            elif init == "zeros":
+                data = np.zeros(shape)
             else:
-                for w in ("wq", "wk", "wv", "wo"):
-                    p[pre + "attn." + w] = uniform(d, (d, d))
-                p[pre + "attn_norm_g"] = ones((d,))
-                p[pre + "attn_norm_b"] = zeros((d,))
-                self._init_ff(pre, uniform, zeros)
-                p[pre + "ff_norm_g"] = ones((d,))
-                p[pre + "ff_norm_b"] = zeros((d,))
-
-        for stage, vocab in (("gloss", cfg.gloss_vocab_size),
-                             ("text", cfg.text_vocab_size)):
-            p[f"embed_{stage}"] = uniform(d, (vocab, d))
-            for i in range(cfg.n_decoders):
-                pre = f"dec_{stage}{i}."
-                for grp in ("self", "cross"):
-                    for w in ("wq", "wk", "wv", "wo"):
-                        p[pre + f"{grp}.{w}"] = uniform(d, (d, d))
-                    p[pre + f"{grp}_norm_g"] = ones((d,))
-                    p[pre + f"{grp}_norm_b"] = zeros((d,))
-                self._init_ff(pre, uniform, zeros)
-                p[pre + "ff_norm_g"] = ones((d,))
-                p[pre + "ff_norm_b"] = zeros((d,))
-            p[f"out_{stage}.w"] = uniform(d, (d, vocab))
-            p[f"out_{stage}.b"] = zeros((vocab,))
-
-    def _init_ff(self, pre: str, uniform, zeros) -> None:
-        d, ff = self.config.d_model, self.config.ff_size
-        self.params[pre + "ff.w1"] = uniform(d, (d, ff))
-        self.params[pre + "ff.b1"] = zeros((ff,))
-        self.params[pre + "ff.w2"] = uniform(ff, (ff, d))
-        self.params[pre + "ff.b2"] = zeros((d,))
-
-    def parameter_count(self) -> int:
-        return sum(t.data.size for t in self.params.values())
+                data = rng.uniform(-init, init, size=shape)
+            self.params[name] = Tensor(data, requires_grad=True)
 
     def zero_grad(self) -> None:
         for t in self.params.values():
@@ -296,13 +285,9 @@ class GlotModel:
             self._pe_table.setflags(write=False)
         return self._pe_table[:stop]
 
-    def _pe(self, which: str, lengths: list[int]) -> Tensor:
+    def _pe(self, lengths: list[int]) -> Tensor:
         """Positional rows 0 .. n-1 for each n in lengths, stacked as the
         rows of sequences packed one after another."""
-        if self.config.pe_kind == "learned":
-            table = self.params["pe_encoder" if which == "enc" else "pe_decoder"]
-            return nc.gather_rows(table, np.concatenate(
-                [np.arange(n) for n in lengths]))
         table = self._sinusoids(max(lengths))
         if len(lengths) == 1:
             return Tensor(table)
@@ -348,7 +333,7 @@ class GlotModel:
                     f"{self.config.max_frames}")
         x = nc.matmul(Tensor(np.concatenate(frames)),
                       self.params["frame_embed"])
-        x = nc.add(x, self._pe("enc", [len(f) for f in frames]))
+        x = nc.add(x, self._pe([len(f) for f in frames]))
         return self._dropout(x)
 
     def gate_value(self, lssa_out: Tensor, enc_prefix: str) -> Tensor:
@@ -425,12 +410,12 @@ class GlotModel:
         """Causal self-attention over the target prefix, cross-attention
         over memory, feed-forward; returns L x vocab logits.
 
-        Without a cache, token_ids is a whole sequence from position 0,
-        and every op records onto the open tape. ``blocks`` packs several
-        sequences, one (target rows, memory rows) pair each, that split
-        token_ids and memory in order: each sequence's rows take positions
-        from 0 and attend only to the rows of their own sequence and of
-        its memory.
+        Without a cache, every op records onto the open tape. ``blocks``
+        packs several sequences, one (target rows, memory rows) pair each,
+        that split token_ids and memory in order: each sequence's rows
+        take positions from 0 and attend only to the rows of their own
+        sequence and of its memory. Without blocks, token_ids is one
+        sequence from position 0 over all of memory.
 
         With a cache (eval mode only: a step applies no dropout), token_ids
         are the positions that follow the cache.start already decoded: only
@@ -445,7 +430,7 @@ class GlotModel:
         vocab = self._stage_vocab_size(stage)
         if any(not 0 <= t < vocab for t in token_ids):
             raise DataError(f"token id out of range for {stage} vocabulary")
-        L = len(token_ids)
+        limit = self.config.max_target_len + 2
         if cache is not None:
             if blocks is not None:
                 raise nc.ContractError("a decoder cache holds one sequence; "
@@ -453,23 +438,21 @@ class GlotModel:
             if self.training:
                 raise nc.ContractError("a cached decoder step applies no "
                                        "dropout; it runs in eval mode only")
-            longest = cache.start + L
-        elif blocks is None:
-            lengths, self_blocks = [L], None
-            self_mask = sa.causal_mask(L)
-            longest = L
-        else:
-            lengths = [t for t, _ in blocks]
-            self_blocks = [(t, t) for t in lengths]
-            self_mask = [sa.causal_mask(t) for t in lengths]
-            longest = max(lengths)
-        if longest > self.config.max_target_len + 2:
-            raise DataError(f"target length {longest} exceeds limit")
-        if cache is not None:
+            longest = cache.start + len(token_ids)
+            if longest > limit:
+                raise DataError(f"target length {longest} exceeds limit")
             return self._decoder_step(memory, token_ids, stage, cache)
+        if blocks is None:
+            blocks = [(len(token_ids), memory.shape[0])]
+        lengths = [t for t, _ in blocks]
+        longest = max(lengths)
+        if longest > limit:
+            raise DataError(f"target length {longest} exceeds limit")
+        self_blocks = [(t, t) for t in lengths]
+        self_mask = [sa.causal_mask(t) for t in lengths]
         p = self.params
         h = nc.gather_rows(p[f"embed_{stage}"], token_ids)
-        h = nc.add(h, self._pe("dec", lengths))
+        h = nc.add(h, self._pe(lengths))
         h = self._dropout(h)
         for i in range(self.config.n_decoders):
             pre = f"dec_{stage}{i}."
@@ -509,12 +492,7 @@ class GlotModel:
 
         h = p[f"embed_{stage}"].data[np.asarray(token_ids, dtype=np.int64)]
         check(h, "gather_rows")
-        if self.config.pe_kind == "learned":
-            pe = p["pe_decoder"].data[start:start + L]
-            check(pe, "gather_rows")
-        else:
-            pe = self._sinusoids(start + L)[start:]
-        h = h + pe
+        h = h + self._sinusoids(start + L)[start:]
         check(h, "add")
         # One new row may attend to every cached position.
         self_mask = None if L == 1 else sa.causal_mask(start + L)[start:]
@@ -545,7 +523,7 @@ class GlotModel:
             parts.append(nc.slice_rows(memory, start, start + n))
             if len(ids):
                 emb = nc.gather_rows(self.params["embed_gloss"], ids)
-                parts.append(nc.add(emb, self._pe("dec", [len(ids)])))
+                parts.append(nc.add(emb, self._pe([len(ids)])))
         return nc.concat_rows(*parts)
 
     def s2g2t_forward(self, frames: list[np.ndarray],
@@ -672,12 +650,18 @@ def load_checkpoint(path: Path | str) -> GlotModel:
         raise CheckpointError(f"{path}: header is not JSON: {e}") from None
     if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
         raise CheckpointError(f"{path}: header has no config object")
-    unknown = set(header["config"]) - {f.name for f in fields(GlotConfig)}
+    settings = dict(header["config"])
+    # Positions are sinusoidal; older headers name that in a retired key.
+    positions = settings.pop("pe_kind", "sinusoidal")
+    if positions != "sinusoidal":
+        raise CheckpointError(f"{path}: config pe_kind={positions!r} is not "
+                              f"supported; positions are sinusoidal")
+    unknown = set(settings) - {f.name for f in fields(GlotConfig)}
     if unknown:
         raise CheckpointError(f"{path}: unknown config keys "
                               f"{', '.join(sorted(unknown))}")
     for f in fields(GlotConfig):
-        val, want = header["config"].get(f.name, f.default), type(f.default)
+        val, want = settings.get(f.name, f.default), type(f.default)
         if isinstance(val, bool) or not isinstance(
                 val, (int, float) if want is float else want):
             raise CheckpointError(f"{path}: config {f.name}={val!r} is not "
@@ -687,7 +671,18 @@ def load_checkpoint(path: Path | str) -> GlotModel:
         if vocab is not None and not (isinstance(vocab, list) and all(
                 isinstance(t, str) for t in vocab)):
             raise CheckpointError(f"{path}: {key} is not a list of strings")
-    config = GlotConfig(**header["config"])
+    config = GlotConfig(**settings)
+    config.validate()
+    # The parameter records the config implies must fit in the file
+    # before the model allocates them.
+    have, need = len(data) - off, 0
+    for name, shape, _ in parameter_specs(config):
+        need += 4 + len(name.encode("utf-8")) + 4 + 8 * len(shape) \
+            + 8 * math.prod(shape)
+        if need > have:
+            raise CheckpointError(
+                f"{path}: truncated checkpoint: its config implies at least "
+                f"{need} bytes of parameters, {have} follow the header")
     gloss_vocab, text_vocab = (None if v is None else Vocabulary(v)
                                for v in vocabs)
     model = GlotModel(config, gloss_vocab=gloss_vocab, text_vocab=text_vocab)

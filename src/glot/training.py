@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import metrics, numcore as nc
-from .dataio import EOS, PAD, SignSample, Vocabulary
+from .dataio import EOS, SignSample, Vocabulary
 from .model import GlotModel, save_checkpoint
 from .numcore import ContractError, Tape, Tensor
 
@@ -39,8 +39,7 @@ class TrainConfig:
     lr_floor: float = 2e-6
     lr_factor: float = 0.5
     plateau_patience: int = 3
-    schedule: str = "constant"             # "constant", "plateau", "fixed"
-    fixed_decay_epochs: tuple[int, ...] = ()
+    schedule: str = "constant"             # "constant" or "plateau"
     seed: int = 0
     checkpoint_dir: str | None = None
     stop_bleu1: float | None = None        # early exit once reached on val
@@ -57,6 +56,8 @@ class TrainConfig:
         if not 0 < self.lr_initial < math.inf:
             raise nc.ConfigError(f"lr_initial must be positive and finite, "
                                  f"got {self.lr_initial:g}")
+        if self.schedule not in ("constant", "plateau"):
+            raise nc.ConfigError(f"unknown schedule {self.schedule!r}")
 
     @classmethod
     def set1(cls, **overrides) -> "TrainConfig":
@@ -108,23 +109,17 @@ class FoldReport:
 # loss
 
 def cross_entropy_loss(logits: Tensor, targets: list[int],
-                       pad_id: int = PAD,
-                       weights: np.ndarray | None = None) -> Tensor:
-    """Negative log-likelihood of the targets, summed over non-pad rows
-    with one weight per row; without weights, the mean over non-pad rows."""
+                       weights: np.ndarray) -> Tensor:
+    """Negative log-likelihood of the targets, summed over the rows with
+    one weight per row."""
     targets = np.asarray(targets, dtype=np.int64)
     if targets.shape != logits.shape[:1]:
         raise nc.ShapeError("one target per logit row required")
-    keep = targets != pad_id
-    if not keep.any():
-        raise ContractError("cross_entropy_loss: every position is padding")
-    if weights is None:
-        weights = keep / keep.sum()
-    elif np.shape(weights) != targets.shape:
+    if np.shape(weights) != targets.shape:
         raise nc.ShapeError("one weight per logit row required")
     lp = nc.log_softmax_rows(logits)
-    picked = nc.pick_per_row(lp, np.where(keep, targets, 0))
-    return nc.tsum(nc.mul(picked, Tensor(np.where(keep, -weights, 0.0))))
+    picked = nc.pick_per_row(lp, targets)
+    return nc.tsum(nc.mul(picked, Tensor(-np.asarray(weights))))
 
 
 def batch_loss(model: GlotModel, frames: list[np.ndarray],
@@ -132,15 +127,14 @@ def batch_loss(model: GlotModel, frames: list[np.ndarray],
                ) -> Tensor:
     """Teacher-forced mean over the batch of CE(gloss) + CE(text), as one
     graph: s2g2t_forward packs the samples' rows, and a row of sample i
-    weighs 1/(B n_i) in its stage's loss, n_i being the sample's non-pad
-    targets in that stage."""
+    weighs 1/(B n_i) in its stage's loss, n_i being the sample's targets
+    in that stage (its content tokens and EOS)."""
     logits = model.s2g2t_forward(frames, gloss_ids, text_ids)
     B = len(frames)
     losses = []
     for stage_logits, seqs in zip(logits, (gloss_ids, text_ids)):
         targets = [[*ids, EOS] for ids in seqs]
-        weights = [np.full(len(t), 1.0 / (B * sum(x != PAD for x in t)))
-                   for t in targets]
+        weights = [np.full(len(t), 1.0 / (B * len(t))) for t in targets]
         losses.append(cross_entropy_loss(
             stage_logits, [x for t in targets for x in t],
             weights=np.concatenate(weights)))
@@ -205,7 +199,7 @@ class Adam:
 
 
 class LrSchedule:
-    """Constant, reduce-on-plateau, or fixed-epoch halving with a floor."""
+    """Constant, or reduce-on-plateau halving with a floor."""
 
     def __init__(self, cfg: TrainConfig):
         self.cfg = cfg
@@ -213,13 +207,9 @@ class LrSchedule:
         self._best: float | None = None
         self._bad = 0
 
-    def on_epoch_end(self, epoch: int, metric: float) -> float:
+    def on_epoch_end(self, metric: float) -> float:
         cfg = self.cfg
         if cfg.schedule == "constant":
-            return self.lr
-        if cfg.schedule == "fixed":
-            if epoch in cfg.fixed_decay_epochs:
-                self.lr = max(self.lr * cfg.lr_factor, cfg.lr_floor)
             return self.lr
         # plateau: halve after `plateau_patience` evaluations with no
         # improvement, clamped at the floor
@@ -323,7 +313,7 @@ def train(model: GlotModel, train_set: list[EncodedSample],
             if ckpt_path is not None:
                 save_checkpoint(model, ckpt_path)
                 report.checkpoint_path = str(ckpt_path)
-        sched.on_epoch_end(epoch, bleu[4])
+        sched.on_epoch_end(bleu[4])
         if cfg.stop_bleu1 is not None and bleu[1] >= cfg.stop_bleu1:
             break
     if ckpt_path is not None and report.checkpoint_path is None:

@@ -204,13 +204,13 @@ def test_eval_checkpoint_mismatch(tmp_path, capsys):
     assert "feature width" in err
 
 
-def test_gradcheck_passes_and_negative_control(tmp_path, capsys):
-    code, out, _ = run(capsys, ["gradcheck"])
-    assert code == 0
-    assert "FAIL" not in out
+def test_gradcheck_negative_control(capsys):
+    # A corrupted gradient fails its own group and no other.
     code, out, _ = run(capsys, ["gradcheck", "--corrupt", "enc0.gate_b"])
     assert code == 1
-    assert "FAIL" in out
+    failed = [line.split()[0] for line in out.splitlines()
+              if line.endswith("FAIL")]
+    assert failed == ["enc0.gate_b"]
 
 
 def test_gradcheck_unknown_corrupt_name_exits_2(capsys):
@@ -264,7 +264,9 @@ def test_train_infinite_lr_exits_2_before_any_output(tmp_path, capsys):
 
 
 def test_gradcheck_deterministic(capsys):
-    _, out1, _ = run(capsys, ["gradcheck"])
+    code, out1, _ = run(capsys, ["gradcheck"])
+    assert code == 0
+    assert "FAIL" not in out1
     _, out2, _ = run(capsys, ["gradcheck"])
     assert out1 == out2
 
@@ -487,6 +489,16 @@ def _with_zero_heads(blob: bytes) -> bytes:
     return _edit_header(blob, lambda h: h["config"].update(n_heads=0))
 
 
+def _with_learned_positions(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h["config"].update(pe_kind="learned"))
+
+
+def _header_only_1024_wide(blob: bytes) -> bytes:
+    (hlen,) = struct.unpack("<I", blob[12:16])
+    return _edit_header(blob[:16 + hlen], lambda h: h["config"].update(
+        d_model=1024, ff_size=1024))
+
+
 @pytest.mark.parametrize("corrupt, expected", [
     (_with_unknown_key, "unknown config keys bogus"),
     (_with_string_d_model, "config d_model='8' is not a valid int"),
@@ -497,6 +509,8 @@ def _with_zero_heads(blob: bytes) -> bytes:
     (lambda b: _rewrite_header(b, b"{config: 1"), "header is not JSON"),
     (lambda b: b[:-8] + struct.pack("<d", float("nan")),
      "out_text.b holds non-finite values"),
+    (_with_learned_positions, "config pe_kind='learned' is not supported"),
+    (_header_only_1024_wide, "bytes of parameters, 0 follow the header"),
 ])
 def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, expected):
     manifest = dataio.synth_generate(0, 4, 3, 5, 0.0, tmp_path / "d")

@@ -83,12 +83,6 @@ def test_unknown_token_maps_to_unk():
     assert vocab.encode(["whoa"]) == [dataio.UNK]
 
 
-def test_bos_eos_framing():
-    vocab = dataio.build_vocab([["hi"]])
-    assert vocab.encode(["hi"], add_bos_eos=True) == \
-        [dataio.BOS, vocab.token_to_id["hi"], dataio.EOS]
-
-
 def test_decode_out_of_range():
     vocab = dataio.build_vocab([["hi"]])
     with pytest.raises(dataio.DataError):

@@ -1,10 +1,15 @@
+import json
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from glot import dataio, numcore as nc, sparse_attention as sa, training
 from glot.dataio import BOS, EOS, DataError
-from glot.model import (DecoderCache, GlotConfig, GlotModel, GreedyResult,
-                        load_checkpoint, positional_encoding, save_checkpoint)
+from glot.model import (CheckpointError, DecoderCache, GlotConfig, GlotModel,
+                        GreedyResult, load_checkpoint, positional_encoding,
+                        save_checkpoint)
 from glot.numcore import ConfigError, Tensor
 
 
@@ -377,7 +382,6 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
-    from glot.model import CheckpointError
     m = tiny_model()
     path = tmp_path / "m.ckpt"
     save_checkpoint(m, path)
@@ -388,10 +392,65 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(path)
 
 
-def test_learned_positional_encoding_option():
-    m = tiny_model(pe_kind="learned")
-    out = m.embed_frames([np.zeros((3, 5))])
-    assert np.array_equal(out.data, m.params["pe_encoder"].data[:3])
+def _rewrite_checkpoint(path, edit, keep_params=True):
+    """Apply edit() to the checkpoint's JSON header; optionally drop every
+    parameter record after it."""
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[12:16])
+    header = json.loads(blob[16:16 + hlen])
+    edit(header["config"])
+    text = json.dumps(header).encode()
+    rest = blob[16 + hlen:] if keep_params else b""
+    path.write_bytes(blob[:12] + struct.pack("<I", len(text)) + text + rest)
+
+
+def _load_peak_bytes(path):
+    """load_checkpoint's exception and tracemalloc peak, in bytes."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        return err.value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_with_retired_sinusoidal_pe_kind_loads(tmp_path):
+    # Headers written before positions became sinusoidal-only name them
+    # in a pe_kind key; new headers leave it out.
+    m = tiny_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, path)
+    header_len = struct.unpack("<I", path.read_bytes()[12:16])[0]
+    assert b"pe_kind" not in path.read_bytes()[16:16 + header_len]
+    _rewrite_checkpoint(path, lambda c: c.update(pe_kind="sinusoidal"))
+    m2 = load_checkpoint(path)
+    assert m2.config == m.config and list(m2.params) == list(m.params)
+    for name, t in m.params.items():
+        assert m2.params[name].data.tobytes() == t.data.tobytes(), name
+
+
+def test_checkpoint_with_other_pe_kind_rejected_before_allocating(tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_model(), path)
+    _rewrite_checkpoint(path, lambda c: c.update(pe_kind="learned",
+                                                 max_frames=2_000_000))
+    err, peak = _load_peak_bytes(path)
+    assert "pe_kind='learned' is not supported" in str(err)
+    assert peak < 2 ** 20
+
+
+def test_header_only_checkpoint_rejected_before_allocating(tmp_path):
+    # A wide config whose parameters are missing: the loader compares the
+    # bytes the config implies with the file's before allocating any.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_model(), path)
+    _rewrite_checkpoint(path, lambda c: c.update(d_model=1024, ff_size=1024),
+                        keep_params=False)
+    err, peak = _load_peak_bytes(path)
+    assert "truncated checkpoint" in str(err)
+    assert "0 follow the header" in str(err)
+    assert peak < 2 ** 20
 
 
 def test_positional_table_slices_are_bit_identical():
@@ -402,12 +461,12 @@ def test_positional_table_slices_are_bit_identical():
                 (width, L)
 
 
-@pytest.mark.parametrize("kind, n_decoders, pe_kind", [
-    ("glot", 1, "sinusoidal"), ("dense_baseline", 1, "sinusoidal"),
-    ("glot", 2, "sinusoidal"), ("dense_baseline", 2, "learned"),
-    ("glot", 1, "learned")])
-def test_cached_steps_match_full_prefix(kind, n_decoders, pe_kind):
-    m = tiny_model(encoder_kind=kind, n_decoders=n_decoders, pe_kind=pe_kind)
+@pytest.mark.parametrize("kind, n_decoders", [
+    ("glot", 1), ("dense_baseline", 1), ("glot", 2), ("dense_baseline", 2)],
+    ids=["glot-1-sinusoidal", "dense_baseline-1-sinusoidal",
+         "glot-2-sinusoidal", "dense_baseline-2-sinusoidal"])
+def test_cached_steps_match_full_prefix(kind, n_decoders):
+    m = tiny_model(encoder_kind=kind, n_decoders=n_decoders)
     rng = np.random.default_rng(19)
     memory = m.encode([rng.normal(size=(6, 5))])
     L = m.config.max_target_len + 2
