@@ -225,6 +225,19 @@ def test_cross_validate_selects_best(tmp_path):
                                   if r.best_bleu4 == best_b4)
 
 
+def test_full_model_grad_check_negative_control():
+    cfg = GlotConfig.tiny(max_frames=8, feat_dim=5)
+    model = GlotModel(cfg, seed=0)
+    frames = np.random.default_rng(0).normal(size=(3, 5))
+    target = "enc0.gate_b"
+    model.eval()
+    results = nc.grad_check(
+        lambda: training.batch_loss(model, [frames], [[5, 6]], [[5, 7]]),
+        model.params, tol=1e-3, corrupt=target)
+    bad = [r for r in results if not r.passed]
+    assert [r.name for r in bad] == [target]
+
+
 def test_no_divergence_across_seeds(tmp_path):
     # loss finiteness on short seeded runs; divergence would raise
     cfg, gv, tv, encoded = _tiny_corpus(tmp_path, n=5, noise=0.1)
