@@ -418,12 +418,12 @@ class GlotModel:
         sequence from position 0 over all of memory.
 
         With a cache (eval mode only: a step applies no dropout), token_ids
-        are the positions that follow the cache.start already decoded: only
-        their rows are computed, on plain arrays, by the forward kernels of
-        the ops above, and their keys and values join the cache. Each
-        kernel's output is checked for finiteness under the name of that
-        op. The logits come back as a Tensor that records nothing. A cache
-        holds one sequence, so it takes no blocks.
+        is one id (any other count raises ContractError), the position after
+        the cache.start already decoded. Its row alone is computed, on plain
+        arrays, by the forward kernels of the ops above; its key and value
+        join the cache, and each kernel's output is finite-checked under the
+        op's name. The 1 x vocab logits come back as a Tensor that records
+        nothing. A cache holds one sequence, so it takes no blocks.
         """
         if stage not in ("gloss", "text"):
             raise nc.ConfigError(f"unknown decoder stage {stage!r}")
@@ -432,16 +432,16 @@ class GlotModel:
             raise DataError(f"token id out of range for {stage} vocabulary")
         limit = self.config.max_target_len + 2
         if cache is not None:
-            if blocks is not None:
-                raise nc.ContractError("a decoder cache holds one sequence; "
-                                       "it takes no blocks")
+            if blocks is not None or len(token_ids) != 1:
+                raise nc.ContractError("a cached decoder step takes one token "
+                                       "id of one sequence, and no blocks")
             if self.training:
                 raise nc.ContractError("a cached decoder step applies no "
                                        "dropout; it runs in eval mode only")
-            longest = cache.start + len(token_ids)
+            longest = cache.start + 1
             if longest > limit:
                 raise DataError(f"target length {longest} exceeds limit")
-            return self._decoder_step(memory, token_ids, stage, cache)
+            return self._decoder_step(memory, int(token_ids[0]), stage, cache)
         if blocks is None:
             blocks = [(len(token_ids), memory.shape[0])]
         lengths = [t for t, _ in blocks]
@@ -464,52 +464,48 @@ class GlotModel:
             h = self._norm(pre + "ff_norm", h, self._dropout(ff))
         return nc.matmul(h, p[f"out_{stage}.w"], p[f"out_{stage}.b"])
 
-    def _decoder_step(self, memory: Tensor, token_ids: list[int], stage: str,
+    def _decoder_step(self, memory: Tensor, token: int, stage: str,
                       cache: DecoderCache) -> Tensor:
-        """decoder_forward with a cache: the ops' forward arithmetic on
-        arrays, in the taped path's order, each output finite-checked."""
+        """decoder_forward with a cache for one token: the ops' forward
+        arithmetic on its one row, in the taped path's order, each output
+        finite-checked. The row may see every cached key: it needs no mask."""
         p, H, check = self.params, self.config.n_heads, nc._check_finite
-        start, L = cache.start, len(token_ids)
-
-        def project_kv(prefix: str, x: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-            return (nc._split_heads(_affine(x, p[prefix + "wk"]), H, True),
-                    nc._split_heads(_affine(x, p[prefix + "wv"]), H))
 
         def attend(prefix: str, x: np.ndarray, kt: np.ndarray,
-                   vh: np.ndarray, mask: np.ndarray | None) -> np.ndarray:
+                   vh: np.ndarray) -> np.ndarray:
             q = nc._split_heads(_affine(x, p[prefix + "wq"]), H)
-            heads, _ = nc._attend_heads(q, kt, vh, mask)
+            heads, _ = nc._attend_heads(q, kt, vh, None)
             check(heads, "attention")
             return _affine(heads, p[prefix + "wo"])
 
-        def norm(prefix: str, x: np.ndarray, residual: np.ndarray
-                 ) -> np.ndarray:
-            out, _, _ = nc._norm_rows(x + residual, p[prefix + "_g"].data,
+        def norm(prefix: str, x: np.ndarray) -> np.ndarray:
+            out, _, _ = nc._norm_rows(x, p[prefix + "_g"].data,
                                       p[prefix + "_b"].data)
             check(out, "layer_norm")
             return out
 
-        h = p[f"embed_{stage}"].data[np.asarray(token_ids, dtype=np.int64)]
+        h = p[f"embed_{stage}"].data[token:token + 1]
         check(h, "gather_rows")
-        h = h + self._sinusoids(start + L)[start:]
+        h = h + self._sinusoids(cache.start + 1)[cache.start:]
         check(h, "add")
-        # One new row may attend to every cached position.
-        self_mask = None if L == 1 else sa.causal_mask(start + L)[start:]
         for i in range(self.config.n_decoders):
             pre = f"dec_{stage}{i}."
-            self_kv = cache.extend(i, *project_kv(pre + "self.", h))
+            kt = nc._split_heads(_affine(h, p[pre + "self.wk"]), H, True)
+            vh = nc._split_heads(_affine(h, p[pre + "self.wv"]), H)
+            kv = cache.extend(i, kt, vh)
             if i == len(cache.cross_kv):
-                cache.cross_kv.append(project_kv(pre + "cross.", memory.data))
-            h = norm(pre + "self_norm", h,
-                     attend(pre + "self.", h, *self_kv, self_mask))
-            h = norm(pre + "cross_norm", h,
-                     attend(pre + "cross.", h, *cache.cross_kv[i], None))
-            ff = np.maximum(_affine(h, p[pre + "ff.w1"], p[pre + "ff.b1"]), 0.0)
+                k, v = (_affine(memory.data, p[f"{pre}cross.w{c}"]) for c in "kv")
+                cache.cross_kv.append((nc._split_heads(k, H, True),
+                                       nc._split_heads(v, H)))
+            h = norm(pre + "self_norm", h + attend(pre + "self.", h, *kv))
+            h = norm(pre + "cross_norm",
+                     h + attend(pre + "cross.", h, *cache.cross_kv[i]))
+            ff = _affine(h, p[pre + "ff.w1"], p[pre + "ff.b1"])
+            np.maximum(ff, 0.0, out=ff)
             check(ff, "relu")
-            h = norm(pre + "ff_norm", h,
-                     _affine(ff, p[pre + "ff.w2"], p[pre + "ff.b2"]))
-        cache.start += L
+            h = norm(pre + "ff_norm",
+                     h + _affine(ff, p[pre + "ff.w2"], p[pre + "ff.b2"]))
+        cache.start += 1
         return Tensor(_affine(h, p[f"out_{stage}.w"], p[f"out_{stage}.b"]))
 
     def _gloss_memory(self, memory: Tensor, lengths: list[int],
@@ -567,7 +563,7 @@ class GlotModel:
         truncated = True
         for _ in range(max_len):
             logits = self.decoder_forward(memory, ids[-1:], stage, cache)
-            nxt = int(np.argmax(logits.data[-1]))  # ties -> lowest id
+            nxt = int(logits.data[-1].argmax())  # ties -> lowest id
             if nxt == EOS:
                 truncated = False
                 break

@@ -129,10 +129,10 @@ class Tape:
 
 
 def _check_finite(arr: np.ndarray, op: str) -> None:
-    # One reduction on the common path: a NaN or Inf makes the sum
-    # non-finite. Only a non-finite sum pays for the exact check, so a
-    # finite array whose sum overflows still passes.
-    if not math.isfinite(arr.sum()) and not np.isfinite(arr).all():
+    # One reduction (arr.sum() without its wrapper) on the common path: a
+    # NaN or Inf makes the sum non-finite. Only a non-finite sum pays for
+    # the exact check, so a finite array whose sum overflows still passes.
+    if not (math.isfinite(np.add.reduce(arr, None)) or np.isfinite(arr).all()):
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
@@ -356,15 +356,19 @@ def log_softmax_rows(x: Tensor) -> Tensor:
 # attention
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(H, L, dh) -> C-contiguous (L, H*dh); C order keeps the BLAS kernel,
-    and so the low bits, of a matmul that consumes a gradient fixed."""
+    """(H, L, dh) -> C-contiguous (L, H*dh), one row just reshaped; C order
+    keeps the BLAS kernel, and so the low bits, of a gradient's matmul fixed."""
+    if x.shape[1] == 1:
+        return x.reshape(1, -1)
     return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(x.shape[1], -1)
 
 
 def _split_heads(x: np.ndarray, n_heads: int, keys: bool = False
                  ) -> np.ndarray:
     """(L, d) rows as the C-contiguous per-head (H, L, d/H) array that
-    _attend_heads takes, or for keys its transpose (H, d/H, L)."""
+    _attend_heads takes, or for keys (H, d/H, L); one row is just reshaped."""
+    if x.shape[0] == 1:
+        return x.reshape((n_heads, -1, 1) if keys else (n_heads, 1, -1))
     xh = x.reshape(x.shape[0], n_heads, -1)
     return np.ascontiguousarray(xh.transpose((1, 2, 0) if keys else (1, 0, 2)))
 
@@ -536,13 +540,22 @@ def _norm_rows(xs: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                eps: float = _NORM_EPS):
     """layer_norm's arithmetic on plain arrays: gain * xhat + bias for
     the rows xhat of xs normalized along the last axis, with xhat and the
-    inverse deviations 1/sqrt(var + eps) that its gradient needs. Means
-    are sums over d, which is the arithmetic of np.mean and np.var to the
-    bit without their per-call overhead."""
+    inverse deviations 1/sqrt(var + eps) that its gradient needs (one row's
+    is a float, from the same sums taken as scalars). Means are sums over d:
+    np.mean and np.var to the bit, without their overhead. An overflowing
+    variance raises NonFiniteError rather than map its row to the bias."""
     d = xs.shape[-1]
-    xc = xs - xs.sum(axis=-1, keepdims=True) / d
-    var = (xc * xc).sum(axis=-1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(var + eps)
+    if xs.ndim == 2 and xs.shape[0] == 1:
+        xc = xs - float(np.add.reduce(xs, None)) / d
+        var = float(np.add.reduce(xc * xc, None)) / d
+        if not math.isfinite(var):
+            raise NonFiniteError("layer_norm produced non-finite values")
+        inv = 1.0 / math.sqrt(var + eps)
+    else:
+        xc = xs - xs.sum(axis=-1, keepdims=True) / d
+        var = (xc * xc).sum(axis=-1, keepdims=True) / d
+        _check_finite(var, "layer_norm")
+        inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return gain * xhat + bias, xhat, inv
 

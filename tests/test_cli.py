@@ -533,11 +533,9 @@ def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, expected):
     assert msg.startswith("error: ") and expected in msg
 
 
-def test_eval_overflow_in_a_cached_step_exits_3(tmp_path):
-    # A finite but huge FF weight overflows inside the cached decoder
-    # steps of glot eval: one divergence line, and numpy's overflow
-    # warnings stay off stderr. A fresh interpreter shows stderr as a
-    # user sees it.
+def _eval_in_fresh_interpreter(tmp_path, param: str, index, value: float):
+    """Run glot eval in a fresh interpreter, so that stderr reads as a
+    user sees it, on a tiny model with one parameter entry set to value."""
     samples = dataio.synth_generate(0, 4, 3, 5, 0.0,
                                     tmp_path / "d").load_samples()
     gv = dataio.build_vocab([s.gloss for s in samples])
@@ -545,19 +543,37 @@ def test_eval_overflow_in_a_cached_step_exits_3(tmp_path):
     cfg = GlotConfig.tiny(max_frames=32, feat_dim=5, gloss_vocab_size=len(gv),
                           text_vocab_size=len(tv))
     model = GlotModel(cfg, gloss_vocab=gv, text_vocab=tv)
-    model.params["dec_gloss0.ff.w1"].data[0, 0] = sys.float_info.max
+    model.params[param].data[index] = value
     ckpt = tmp_path / "m.ckpt"
     save_checkpoint(model, ckpt)
     src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "glot.cli", "eval",
          "--manifest", str(tmp_path / "d" / "manifest.tsv"),
          "--checkpoint", str(ckpt), "--split", "cv"],
         capture_output=True, text=True, timeout=120,
         env={**os.environ, "PYTHONPATH": str(src)})
+
+
+def test_eval_overflow_in_a_cached_step_exits_3(tmp_path):
+    # A finite but huge FF weight overflows inside the cached decoder
+    # steps of glot eval: one divergence line, and numpy's overflow
+    # warnings stay off stderr.
+    proc = _eval_in_fresh_interpreter(tmp_path, "dec_gloss0.ff.w1", (0, 0),
+                                      sys.float_info.max)
     assert proc.returncode == 3, proc.stderr
     assert proc.stderr.splitlines() == [
         "divergence: matmul produced non-finite values"]
+
+
+def test_eval_layer_norm_variance_overflow_exits_3(tmp_path):
+    # A finite FF bias of 1e200 leaves every matmul and add finite, but
+    # the squared deviations of the FF layer norm overflow: glot eval
+    # names that op instead of decoding the rows as their bias.
+    proc = _eval_in_fresh_interpreter(tmp_path, "dec_gloss0.ff.b2", 0, 1e200)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "divergence: layer_norm produced non-finite values"]
 
 
 def test_library_errors_share_one_base(monkeypatch, capsys):

@@ -484,6 +484,34 @@ def test_cached_steps_match_full_prefix(kind, n_decoders):
             m.decoder_forward(mem, [BOS], stage, cache)
 
 
+@pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
+@pytest.mark.parametrize("n_decoders", [1, 2])
+@pytest.mark.parametrize("d_model, n_heads", [(16, 2), (256, 8)])
+def test_first_cached_step_bit_equal_to_taped_one_token(kind, n_decoders,
+                                                        d_model, n_heads):
+    # A stage's first cached step computes the one row of the taped
+    # one-token decoder_forward with the same arithmetic, to the bit.
+    m = tiny_model(encoder_kind=kind, n_decoders=n_decoders, d_model=d_model,
+                   n_heads=n_heads, ff_size=2 * d_model)
+    memory = m.encode([np.random.default_rng(29).normal(size=(6, 5))])
+    for stage, mem in (("gloss", memory),
+                       ("text", m._gloss_memory(memory, [6], [[5, 6]]))):
+        step = m.decoder_forward(mem, [BOS], stage, DecoderCache()).data
+        full = m.decoder_forward(mem, [BOS], stage).data
+        assert step.shape == full.shape == (1, m._stage_vocab_size(stage))
+        assert np.array_equal(step, full), stage
+
+
+def test_cached_step_takes_exactly_one_token():
+    m = tiny_model()
+    memory = m.encode([np.zeros((3, 5))])
+    cache = DecoderCache()
+    for ids in ([], [BOS, 5]):
+        with pytest.raises(nc.ContractError, match="one token"):
+            m.decoder_forward(memory, ids, "gloss", cache)
+    assert cache.start == 0 and cache.self_kv == []
+
+
 STEP_CHECKS = ["gather_rows", "add",                    # embedding + PE
                "matmul", "matmul",                      # self K, V rows
                "matmul", "attention", "matmul", "layer_norm",
@@ -529,15 +557,28 @@ def test_cached_decoder_step_records_nothing(monkeypatch, kind):
 
 def test_cached_step_reports_the_op_that_overflows():
     # One huge first-layer FF weight: a row whose input at that entry
-    # exceeds 1 overflows the FF matmul, and the step names that op.
+    # exceeds 1 overflows the FF matmul, and the step names that op. The
+    # FF input is a layer norm output with gain 1, whose entries lie within
+    # sqrt(d - 1) < 3 of its bias, so a bias of 4 there puts every row's
+    # entry above 1 and the first step overflows.
     m = tiny_model()
     memory = m.encode([np.random.default_rng(23).normal(size=(6, 5))])
     m.params["dec_gloss0.ff.w1"].data[0, 0] = np.finfo(np.float64).max
-    cache = DecoderCache()
+    m.params["dec_gloss0.cross_norm_b"].data[0] = 4.0
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             nc.NonFiniteError, match="^matmul produced non-finite values$"):
-        for token in [BOS, 5, 6, 5, 6, 5, 6]:
-            m.decoder_forward(memory, [token], "gloss", cache)
+        m.decoder_forward(memory, [BOS], "gloss", DecoderCache())
+
+
+def test_decode_rejects_an_overflowing_layer_norm_variance():
+    # A huge but finite FF bias: the FF output and its residual sum are
+    # finite, but the squared deviations of the FF layer norm overflow.
+    m = tiny_model()
+    m.params["dec_gloss0.ff.b2"].data[0] = 1e200
+    frames = np.random.default_rng(30).normal(size=(6, 5))
+    with np.errstate(over="ignore"), pytest.raises(
+            nc.NonFiniteError, match="^layer_norm produced non-finite values$"):
+        m.greedy_decode(frames)
 
 
 def test_cached_step_rejects_training_mode():

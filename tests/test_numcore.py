@@ -760,6 +760,52 @@ def test_layer_norm_bit_equal_to_mean_var_formula(shape):
         assert np.array_equal(bias.grad, w.reshape(-1, d).sum(axis=0))
 
 
+@pytest.mark.parametrize("rows", [1, 2])
+def test_layer_norm_rejects_an_overflowing_variance(rows):
+    # Every entry is finite, but the squared deviations overflow: an
+    # infinite variance would make 1/sqrt(var + eps) zero and map the row
+    # to the bias, so the op raises instead (one row or several).
+    x = np.array([[1e300, -1e300, 0.0, 5.0]] + [[1.0, 2.0, 3.0, 4.0]] * (rows - 1))
+    gain, bias = Tensor(np.ones(4)), Tensor([0.0, 1.0, 2.0, 3.0])
+    with np.errstate(over="ignore"), pytest.raises(
+            nc.NonFiniteError, match="^layer_norm produced non-finite values$"):
+        nc.layer_norm(Tensor(x), gain, bias)
+
+
+def test_one_row_norm_bit_equal_to_that_row_among_two():
+    # A single row takes its mean and variance as scalars; the same row
+    # next to another takes the row-wise sums, to the same bits.
+    rng = np.random.default_rng(27)
+    for d in range(2, 1001):
+        x = rng.normal(size=(2, d)) * rng.uniform(0.1, 10) + rng.normal()
+        gain, bias = rng.normal(size=d), rng.normal(size=d)
+        out1, xhat1, inv1 = nc._norm_rows(x[:1], gain, bias)
+        out2, xhat2, inv2 = nc._norm_rows(x, gain, bias)
+        assert isinstance(inv1, float), d
+        assert np.array_equal(out1, out2[:1]), d
+        assert np.array_equal(xhat1, xhat2[:1]), d
+        assert inv1 == inv2[0, 0], d
+
+
+@pytest.mark.parametrize("n_heads, d", [(1, 4), (2, 16), (8, 256)])
+def test_one_row_head_split_bit_equal_to_the_transpose(n_heads, d):
+    # One row splits into heads, and one query row merges back, by a
+    # reshape view that holds the transpose path's values in its layout.
+    rng = np.random.default_rng(28)
+    x = rng.normal(size=(1, d))
+    xh = x.reshape(1, n_heads, -1)
+    for keys, order in ((False, (1, 0, 2)), (True, (1, 2, 0))):
+        got = nc._split_heads(x, n_heads, keys)
+        ref = np.ascontiguousarray(xh.transpose(order))
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        assert np.array_equal(got, ref) and np.shares_memory(got, x)
+    heads = rng.normal(size=(n_heads, 1, d // n_heads))
+    merged = nc._merge_heads(heads)
+    ref = np.ascontiguousarray(heads.transpose(1, 0, 2)).reshape(1, -1)
+    assert merged.shape == (1, d) and merged.flags.c_contiguous
+    assert np.array_equal(merged, ref)
+
+
 @pytest.mark.parametrize("rate, training", [(0.3, False), (0.0, True)])
 def test_inactive_dropout_records_nothing(rate, training):
     rng = np.random.default_rng(16)
