@@ -127,8 +127,8 @@ def _print_effective_config(mconfig: GlotConfig, tconfig) -> None:
           f"ff_size={mconfig.ff_size} dropout={mconfig.dropout} "
           f"encoder_kind={mconfig.encoder_kind} "
           f"epochs={tconfig.epochs} batch_size={tconfig.batch_size} "
-          f"lr_initial={tconfig.lr_initial:g} lr_floor={tconfig.lr_floor:g} "
-          f"lr_factor={tconfig.lr_factor:g} schedule={tconfig.schedule}")
+          f"lr_initial={tconfig.lr_initial:g} lr_floor={training.LR_FLOOR:g} "
+          f"lr_factor={training.LR_FACTOR:g} schedule={tconfig.schedule}")
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
     except (GlotError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (training.DivergenceError, nc.NonFiniteError) as e:
+    except nc.NonFiniteError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return EXIT_DIVERGED
 

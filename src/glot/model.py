@@ -33,6 +33,10 @@ from .numcore import ConfigError, Tensor
 
 CHECKPOINT_MAGIC = b"GLOTCKPT"
 CHECKPOINT_VERSION = 1
+CONV_KERNEL = 3     # width of the conv branch's same-length convolution
+# Config keys that older checkpoint headers carry, each with the one value
+# a checkpoint may hold: positions are sinusoidal, the conv kernel fixed.
+RETIRED_CONFIG_KEYS = {"pe_kind": "sinusoidal", "conv_kernel": CONV_KERNEL}
 
 
 @dataclass
@@ -43,7 +47,6 @@ class GlotConfig:
     n_decoders: int = 1
     ff_size: int = 8
     dropout: float = 0.0
-    conv_kernel: int = 3
     n_lssa_layers: int = 0          # 0 means auto: max(1, ceil(log2 max_frames))
     max_frames: int = 64
     max_target_len: int = 16
@@ -59,8 +62,6 @@ class GlotConfig:
             raise ConfigError("n_heads must be positive")
         if self.d_model % self.n_heads:
             raise ConfigError("d_model must be divisible by n_heads")
-        if self.conv_kernel % 2 == 0 or self.conv_kernel < 1:
-            raise ConfigError("conv_kernel must be odd and positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must be in [0, 1)")
         if self.encoder_kind not in ("glot", "dense_baseline"):
@@ -133,8 +134,8 @@ def parameter_specs(cfg: GlotConfig):
     for i in range(cfg.n_encoders):
         pre = f"enc{i}."
         if cfg.encoder_kind == "glot":
-            yield (pre + "conv_w", (d_b, d_b, cfg.conv_kernel),
-                   1.0 / math.sqrt(d_b * cfg.conv_kernel))
+            yield (pre + "conv_w", (d_b, d_b, CONV_KERNEL),
+                   1.0 / math.sqrt(d_b * CONV_KERNEL))
             yield pre + "conv_b", (d_b,), "zeros"
             for j in range(cfg.lssa_depth):
                 yield pre + f"lssa{j}.wq", (d_b, d_b), 1.0 / math.sqrt(d_b)
@@ -226,12 +227,13 @@ class GreedyResult:
 
 
 class GlotModel:
-    """Holds all learned parameters and implements every forward path."""
+    """Holds all learned parameters and implements every forward path.
+    Given params (parameter_specs' names, in order), it draws none."""
 
     def __init__(self, config: GlotConfig,
                  gloss_vocab: Vocabulary | None = None,
                  text_vocab: Vocabulary | None = None,
-                 seed: int = 0):
+                 seed: int = 0, params: dict[str, Tensor] | None = None):
         config.validate()
         if gloss_vocab is not None and len(gloss_vocab) != config.gloss_vocab_size:
             raise ConfigError("gloss vocabulary size disagrees with config")
@@ -243,8 +245,9 @@ class GlotModel:
         self.training = False
         self._dropout_rng = np.random.default_rng(seed + 1)
         self._pe_table: np.ndarray | None = None
-        self.params: dict[str, Tensor] = {}
-        self._init_params(np.random.default_rng(seed))
+        self.params: dict[str, Tensor] = {} if params is None else params
+        if params is None:
+            self._init_params(np.random.default_rng(seed))
 
     # ------------------------------------------------------------------
     # parameters
@@ -647,11 +650,11 @@ def load_checkpoint(path: Path | str) -> GlotModel:
     if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
         raise CheckpointError(f"{path}: header has no config object")
     settings = dict(header["config"])
-    # Positions are sinusoidal; older headers name that in a retired key.
-    positions = settings.pop("pe_kind", "sinusoidal")
-    if positions != "sinusoidal":
-        raise CheckpointError(f"{path}: config pe_kind={positions!r} is not "
-                              f"supported; positions are sinusoidal")
+    for key, only in RETIRED_CONFIG_KEYS.items():
+        val = settings.pop(key, only)
+        if val != only:
+            raise CheckpointError(f"{path}: config {key}={val!r} is not "
+                                  f"supported; only {key}={only!r} is")
     unknown = set(settings) - {f.name for f in fields(GlotConfig)}
     if unknown:
         raise CheckpointError(f"{path}: unknown config keys "
@@ -669,21 +672,19 @@ def load_checkpoint(path: Path | str) -> GlotModel:
             raise CheckpointError(f"{path}: {key} is not a list of strings")
     config = GlotConfig(**settings)
     config.validate()
-    # The parameter records the config implies must fit in the file
-    # before the model allocates them.
+    gloss_vocab, text_vocab = (None if v is None else Vocabulary(v)
+                               for v in vocabs)
+    # Each record is checked against the spec the config implies, its
+    # bytes first, so that no more is allocated than the file holds.
+    params: dict[str, Tensor] = {}
     have, need = len(data) - off, 0
     for name, shape, _ in parameter_specs(config):
-        need += 4 + len(name.encode("utf-8")) + 4 + 8 * len(shape) \
-            + 8 * math.prod(shape)
+        n = math.prod(shape)
+        need += 4 + len(name.encode("utf-8")) + 4 + 8 * len(shape) + 8 * n
         if need > have:
             raise CheckpointError(
                 f"{path}: truncated checkpoint: its config implies at least "
                 f"{need} bytes of parameters, {have} follow the header")
-    gloss_vocab, text_vocab = (None if v is None else Vocabulary(v)
-                               for v in vocabs)
-    model = GlotModel(config, gloss_vocab=gloss_vocab, text_vocab=text_vocab)
-
-    for name, t in model.params.items():
         (nlen,) = struct.unpack("<I", take(4))
         got = take(nlen).decode("utf-8", errors="replace")
         if got != name:
@@ -691,13 +692,15 @@ def load_checkpoint(path: Path | str) -> GlotModel:
                                   f"found {got!r}")
         (rank,) = struct.unpack("<I", take(4))
         dims = tuple(struct.unpack("<Q", take(8))[0] for _ in range(rank))
-        if dims != t.data.shape:
+        if dims != shape:
             raise CheckpointError(f"{path}: {name} has shape {dims}, "
-                                  f"config implies {t.data.shape}")
-        n = int(np.prod(dims)) if dims else 1
-        t.data = np.frombuffer(take(8 * n), dtype="<f8").reshape(dims).copy()
-        if not np.isfinite(t.data).all():
+                                  f"config implies {shape}")
+        values = np.frombuffer(data, dtype="<f8", count=n, offset=off)
+        off += 8 * n
+        if not np.isfinite(values).all():
             raise CheckpointError(f"{path}: {name} holds non-finite values")
+        params[name] = Tensor(values.reshape(shape).copy(), requires_grad=True)
     if off != len(data):
         raise CheckpointError(f"{path}: {len(data) - off} trailing bytes")
-    return model
+    return GlotModel(config, gloss_vocab=gloss_vocab, text_vocab=text_vocab,
+                     params=params)

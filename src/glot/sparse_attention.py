@@ -58,9 +58,6 @@ class PairCounter:
     def total(self, kind: str) -> int:
         return self.counts.get(kind, 0)
 
-    def reset(self) -> None:
-        self.counts.clear()
-
 
 def log_index_set(p: int) -> IndexSet:
     """{p - 2^k : k = floor(log2 p) .. 0} plus p itself, dropping

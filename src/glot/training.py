@@ -27,8 +27,14 @@ from .model import GlotModel, save_checkpoint
 from .numcore import ContractError, Tape, Tensor
 
 
-class DivergenceError(ArithmeticError):
-    """Training produced a non-finite loss."""
+# The plateau schedule's floor, decay factor and patience (set1's), and
+# Adam's moment decays and denominator guard.
+LR_FLOOR = 2e-6
+LR_FACTOR = 0.5
+PLATEAU_PATIENCE = 3
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -36,9 +42,6 @@ class TrainConfig:
     epochs: int = 30
     batch_size: int = 32
     lr_initial: float = 1e-3
-    lr_floor: float = 2e-6
-    lr_factor: float = 0.5
-    plateau_patience: int = 3
     schedule: str = "constant"             # "constant" or "plateau"
     seed: int = 0
     checkpoint_dir: str | None = None
@@ -61,8 +64,8 @@ class TrainConfig:
 
     @classmethod
     def set1(cls, **overrides) -> "TrainConfig":
-        cfg = cls(epochs=30, batch_size=32, lr_initial=5e-5, lr_floor=2e-6,
-                  lr_factor=0.5, plateau_patience=3, schedule="plateau")
+        cfg = cls(epochs=30, batch_size=32, lr_initial=5e-5,
+                  schedule="plateau")
         return replace(cfg, **overrides)
 
     @classmethod
@@ -145,7 +148,7 @@ def batch_loss(model: GlotModel, frames: list[np.ndarray],
 # optimizer and schedule
 
 class Adam:
-    """Standard Adam with bias correction (beta1=0.9, beta2=0.999).
+    """Standard Adam with bias correction (ADAM_BETA1, ADAM_BETA2, ADAM_EPS).
 
     The moments of all parameters sit in two flat arrays, one segment per
     parameter in the order of params, so a step updates every parameter
@@ -154,10 +157,8 @@ class Adam:
     loop, so the result is the same to the bit.
     """
 
-    def __init__(self, params: dict[str, Tensor], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor]):
         self.params = params
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self._bounds = np.cumsum([0, *(p.data.size for p in params.values())])
         self.m = np.zeros(self._bounds[-1])
@@ -167,8 +168,8 @@ class Adam:
         """One update of every parameter with a gradient; a parameter
         without one keeps its data and moments."""
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         tensors = list(self.params.values())
         live = [i for i, p in enumerate(tensors) if p.grad is not None]
         if not live:
@@ -176,13 +177,13 @@ class Adam:
         seg = (slice(None) if len(live) == len(tensors) else np.concatenate(
             [np.arange(self._bounds[i], self._bounds[i + 1]) for i in live]))
         g = np.concatenate([tensors[i].grad.reshape(-1) for i in live])
-        m = self.beta1 * self.m[seg] + (1 - self.beta1) * g
-        v = self.beta2 * self.v[seg] + (1 - self.beta2) * g * g
+        m = ADAM_BETA1 * self.m[seg] + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * self.v[seg] + (1 - ADAM_BETA2) * g * g
         self.m[seg], self.v[seg] = m, v
         mhat = m / b1c
         vhat = v / b2c
         data = np.concatenate([tensors[i].data.reshape(-1) for i in live])
-        data = data - lr * mhat / (np.sqrt(vhat) + self.eps)
+        data = data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         # Each parameter gets an array of its own: left as views into one
         # flat array, they made greedy decoding about 8% slower on the
         # tiny_learn benchmark.
@@ -208,18 +209,17 @@ class LrSchedule:
         self._bad = 0
 
     def on_epoch_end(self, metric: float) -> float:
-        cfg = self.cfg
-        if cfg.schedule == "constant":
+        if self.cfg.schedule == "constant":
             return self.lr
-        # plateau: halve after `plateau_patience` evaluations with no
+        # plateau: halve after PLATEAU_PATIENCE evaluations with no
         # improvement, clamped at the floor
         if self._best is None or metric > self._best:
             self._best = metric
             self._bad = 0
         else:
             self._bad += 1
-            if self._bad >= cfg.plateau_patience:
-                self.lr = max(self.lr * cfg.lr_factor, cfg.lr_floor)
+            if self._bad >= PLATEAU_PATIENCE:
+                self.lr = max(self.lr * LR_FACTOR, LR_FLOOR)
                 self._bad = 0
         return self.lr
 
@@ -291,14 +291,10 @@ def train(model: GlotModel, train_set: list[EncodedSample],
                 loss = batch_loss(model, [s.features for s in batch],
                                   [s.gloss_ids for s in batch],
                                   [s.text_ids for s in batch])
-            val = loss.item()
-            if not math.isfinite(val):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, batch {start}")
+            losses.append(loss.item())
             opt.zero_grad()
             tape.backward(loss)
             opt.step(lr=sched.lr)
-            losses.append(val)
         model.eval()
         _, text_report = evaluate_bleu(model, val_set)
         bleu = dict(text_report.bleu)

@@ -105,9 +105,10 @@ def test_effective_config_values_without_overrides(tmp_path, capsys):
     # (expensive) training loop starts
     run(capsys, ["synth", "--samples", "6", "--out", str(tmp_path / "d")])
     import glot.training as training
+    from glot import numcore
 
     def boom(*a, **k):
-        raise training.DivergenceError("stop after config print")
+        raise numcore.NonFiniteError("stop after config print")
 
     orig = training.train
     training.train = boom
@@ -495,6 +496,10 @@ def _with_learned_positions(blob: bytes) -> bytes:
     return _edit_header(blob, lambda h: h["config"].update(pe_kind="learned"))
 
 
+def _with_conv_kernel_5(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h["config"].update(conv_kernel=5))
+
+
 def _header_only_1024_wide(blob: bytes) -> bytes:
     (hlen,) = struct.unpack("<I", blob[12:16])
     return _edit_header(blob[:16 + hlen], lambda h: h["config"].update(
@@ -512,6 +517,7 @@ def _header_only_1024_wide(blob: bytes) -> bytes:
     (lambda b: b[:-8] + struct.pack("<d", float("nan")),
      "out_text.b holds non-finite values"),
     (_with_learned_positions, "config pe_kind='learned' is not supported"),
+    (_with_conv_kernel_5, "config conv_kernel=5 is not supported"),
     (_header_only_1024_wide, "bytes of parameters, 0 follow the header"),
 ])
 def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, expected):
@@ -577,14 +583,13 @@ def test_eval_layer_norm_variance_overflow_exits_3(tmp_path):
 
 
 def test_library_errors_share_one_base(monkeypatch, capsys):
-    from glot import metrics, model, numcore, sparse_attention, training
+    from glot import metrics, model, numcore, sparse_attention
     from glot.errors import GlotError
     library = (cli.UsageError, dataio.DataError, dataio.FormatError,
                numcore.ConfigError, numcore.ShapeError, numcore.ContractError,
                model.CheckpointError, metrics.MetricError,
                sparse_attention.DomainError)
     assert all(issubclass(e, GlotError) for e in library)
-    assert not issubclass(training.DivergenceError, GlotError)
     assert not issubclass(numcore.NonFiniteError, GlotError)
 
     # a library error of any kind exits 2 with its one line; a
@@ -596,7 +601,7 @@ def test_library_errors_share_one_base(monkeypatch, capsys):
 
     for error, code, prefix in ((numcore.ContractError, 2, "error"),
                                 (sparse_attention.DomainError, 2, "error"),
-                                (training.DivergenceError, 3, "divergence")):
+                                (numcore.NonFiniteError, 3, "divergence")):
         monkeypatch.setitem(cli.COMMANDS, "bench-attn",
                             (raising(error),) + cli.COMMANDS["bench-attn"][1:])
         got, out, err = run(capsys, ["bench-attn"])

@@ -33,8 +33,6 @@ def test_config_validation():
         GlotConfig(d_model=7).validate()
     with pytest.raises(ConfigError):
         GlotConfig(d_model=8, n_heads=3).validate()
-    with pytest.raises(ConfigError):
-        GlotConfig(conv_kernel=4).validate()
 
 
 def test_positional_encoding_values():
@@ -381,6 +379,25 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     assert m2.config == m.config
 
 
+@pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
+def test_checkpoint_load_draws_no_initialization(tmp_path, monkeypatch, kind):
+    # The loader hands the file's values to the model, which then skips
+    # its random initialization altogether.
+    m = tiny_model(encoder_kind=kind)
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, path)
+
+    def no_init(self, rng):
+        raise AssertionError("load_checkpoint initialized parameters")
+
+    monkeypatch.setattr(GlotModel, "_init_params", no_init)
+    m2 = load_checkpoint(path)
+    assert m2.config == m.config and list(m2.params) == list(m.params)
+    for name, t in m.params.items():
+        assert m2.params[name].data.tobytes() == t.data.tobytes(), name
+        assert m2.params[name].requires_grad, name
+
+
 def test_checkpoint_rejects_corruption(tmp_path):
     m = tiny_model()
     path = tmp_path / "m.ckpt"
@@ -437,6 +454,32 @@ def test_checkpoint_with_other_pe_kind_rejected_before_allocating(tmp_path):
                                                  max_frames=2_000_000))
     err, peak = _load_peak_bytes(path)
     assert "pe_kind='learned' is not supported" in str(err)
+    assert peak < 2 ** 20
+
+
+def test_checkpoint_with_retired_conv_kernel_loads(tmp_path):
+    # Headers written while the conv kernel was a config field hold
+    # conv_kernel 3; new headers leave it out.
+    m = tiny_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, path)
+    header_len = struct.unpack("<I", path.read_bytes()[12:16])[0]
+    assert b"conv_kernel" not in path.read_bytes()[16:16 + header_len]
+    _rewrite_checkpoint(path, lambda c: c.update(conv_kernel=3))
+    m2 = load_checkpoint(path)
+    assert m2.config == m.config and list(m2.params) == list(m.params)
+    for name, t in m.params.items():
+        assert m2.params[name].data.tobytes() == t.data.tobytes(), name
+
+
+def test_checkpoint_with_other_conv_kernel_rejected_before_allocating(
+        tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_model(), path)
+    _rewrite_checkpoint(path, lambda c: c.update(conv_kernel=5,
+                                                 max_frames=2_000_000))
+    err, peak = _load_peak_bytes(path)
+    assert "config conv_kernel=5 is not supported" in str(err)
     assert peak < 2 ** 20
 
 
