@@ -123,7 +123,7 @@ def _build_pipeline(args, cv_samples):
 def _print_effective_config(mconfig: GlotConfig, tconfig) -> None:
     print("effective config: "
           f"d_model={mconfig.d_model} n_heads={mconfig.n_heads} "
-          f"n_encoders={mconfig.n_encoders} n_decoders={mconfig.n_decoders} "
+          "n_encoders=1 n_decoders=1 "
           f"ff_size={mconfig.ff_size} dropout={mconfig.dropout} "
           f"encoder_kind={mconfig.encoder_kind} "
           f"epochs={tconfig.epochs} batch_size={tconfig.batch_size} "
@@ -232,8 +232,6 @@ def evaluate_clipped(model: GlotModel, encoded) -> tuple:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.preset != "tiny":
-        raise UsageError(f"unknown gradcheck preset {args.preset!r}")
     if not 0 < args.tol < math.inf:
         raise UsageError(f"--tol must be positive and finite, got "
                          f"{args.tol:g}")
@@ -333,7 +331,7 @@ COMMANDS = {
         manifest=(str, REQUIRED), checkpoint=(str, REQUIRED),
         split=(("cv", "test"), "test"), out=(str, None))),
     "gradcheck": (cmd_gradcheck, "finite-difference check of every parameter",
-                  dict(preset=(str, "tiny"), tol=(float, 1e-3), seed=(int, 0),
+                  dict(tol=(float, 1e-3), seed=(int, 0),
                        # hidden: a negative control of the sweep itself
                        corrupt=(str, None, argparse.SUPPRESS))),
     "bench-attn": (cmd_bench_attn, "exact attention pair counts and timings",

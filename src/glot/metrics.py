@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 from .errors import GlotError
 
+ORDERS = (1, 2, 3, 4)   # the n of every BLEU-n reported
+
 
 class MetricError(GlotError, ValueError):
     pass
@@ -86,31 +88,29 @@ def brevity_penalty(c: int, r: int) -> float:
     return math.exp(1.0 - r / c)
 
 
-def corpus_bleu(pairs: list[tuple[list[str], list[list[str]]]],
-                max_n: int = 4) -> BleuReport:
+def corpus_bleu(pairs: list[tuple[list[str], list[list[str]]]]
+                ) -> BleuReport:
     """Accumulate clipped counts and lengths over all pairs before taking
-    ratios; BLEU-1..max_n for max_n in 1..4."""
-    if not 1 <= max_n <= 4:
-        raise MetricError(f"max_n must be in 1..4, got {max_n}")
+    ratios; BLEU-1..4."""
     if not pairs:
         raise MetricError("corpus_bleu requires at least one pair")
-    numers = {n: 0 for n in range(1, max_n + 1)}
-    denoms = {n: 0 for n in range(1, max_n + 1)}
+    numers = {n: 0 for n in ORDERS}
+    denoms = {n: 0 for n in ORDERS}
     c = r = 0
     for candidate, references in pairs:
         if not references:
             raise MetricError("every pair needs at least one reference")
-        for n in range(1, max_n + 1):
+        for n in ORDERS:
             num, den = ngram_counts(candidate, references, n)
             numers[n] += num
             denoms[n] += den
         c += len(candidate)
         r += closest_ref_length(len(candidate), references)
     precisions = {n: numers[n] / denoms[n] if denoms[n] else 0.0
-                  for n in range(1, max_n + 1)}
+                  for n in ORDERS}
     bp = brevity_penalty(c, r)
     bleu = {}
-    for n in range(1, max_n + 1):
+    for n in ORDERS:
         ps = [precisions[i] for i in range(1, n + 1)]
         if any(p == 0.0 for p in ps):
             bleu[n] = 0.0
@@ -120,7 +120,7 @@ def corpus_bleu(pairs: list[tuple[list[str], list[list[str]]]],
                       candidate_length=c, reference_length=r)
 
 
-def sentence_bleu(candidate: list[str], references: list[list[str]],
-                  max_n: int = 4) -> BleuReport:
+def sentence_bleu(candidate: list[str], references: list[list[str]]
+                  ) -> BleuReport:
     """BLEU of one candidate: corpus_bleu of the single pair."""
-    return corpus_bleu([(candidate, references)], max_n)
+    return corpus_bleu([(candidate, references)])

@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -35,16 +36,16 @@ CHECKPOINT_MAGIC = b"GLOTCKPT"
 CHECKPOINT_VERSION = 1
 CONV_KERNEL = 3     # width of the conv branch's same-length convolution
 # Config keys that older checkpoint headers carry, each with the one value
-# a checkpoint may hold: positions are sinusoidal, the conv kernel fixed.
-RETIRED_CONFIG_KEYS = {"pe_kind": "sinusoidal", "conv_kernel": CONV_KERNEL}
+# a checkpoint may hold: positions are sinusoidal, the conv kernel fixed,
+# and there is one encoder block and one decoder layer per stage.
+RETIRED_CONFIG_KEYS = {"pe_kind": "sinusoidal", "conv_kernel": CONV_KERNEL,
+                       "n_encoders": 1, "n_decoders": 1}
 
 
 @dataclass
 class GlotConfig:
     d_model: int = 8
     n_heads: int = 2
-    n_encoders: int = 1
-    n_decoders: int = 1
     ff_size: int = 8
     dropout: float = 0.0
     n_lssa_layers: int = 0          # 0 means auto: max(1, ceil(log2 max_frames))
@@ -66,9 +67,8 @@ class GlotConfig:
             raise ConfigError("dropout must be in [0, 1)")
         if self.encoder_kind not in ("glot", "dense_baseline"):
             raise ConfigError(f"unknown encoder_kind {self.encoder_kind!r}")
-        for name in ("n_encoders", "n_decoders", "ff_size", "max_frames",
-                     "max_target_len", "gloss_vocab_size", "text_vocab_size",
-                     "feat_dim"):
+        for name in ("ff_size", "max_frames", "max_target_len",
+                     "gloss_vocab_size", "text_vocab_size", "feat_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
 
@@ -85,15 +85,13 @@ class GlotConfig:
     @classmethod
     def set1(cls, **overrides) -> "GlotConfig":
         """Large preset: 512 hidden units, 8 heads, ff 2048, dropout 0.1."""
-        cfg = cls(d_model=512, n_heads=8, n_encoders=1, n_decoders=1,
-                  ff_size=2048, dropout=0.1)
+        cfg = cls(d_model=512, n_heads=8, ff_size=2048, dropout=0.1)
         return _with_overrides(cfg, overrides)
 
     @classmethod
     def set2(cls, **overrides) -> "GlotConfig":
         """Small preset: 256 hidden units, 8 heads, ff 256, no dropout."""
-        cfg = cls(d_model=256, n_heads=8, n_encoders=1, n_decoders=1,
-                  ff_size=256, dropout=0.0)
+        cfg = cls(d_model=256, n_heads=8, ff_size=256, dropout=0.0)
         return _with_overrides(cfg, overrides)
 
     @classmethod
@@ -117,7 +115,8 @@ def parameter_specs(cfg: GlotConfig):
     """Every parameter of a model of this config as (name, shape, init),
     in the order the model initializes, stores and checkpoints them. init
     is "ones", "zeros", or the bound b of a uniform draw in [-b, b); the
-    draws take the rng in this order."""
+    draws take the rng in this order. The one encoder block's names start
+    "enc0.", each stage's one decoder layer's "dec_<stage>0."."""
     d, d_b = cfg.d_model, cfg.d_branch
 
     def norm(prefix: str):
@@ -131,37 +130,35 @@ def parameter_specs(cfg: GlotConfig):
         yield pre + "ff.b2", (d,), "zeros"
 
     yield "frame_embed", (cfg.feat_dim, d), 1.0 / math.sqrt(cfg.feat_dim)
-    for i in range(cfg.n_encoders):
-        pre = f"enc{i}."
-        if cfg.encoder_kind == "glot":
-            yield (pre + "conv_w", (d_b, d_b, CONV_KERNEL),
-                   1.0 / math.sqrt(d_b * CONV_KERNEL))
-            yield pre + "conv_b", (d_b,), "zeros"
-            for j in range(cfg.lssa_depth):
-                yield pre + f"lssa{j}.wq", (d_b, d_b), 1.0 / math.sqrt(d_b)
-                yield pre + f"lssa{j}.wk", (d_b, d_b), 1.0 / math.sqrt(d_b)
-            yield pre + "wv", (d_b, d_b), 1.0 / math.sqrt(d_b)
-            yield pre + "gate_w", (d_b, 1), 0.1
-            yield pre + "gate_b", (), 0.1
-            yield from norm(pre + "norm")
-        else:
-            for w in ("wq", "wk", "wv", "wo"):
-                yield pre + "attn." + w, (d, d), 1.0 / math.sqrt(d)
-            yield from norm(pre + "attn_norm")
-            yield from feed_forward(pre)
-            yield from norm(pre + "ff_norm")
+    pre = "enc0."
+    if cfg.encoder_kind == "glot":
+        yield (pre + "conv_w", (d_b, d_b, CONV_KERNEL),
+               1.0 / math.sqrt(d_b * CONV_KERNEL))
+        yield pre + "conv_b", (d_b,), "zeros"
+        for j in range(cfg.lssa_depth):
+            yield pre + f"lssa{j}.wq", (d_b, d_b), 1.0 / math.sqrt(d_b)
+            yield pre + f"lssa{j}.wk", (d_b, d_b), 1.0 / math.sqrt(d_b)
+        yield pre + "wv", (d_b, d_b), 1.0 / math.sqrt(d_b)
+        yield pre + "gate_w", (d_b, 1), 0.1
+        yield pre + "gate_b", (), 0.1
+        yield from norm(pre + "norm")
+    else:
+        for w in ("wq", "wk", "wv", "wo"):
+            yield pre + "attn." + w, (d, d), 1.0 / math.sqrt(d)
+        yield from norm(pre + "attn_norm")
+        yield from feed_forward(pre)
+        yield from norm(pre + "ff_norm")
 
     for stage, vocab in (("gloss", cfg.gloss_vocab_size),
                          ("text", cfg.text_vocab_size)):
         yield f"embed_{stage}", (vocab, d), 1.0 / math.sqrt(d)
-        for i in range(cfg.n_decoders):
-            pre = f"dec_{stage}{i}."
-            for grp in ("self", "cross"):
-                for w in ("wq", "wk", "wv", "wo"):
-                    yield pre + f"{grp}.{w}", (d, d), 1.0 / math.sqrt(d)
-                yield from norm(pre + f"{grp}_norm")
-            yield from feed_forward(pre)
-            yield from norm(pre + "ff_norm")
+        pre = f"dec_{stage}0."
+        for grp in ("self", "cross"):
+            for w in ("wq", "wk", "wv", "wo"):
+                yield pre + f"{grp}.{w}", (d, d), 1.0 / math.sqrt(d)
+            yield from norm(pre + f"{grp}_norm")
+        yield from feed_forward(pre)
+        yield from norm(pre + "ff_norm")
         yield f"out_{stage}.w", (d, vocab), 1.0 / math.sqrt(d)
         yield f"out_{stage}.b", (vocab,), "zeros"
 
@@ -182,30 +179,29 @@ def positional_encoding(length: int, width: int) -> np.ndarray:
 class DecoderCache:
     """Decoder state carried across the steps of one greedy stage.
 
-    Per decoder layer it keeps the self-attention keys and values of
-    every position decoded so far, and the cross-attention keys and values
-    of the stage's memory, projected once, on the stage's first step. All
-    are kept split into heads as the attention kernel takes them: keys as
-    (H, d/H, rows), values as (H, rows, d/H). They are plain arrays, so a
-    cached step records no gradient: the cache is for inference.
+    It keeps the decoder layer's self-attention keys and values of every
+    position decoded so far, and the cross-attention keys and values of
+    the stage's memory, projected once, on the stage's first step; both
+    are None before it. All are kept split into heads as the attention
+    kernel takes them: keys as (H, d/H, rows), values as (H, rows, d/H).
+    They are plain arrays, so a cached step records no gradient: the
+    cache is for inference.
     """
 
     def __init__(self):
         self.start = 0      # positions already decoded
-        self.self_kv: list[tuple[np.ndarray, np.ndarray]] = []
-        self.cross_kv: list[tuple[np.ndarray, np.ndarray]] = []
+        self.self_kv: tuple[np.ndarray, np.ndarray] | None = None
+        self.cross_kv: tuple[np.ndarray, np.ndarray] | None = None
 
-    def extend(self, layer: int, kt: np.ndarray, vh: np.ndarray
+    def extend(self, kt: np.ndarray, vh: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-        """Append this step's head-split keys and values to the layer's;
-        return all of them so far."""
-        if layer < len(self.self_kv):
-            old_kt, old_vh = self.self_kv[layer]
+        """Append this step's head-split keys and values; return all of
+        them so far."""
+        if self.self_kv is not None:
+            old_kt, old_vh = self.self_kv
             kt = np.concatenate([old_kt, kt], axis=2)
             vh = np.concatenate([old_vh, vh], axis=1)
-            self.self_kv[layer] = (kt, vh)
-        else:
-            self.self_kv.append((kt, vh))
+        self.self_kv = (kt, vh)
         return kt, vh
 
 
@@ -261,10 +257,6 @@ class GlotModel:
             else:
                 data = rng.uniform(-init, init, size=shape)
             self.params[name] = Tensor(data, requires_grad=True)
-
-    def zero_grad(self) -> None:
-        for t in self.params.values():
-            t.grad = None
 
     def train(self) -> None:
         self.training = True
@@ -345,12 +337,12 @@ class GlotModel:
         return nc.sigmoid(nc.matmul(lssa_out, p[enc_prefix + "gate_w"],
                                     p[enc_prefix + "gate_b"]))
 
-    def encoder_block_glot(self, x: Tensor, i: int, lengths: list[int],
+    def encoder_block_glot(self, x: Tensor, lengths: list[int],
                            counter: sa.PairCounter | None = None) -> Tensor:
-        """One GLoT block over clips of these row counts packed in x. Only
+        """The GLoT block over clips of these row counts packed in x. Only
         the log-sparse stack runs per clip, on that clip's rows."""
         p = self.params
-        pre = f"enc{i}."
+        pre = "enc0."
         d_b = self.config.d_branch
         x1 = nc.slice_cols(x, 0, d_b)
         x2 = nc.slice_cols(x, d_b, self.config.d_model)
@@ -372,12 +364,12 @@ class GlotModel:
 
         return self._norm(pre + "norm", x, nc.concat_channels(conv_out, fused))
 
-    def encoder_block_dense(self, x: Tensor, i: int, lengths: list[int],
+    def encoder_block_dense(self, x: Tensor, lengths: list[int],
                             counter: sa.PairCounter | None = None) -> Tensor:
-        """One transformer block over clips of these row counts packed in
+        """The transformer block over clips of these row counts packed in
         x; self-attention stays within each clip. The pair counter tallies
         each (query, key) pair once, heads sharing it, under "dense"."""
-        pre = f"enc{i}."
+        pre = "enc0."
         if counter is not None:
             counter.add("dense", sum(F * F for F in lengths))
         blocks = None if len(lengths) == 1 else [(F, F) for F in lengths]
@@ -391,13 +383,10 @@ class GlotModel:
         """Encoder memory of a batch of clips, packed one clip after
         another: row-wise layers run once over all rows, and no clip's
         rows see another's."""
-        x = self.embed_frames(frames)
-        lengths = [len(f) for f in frames]
         block = (self.encoder_block_glot if self.config.encoder_kind == "glot"
                  else self.encoder_block_dense)
-        for i in range(self.config.n_encoders):
-            x = block(x, i, lengths, counter=counter)
-        return x
+        return block(self.embed_frames(frames), [len(f) for f in frames],
+                     counter=counter)
 
     # ------------------------------------------------------------------
     # decoder
@@ -457,14 +446,13 @@ class GlotModel:
         h = nc.gather_rows(p[f"embed_{stage}"], token_ids)
         h = nc.add(h, self._pe(lengths))
         h = self._dropout(h)
-        for i in range(self.config.n_decoders):
-            pre = f"dec_{stage}{i}."
-            attn = self._mha(pre + "self.", h, h, self_mask, self_blocks)
-            h = self._norm(pre + "self_norm", h, self._dropout(attn))
-            attn = self._mha(pre + "cross.", h, memory, None, blocks)
-            h = self._norm(pre + "cross_norm", h, self._dropout(attn))
-            ff = self._feed_forward(pre, h)
-            h = self._norm(pre + "ff_norm", h, self._dropout(ff))
+        pre = f"dec_{stage}0."
+        attn = self._mha(pre + "self.", h, h, self_mask, self_blocks)
+        h = self._norm(pre + "self_norm", h, self._dropout(attn))
+        attn = self._mha(pre + "cross.", h, memory, None, blocks)
+        h = self._norm(pre + "cross_norm", h, self._dropout(attn))
+        ff = self._feed_forward(pre, h)
+        h = self._norm(pre + "ff_norm", h, self._dropout(ff))
         return nc.matmul(h, p[f"out_{stage}.w"], p[f"out_{stage}.b"])
 
     def _decoder_step(self, memory: Tensor, token: int, stage: str,
@@ -491,23 +479,22 @@ class GlotModel:
         check(h, "gather_rows")
         h = h + self._sinusoids(cache.start + 1)[cache.start:]
         check(h, "add")
-        for i in range(self.config.n_decoders):
-            pre = f"dec_{stage}{i}."
-            kt = nc._split_heads(_affine(h, p[pre + "self.wk"]), H, True)
-            vh = nc._split_heads(_affine(h, p[pre + "self.wv"]), H)
-            kv = cache.extend(i, kt, vh)
-            if i == len(cache.cross_kv):
-                k, v = (_affine(memory.data, p[f"{pre}cross.w{c}"]) for c in "kv")
-                cache.cross_kv.append((nc._split_heads(k, H, True),
-                                       nc._split_heads(v, H)))
-            h = norm(pre + "self_norm", h + attend(pre + "self.", h, *kv))
-            h = norm(pre + "cross_norm",
-                     h + attend(pre + "cross.", h, *cache.cross_kv[i]))
-            ff = _affine(h, p[pre + "ff.w1"], p[pre + "ff.b1"])
-            np.maximum(ff, 0.0, out=ff)
-            check(ff, "relu")
-            h = norm(pre + "ff_norm",
-                     h + _affine(ff, p[pre + "ff.w2"], p[pre + "ff.b2"]))
+        pre = f"dec_{stage}0."
+        kt = nc._split_heads(_affine(h, p[pre + "self.wk"]), H, True)
+        vh = nc._split_heads(_affine(h, p[pre + "self.wv"]), H)
+        kv = cache.extend(kt, vh)
+        if cache.cross_kv is None:
+            k, v = (_affine(memory.data, p[f"{pre}cross.w{c}"]) for c in "kv")
+            cache.cross_kv = (nc._split_heads(k, H, True),
+                              nc._split_heads(v, H))
+        h = norm(pre + "self_norm", h + attend(pre + "self.", h, *kv))
+        h = norm(pre + "cross_norm",
+                 h + attend(pre + "cross.", h, *cache.cross_kv))
+        ff = _affine(h, p[pre + "ff.w1"], p[pre + "ff.b1"])
+        np.maximum(ff, 0.0, out=ff)
+        check(ff, "relu")
+        h = norm(pre + "ff_norm",
+                 h + _affine(ff, p[pre + "ff.w2"], p[pre + "ff.b2"]))
         cache.start += 1
         return Tensor(_affine(h, p[f"out_{stage}.w"], p[f"out_{stage}.b"]))
 
@@ -624,83 +611,88 @@ class CheckpointError(GlotError, ValueError):
 
 
 def load_checkpoint(path: Path | str) -> GlotModel:
-    data = Path(path).read_bytes()
-    off = 0
+    """The model in a checkpoint file: the header first, then each
+    parameter record read from the file straight into its own array."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(data):
-            raise CheckpointError(f"{path}: truncated checkpoint")
-        chunk = data[off:off + n]
-        off += n
-        return chunk
+        def take(n: int) -> bytes:
+            if fh.tell() + n > size:
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            return fh.read(n)
 
-    if take(8) != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad magic")
-    (version,) = struct.unpack("<I", take(4))
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"{path}: unsupported version {version}")
-    (hlen,) = struct.unpack("<I", take(4))
-    try:
-        header = json.loads(take(hlen).decode("utf-8"))
-    except UnicodeDecodeError:
-        raise CheckpointError(f"{path}: header is not UTF-8") from None
-    except json.JSONDecodeError as e:
-        raise CheckpointError(f"{path}: header is not JSON: {e}") from None
-    if not isinstance(header, dict) or not isinstance(header.get("config"), dict):
-        raise CheckpointError(f"{path}: header has no config object")
-    settings = dict(header["config"])
-    for key, only in RETIRED_CONFIG_KEYS.items():
-        val = settings.pop(key, only)
-        if val != only:
-            raise CheckpointError(f"{path}: config {key}={val!r} is not "
-                                  f"supported; only {key}={only!r} is")
-    unknown = set(settings) - {f.name for f in fields(GlotConfig)}
-    if unknown:
-        raise CheckpointError(f"{path}: unknown config keys "
-                              f"{', '.join(sorted(unknown))}")
-    for f in fields(GlotConfig):
-        val, want = settings.get(f.name, f.default), type(f.default)
-        if isinstance(val, bool) or not isinstance(
-                val, (int, float) if want is float else want):
-            raise CheckpointError(f"{path}: config {f.name}={val!r} is not "
-                                  f"a valid {want.__name__}")
-    vocabs = [header.get(key) for key in ("gloss_vocab", "text_vocab")]
-    for key, vocab in zip(("gloss_vocab", "text_vocab"), vocabs):
-        if vocab is not None and not (isinstance(vocab, list) and all(
-                isinstance(t, str) for t in vocab)):
-            raise CheckpointError(f"{path}: {key} is not a list of strings")
-    config = GlotConfig(**settings)
-    config.validate()
-    gloss_vocab, text_vocab = (None if v is None else Vocabulary(v)
-                               for v in vocabs)
-    # Each record is checked against the spec the config implies, its
-    # bytes first, so that no more is allocated than the file holds.
-    params: dict[str, Tensor] = {}
-    have, need = len(data) - off, 0
-    for name, shape, _ in parameter_specs(config):
-        n = math.prod(shape)
-        need += 4 + len(name.encode("utf-8")) + 4 + 8 * len(shape) + 8 * n
-        if need > have:
+        if take(8) != CHECKPOINT_MAGIC:
+            raise CheckpointError(f"{path}: bad magic")
+        (version,) = struct.unpack("<I", take(4))
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported version {version}")
+        (hlen,) = struct.unpack("<I", take(4))
+        try:
+            header = json.loads(take(hlen).decode("utf-8"))
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: header is not UTF-8") from None
+        except json.JSONDecodeError as e:
+            raise CheckpointError(f"{path}: header is not JSON: {e}") from None
+        if not isinstance(header, dict) or not isinstance(
+                header.get("config"), dict):
+            raise CheckpointError(f"{path}: header has no config object")
+        settings = dict(header["config"])
+        for key, only in RETIRED_CONFIG_KEYS.items():
+            val = settings.pop(key, only)
+            if val != only:
+                raise CheckpointError(f"{path}: config {key}={val!r} is not "
+                                      f"supported; only {key}={only!r} is")
+        unknown = set(settings) - {f.name for f in fields(GlotConfig)}
+        if unknown:
+            raise CheckpointError(f"{path}: unknown config keys "
+                                  f"{', '.join(sorted(unknown))}")
+        for f in fields(GlotConfig):
+            val, want = settings.get(f.name, f.default), type(f.default)
+            if isinstance(val, bool) or not isinstance(
+                    val, (int, float) if want is float else want):
+                raise CheckpointError(f"{path}: config {f.name}={val!r} is "
+                                      f"not a valid {want.__name__}")
+        vocabs = [header.get(key) for key in ("gloss_vocab", "text_vocab")]
+        for key, vocab in zip(("gloss_vocab", "text_vocab"), vocabs):
+            if vocab is not None and not (isinstance(vocab, list) and all(
+                    isinstance(t, str) for t in vocab)):
+                raise CheckpointError(
+                    f"{path}: {key} is not a list of strings")
+        config = GlotConfig(**settings)
+        config.validate()
+        gloss_vocab, text_vocab = (None if v is None else Vocabulary(v)
+                                   for v in vocabs)
+        # Each record is checked against the spec the config implies, its
+        # bytes first, so that no more is allocated than the file holds.
+        params: dict[str, Tensor] = {}
+        have, need = size - fh.tell(), 0
+        for name, shape, _ in parameter_specs(config):
+            n = math.prod(shape)
+            need += 4 + len(name.encode("utf-8")) + 4 + 8 * len(shape) + 8 * n
+            if need > have:
+                raise CheckpointError(
+                    f"{path}: truncated checkpoint: its config implies at "
+                    f"least {need} bytes of parameters, {have} follow the "
+                    f"header")
+            (nlen,) = struct.unpack("<I", take(4))
+            got = take(nlen).decode("utf-8", errors="replace")
+            if got != name:
+                raise CheckpointError(f"{path}: expected parameter {name!r}, "
+                                      f"found {got!r}")
+            (rank,) = struct.unpack("<I", take(4))
+            dims = tuple(struct.unpack("<Q", take(8))[0] for _ in range(rank))
+            if dims != shape:
+                raise CheckpointError(f"{path}: {name} has shape {dims}, "
+                                      f"config implies {shape}")
+            values = np.empty(shape, dtype="<f8")
+            if fh.readinto(values) != 8 * n:
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            if not np.isfinite(values).all():
+                raise CheckpointError(
+                    f"{path}: {name} holds non-finite values")
+            params[name] = Tensor(values, requires_grad=True)
+        if fh.tell() != size:
             raise CheckpointError(
-                f"{path}: truncated checkpoint: its config implies at least "
-                f"{need} bytes of parameters, {have} follow the header")
-        (nlen,) = struct.unpack("<I", take(4))
-        got = take(nlen).decode("utf-8", errors="replace")
-        if got != name:
-            raise CheckpointError(f"{path}: expected parameter {name!r}, "
-                                  f"found {got!r}")
-        (rank,) = struct.unpack("<I", take(4))
-        dims = tuple(struct.unpack("<Q", take(8))[0] for _ in range(rank))
-        if dims != shape:
-            raise CheckpointError(f"{path}: {name} has shape {dims}, "
-                                  f"config implies {shape}")
-        values = np.frombuffer(data, dtype="<f8", count=n, offset=off)
-        off += 8 * n
-        if not np.isfinite(values).all():
-            raise CheckpointError(f"{path}: {name} holds non-finite values")
-        params[name] = Tensor(values.reshape(shape).copy(), requires_grad=True)
-    if off != len(data):
-        raise CheckpointError(f"{path}: {len(data) - off} trailing bytes")
+                f"{path}: {size - fh.tell()} trailing bytes")
     return GlotModel(config, gloss_vocab=gloss_vocab, text_vocab=text_vocab,
                      params=params)

@@ -536,40 +536,38 @@ def offset_attention(q: Tensor, k: Tensor, v: Tensor,
 _NORM_EPS = 1e-5
 
 
-def _norm_rows(xs: np.ndarray, gain: np.ndarray, bias: np.ndarray,
-               eps: float = _NORM_EPS):
+def _norm_rows(xs: np.ndarray, gain: np.ndarray, bias: np.ndarray):
     """layer_norm's arithmetic on plain arrays: gain * xhat + bias for
     the rows xhat of xs normalized along the last axis, with xhat and the
-    inverse deviations 1/sqrt(var + eps) that its gradient needs (one row's
-    is a float, from the same sums taken as scalars). Means are sums over d:
-    np.mean and np.var to the bit, without their overhead. An overflowing
-    variance raises NonFiniteError rather than map its row to the bias."""
+    inverse deviations 1/sqrt(var + _NORM_EPS) that its gradient needs (one
+    row's is a float, from the same sums taken as scalars). Means are sums
+    over d: np.mean and np.var to the bit, without their overhead. An
+    overflowing variance raises NonFiniteError rather than map its row to
+    the bias."""
     d = xs.shape[-1]
     if xs.ndim == 2 and xs.shape[0] == 1:
         xc = xs - float(np.add.reduce(xs, None)) / d
         var = float(np.add.reduce(xc * xc, None)) / d
         if not math.isfinite(var):
             raise NonFiniteError("layer_norm produced non-finite values")
-        inv = 1.0 / math.sqrt(var + eps)
+        inv = 1.0 / math.sqrt(var + _NORM_EPS)
     else:
         xc = xs - xs.sum(axis=-1, keepdims=True) / d
         var = (xc * xc).sum(axis=-1, keepdims=True) / d
         _check_finite(var, "layer_norm")
-        inv = 1.0 / np.sqrt(var + eps)
+        inv = 1.0 / np.sqrt(var + _NORM_EPS)
     xhat = xc * inv
     return gain * xhat + bias, xhat, inv
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               residual: Tensor | None = None, eps: float = _NORM_EPS
-               ) -> Tensor:
+               residual: Tensor | None = None) -> Tensor:
     """Normalize along the last axis (rows of a matrix independently).
 
     With a residual, the input is x + residual, and both get its gradient.
-    Uses population variance; eps keeps the constant-input case finite.
+    Uses population variance; _NORM_EPS keeps the constant-input case
+    finite.
     """
-    if eps <= 0:
-        raise ConfigError("layer_norm eps must be positive")
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must match the last axis")
@@ -580,7 +578,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
     else:
         raise ShapeError(f"layer_norm: residual {residual.shape} vs "
                          f"input {x.shape}")
-    out, xhat, inv = _norm_rows(xs, gain.data, bias.data, eps)
+    out, xhat, inv = _norm_rows(xs, gain.data, bias.data)
 
     def bw(g):
         dgain = _reduce_to(g * xhat, gain.shape)

@@ -78,7 +78,7 @@ def test_corpus_duplication_invariance():
 def test_corpus_two_pair_naive_accumulator():
     pairs = [("a b c".split(), ["a b c d".split()]),
              ("e f".split(), ["e g".split()])]
-    rep = metrics.corpus_bleu(pairs, max_n=2)
+    rep = metrics.corpus_bleu(pairs)
 
     # independent accumulation by hand
     def counts(cand, ref, n):
@@ -88,14 +88,22 @@ def test_corpus_two_pair_naive_accumulator():
         num = sum(min(c, rg[g]) for g, c in cg.items())
         return num, sum(cg.values())
 
-    n1 = counts(*[pairs[0][0], pairs[0][1][0]], 1)
-    n2 = counts(*[pairs[1][0], pairs[1][1][0]], 1)
-    p1 = (n1[0] + n2[0]) / (n1[1] + n2[1])
+    def precision(n):
+        n1 = counts(*[pairs[0][0], pairs[0][1][0]], n)
+        n2 = counts(*[pairs[1][0], pairs[1][1][0]], n)
+        return (n1[0] + n2[0]) / (n1[1] + n2[1])
+
+    p1, p2 = precision(1), precision(2)
     assert rep.precisions[1] == pytest.approx(p1, abs=1e-12)
+    assert rep.precisions[2] == pytest.approx(p2, abs=1e-12)
     c = len(pairs[0][0]) + len(pairs[1][0])
     r = 4 + 2
     bp = metrics.brevity_penalty(c, r)
     assert rep.brevity_penalty == pytest.approx(bp, abs=1e-12)
+    # BLEU-1 and BLEU-2 of the full report, which always holds BLEU-1..4
+    assert sorted(rep.bleu) == [1, 2, 3, 4]
+    assert rep.bleu[1] == pytest.approx(bp * p1, abs=1e-12)
+    assert rep.bleu[2] == pytest.approx(bp * math.sqrt(p1 * p2), abs=1e-12)
 
 
 def test_scores_in_range_random():
@@ -143,8 +151,3 @@ def test_empty_corpus_rejected():
     with pytest.raises(metrics.MetricError):
         metrics.corpus_bleu([])
 
-
-@pytest.mark.parametrize("max_n", [0, 5])
-def test_corpus_bleu_rejects_max_n_outside_1_to_4(max_n):
-    with pytest.raises(metrics.MetricError, match=f"got {max_n}"):
-        metrics.corpus_bleu([(["a"], [["a"]])], max_n=max_n)

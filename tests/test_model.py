@@ -21,11 +21,11 @@ def tiny_model(**overrides):
 
 def test_config_presets():
     s1 = GlotConfig.set1()
-    assert (s1.d_model, s1.n_heads, s1.n_encoders, s1.n_decoders,
-            s1.ff_size, s1.dropout) == (512, 8, 1, 1, 2048, 0.1)
+    assert (s1.d_model, s1.n_heads, s1.ff_size, s1.dropout) == \
+        (512, 8, 2048, 0.1)
     s2 = GlotConfig.set2()
-    assert (s2.d_model, s2.n_heads, s2.n_encoders, s2.n_decoders,
-            s2.ff_size, s2.dropout) == (256, 8, 1, 1, 256, 0.0)
+    assert (s2.d_model, s2.n_heads, s2.ff_size, s2.dropout) == \
+        (256, 8, 256, 0.0)
 
 
 def test_config_validation():
@@ -164,7 +164,7 @@ def test_encoder_reduced_form_oracle():
     rng = np.random.default_rng(8)
     F = 6
     x = rng.normal(size=(F, 8))
-    out = m.encoder_block_glot(Tensor(x), 0, [F]).data
+    out = m.encoder_block_glot(Tensor(x), [F]).data
 
     x1, x2 = x[:, :d_b], x[:, d_b:]
     fused = np.zeros_like(x2)
@@ -256,7 +256,7 @@ def test_encoder_gradients_above_gather_crossover():
     names = ("enc0.lssa0.wq", "enc0.lssa0.wk", "enc0.lssa1.wq",
              "enc0.lssa1.wk")
     checks = nc.grad_check(
-        lambda: nc.tsum(nc.mul(m.encoder_block_glot(x, 0, [F]), w)),
+        lambda: nc.tsum(nc.mul(m.encoder_block_glot(x, [F]), w)),
         {"x": x, **{n: m.params[n] for n in names}}, tol=1e-4)
     assert [(c.name, c.max_rel_err) for c in checks if not c.passed] == []
 
@@ -280,12 +280,12 @@ def test_s2g2t_requires_sequences():
         m.s2g2t_forward([np.zeros((2, 5))] * 2, [[5]], [[5]])
 
 
-@pytest.mark.parametrize("kind, n_decoders", [
-    ("glot", 1), ("dense_baseline", 1), ("glot", 2)])
-def test_packed_batch_matches_one_pass_per_sample(kind, n_decoders):
+@pytest.mark.parametrize("kind", ["glot", "dense_baseline"],
+                         ids=["glot-1", "dense_baseline-1"])
+def test_packed_batch_matches_one_pass_per_sample(kind):
     # The packed decoders see each sample's rows exactly as an unpacked,
     # causally masked pass over that sample alone does.
-    m = tiny_model(encoder_kind=kind, n_decoders=n_decoders)
+    m = tiny_model(encoder_kind=kind)
     rng = np.random.default_rng(21)
     frames = [rng.normal(size=(n, 5)) for n in (3, 7, 5)]
     gloss, text = [[5, 6], [6, 5, 6, 5], []], [[5, 7, 9], [8], [10, 6, 7, 5]]
@@ -483,6 +483,48 @@ def test_checkpoint_with_other_conv_kernel_rejected_before_allocating(
     assert peak < 2 ** 20
 
 
+def test_checkpoint_with_retired_depth_keys_loads(tmp_path):
+    # Headers written while the encoder and decoder depths were config
+    # fields hold n_encoders 1 and n_decoders 1; new headers leave them out.
+    m = tiny_model()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(m, path)
+    header_len = struct.unpack("<I", path.read_bytes()[12:16])[0]
+    assert b"n_encoders" not in path.read_bytes()[16:16 + header_len]
+    assert b"n_decoders" not in path.read_bytes()[16:16 + header_len]
+    _rewrite_checkpoint(path, lambda c: c.update(n_encoders=1, n_decoders=1))
+    m2 = load_checkpoint(path)
+    assert m2.config == m.config and list(m2.params) == list(m.params)
+    for name, t in m.params.items():
+        assert m2.params[name].data.tobytes() == t.data.tobytes(), name
+
+
+def test_checkpoint_with_two_decoder_layers_rejected_before_allocating(
+        tmp_path):
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_model(), path)
+    _rewrite_checkpoint(path, lambda c: c.update(n_decoders=2,
+                                                 max_frames=2_000_000))
+    err, peak = _load_peak_bytes(path)
+    assert "config n_decoders=2 is not supported" in str(err)
+    assert peak < 2 ** 20
+
+
+def test_checkpoint_load_peak_is_about_one_file(tmp_path):
+    # Each record is read from the file straight into its own array, so a
+    # load holds about one file's worth of bytes, not the file and a copy.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(GlotModel(GlotConfig.set2(max_frames=736), seed=0), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * size, (peak, size)
+
+
 def test_header_only_checkpoint_rejected_before_allocating(tmp_path):
     # A wide config whose parameters are missing: the loader compares the
     # bytes the config implies with the file's before allocating any.
@@ -504,12 +546,11 @@ def test_positional_table_slices_are_bit_identical():
                 (width, L)
 
 
-@pytest.mark.parametrize("kind, n_decoders", [
-    ("glot", 1), ("dense_baseline", 1), ("glot", 2), ("dense_baseline", 2)],
-    ids=["glot-1-sinusoidal", "dense_baseline-1-sinusoidal",
-         "glot-2-sinusoidal", "dense_baseline-2-sinusoidal"])
-def test_cached_steps_match_full_prefix(kind, n_decoders):
-    m = tiny_model(encoder_kind=kind, n_decoders=n_decoders)
+@pytest.mark.parametrize(
+    "kind", ["glot", "dense_baseline"],
+    ids=["glot-1-sinusoidal", "dense_baseline-1-sinusoidal"])
+def test_cached_steps_match_full_prefix(kind):
+    m = tiny_model(encoder_kind=kind)
     rng = np.random.default_rng(19)
     memory = m.encode([rng.normal(size=(6, 5))])
     L = m.config.max_target_len + 2
@@ -528,14 +569,14 @@ def test_cached_steps_match_full_prefix(kind, n_decoders):
 
 
 @pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
-@pytest.mark.parametrize("n_decoders", [1, 2])
-@pytest.mark.parametrize("d_model, n_heads", [(16, 2), (256, 8)])
-def test_first_cached_step_bit_equal_to_taped_one_token(kind, n_decoders,
-                                                        d_model, n_heads):
+@pytest.mark.parametrize("d_model, n_heads", [(16, 2), (256, 8)],
+                         ids=["16-2-1", "256-8-1"])
+def test_first_cached_step_bit_equal_to_taped_one_token(kind, d_model,
+                                                        n_heads):
     # A stage's first cached step computes the one row of the taped
     # one-token decoder_forward with the same arithmetic, to the bit.
-    m = tiny_model(encoder_kind=kind, n_decoders=n_decoders, d_model=d_model,
-                   n_heads=n_heads, ff_size=2 * d_model)
+    m = tiny_model(encoder_kind=kind, d_model=d_model, n_heads=n_heads,
+                   ff_size=2 * d_model)
     memory = m.encode([np.random.default_rng(29).normal(size=(6, 5))])
     for stage, mem in (("gloss", memory),
                        ("text", m._gloss_memory(memory, [6], [[5, 6]]))):
@@ -552,7 +593,7 @@ def test_cached_step_takes_exactly_one_token():
     for ids in ([], [BOS, 5]):
         with pytest.raises(nc.ContractError, match="one token"):
             m.decoder_forward(memory, ids, "gloss", cache)
-    assert cache.start == 0 and cache.self_kv == []
+    assert cache.start == 0 and cache.self_kv is None
 
 
 STEP_CHECKS = ["gather_rows", "add",                    # embedding + PE
@@ -594,8 +635,8 @@ def test_cached_decoder_step_records_nothing(monkeypatch, kind):
                 expected[4:4] = ["matmul", "matmul"]
             assert checked == expected, t
             assert len(tape) == recorded and not logits.requires_grad
-    assert [kt.shape for kt, _ in cache.self_kv] == [(2, 4, 3)]
-    assert [kt.shape for kt, _ in cache.cross_kv] == [(2, 4, 6)]
+    assert cache.self_kv[0].shape == (2, 4, 3)
+    assert cache.cross_kv[0].shape == (2, 4, 6)
 
 
 def test_cached_step_reports_the_op_that_overflows():

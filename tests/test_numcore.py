@@ -1,4 +1,5 @@
 import inspect
+import math
 import sys
 import threading
 import zlib
@@ -188,8 +189,9 @@ def test_layer_norm_constant_vector_is_zero():
 
 def test_layer_norm_two_point():
     out = nc.layer_norm(Tensor([-1.0, 1.0]), Tensor(np.ones(2)),
-                        Tensor(np.zeros(2)), eps=1e-12)
-    assert np.allclose(out.data, [-1.0, 1.0], atol=1e-6)
+                        Tensor(np.zeros(2)))
+    want = 1.0 / math.sqrt(1.0 + nc._NORM_EPS)
+    assert np.allclose(out.data, [-want, want], rtol=0.0, atol=1e-12)
 
 
 def test_conv1d_identity_kernel():

@@ -276,7 +276,7 @@ def _batch_model(kind, **overrides):
 
 
 def _loss_and_grads(model, *batch):
-    model.zero_grad()
+    training.Adam(model.params).zero_grad()
     with Tape() as tape:
         loss = training.batch_loss(model, *batch)
     tape.backward(loss)
