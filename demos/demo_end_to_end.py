@@ -15,11 +15,12 @@ from glot.model import GlotConfig, GlotModel
 
 
 def main():
-    workdir = Path(tempfile.mkdtemp(prefix="glot_demo_"))
-    manifest = dataio.synth_generate(seed=7, n_samples=16, n_signs=5,
-                                     feat_dim=8, noise_sigma=0.0,
-                                     out_dir=workdir)
-    samples = manifest.load_samples()
+    # Samples load into memory, so the corpus files need not outlive this.
+    with tempfile.TemporaryDirectory(prefix="glot_demo_") as workdir:
+        manifest = dataio.synth_generate(seed=7, n_samples=16, n_signs=5,
+                                         feat_dim=8, noise_sigma=0.0,
+                                         out_dir=Path(workdir))
+        samples = manifest.load_samples()
     print(f"synthesized {len(samples)} samples under {workdir}")
     print(f"example gloss: {samples[0].gloss}")
     print(f"example text:  {samples[0].text}\n")

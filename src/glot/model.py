@@ -71,6 +71,8 @@ class GlotConfig:
                      "gloss_vocab_size", "text_vocab_size", "feat_dim"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
+        if self.n_lssa_layers < 0:
+            raise ConfigError("n_lssa_layers must be >= 0 (0 means auto)")
 
     @property
     def d_branch(self) -> int:
@@ -337,8 +339,7 @@ class GlotModel:
         return nc.sigmoid(nc.matmul(lssa_out, p[enc_prefix + "gate_w"],
                                     p[enc_prefix + "gate_b"]))
 
-    def encoder_block_glot(self, x: Tensor, lengths: list[int],
-                           counter: sa.PairCounter | None = None) -> Tensor:
+    def encoder_block_glot(self, x: Tensor, lengths: list[int]) -> Tensor:
         """The GLoT block over clips of these row counts packed in x. Only
         the log-sparse stack runs per clip, on that clip's rows."""
         p = self.params
@@ -354,7 +355,7 @@ class GlotModel:
                   for j in range(self.config.lssa_depth)]
         lssa_out = nc.concat_rows(*[
             sa.stacked_lssa(nc.slice_rows(x2, s, s + F), layers,
-                            sa.build_mask(F), counter=counter)
+                            sa.build_mask(F))
             for s, F in zip(itertools.accumulate(lengths, initial=0),
                             lengths)])
         values = nc.matmul(x2, p[pre + "wv"])
@@ -364,29 +365,23 @@ class GlotModel:
 
         return self._norm(pre + "norm", x, nc.concat_channels(conv_out, fused))
 
-    def encoder_block_dense(self, x: Tensor, lengths: list[int],
-                            counter: sa.PairCounter | None = None) -> Tensor:
+    def encoder_block_dense(self, x: Tensor, lengths: list[int]) -> Tensor:
         """The transformer block over clips of these row counts packed in
-        x; self-attention stays within each clip. The pair counter tallies
-        each (query, key) pair once, heads sharing it, under "dense"."""
+        x; self-attention stays within each clip."""
         pre = "enc0."
-        if counter is not None:
-            counter.add("dense", sum(F * F for F in lengths))
         blocks = None if len(lengths) == 1 else [(F, F) for F in lengths]
         attn = self._mha(pre + "attn.", x, x, None, blocks=blocks)
         x = self._norm(pre + "attn_norm", x, self._dropout(attn))
         ff = self._feed_forward(pre, x)
         return self._norm(pre + "ff_norm", x, self._dropout(ff))
 
-    def encode(self, frames: list[np.ndarray],
-               counter: sa.PairCounter | None = None) -> Tensor:
+    def encode(self, frames: list[np.ndarray]) -> Tensor:
         """Encoder memory of a batch of clips, packed one clip after
         another: row-wise layers run once over all rows, and no clip's
         rows see another's."""
         block = (self.encoder_block_glot if self.config.encoder_kind == "glot"
                  else self.encoder_block_dense)
-        return block(self.embed_frames(frames), [len(f) for f in frames],
-                     counter=counter)
+        return block(self.embed_frames(frames), [len(f) for f in frames])
 
     # ------------------------------------------------------------------
     # decoder
@@ -513,8 +508,7 @@ class GlotModel:
         return nc.concat_rows(*parts)
 
     def s2g2t_forward(self, frames: list[np.ndarray],
-                      gloss_ids: list[list[int]], text_ids: list[list[int]],
-                      counter: sa.PairCounter | None = None
+                      gloss_ids: list[list[int]], text_ids: list[list[int]]
                       ) -> tuple[Tensor, Tensor]:
         """Teacher-forced two-stage forward pass over a batch.
 
@@ -531,7 +525,7 @@ class GlotModel:
         if not len(frames) == len(gloss_ids) == len(text_ids) >= 1:
             raise nc.ContractError("teacher forcing needs one gloss and one "
                                    "text sequence per sample")
-        memory = self.encode(frames, counter=counter)
+        memory = self.encode(frames)
         mem_rows = [len(f) for f in frames]
 
         def stage(memory: Tensor, rows: list[int], seqs, name: str) -> Tensor:

@@ -12,10 +12,8 @@ kernels (``_split_heads`` and ``_attend_heads``, ``_norm_rows``) that the
 taped ops call and that the model's cached decoder step, which records no
 gradient, calls on plain arrays.
 
-All arithmetic is 64-bit. Broadcasting is deliberately narrow: two shapes
-combine only if they are equal, one side is a scalar, a ``(d,)`` vector
-meets an ``(F, d)`` matrix, or an ``(F, 1)`` column meets an ``(F, d)``
-matrix. Anything richer raises ``ShapeError``.
+All arithmetic is 64-bit, and nothing broadcasts: ``add`` and ``mul``
+take two operands of one shape and raise ``ShapeError`` otherwise.
 """
 
 from __future__ import annotations
@@ -148,29 +146,11 @@ def _record(data: np.ndarray, op: str, inputs: Sequence[Tensor],
     return out
 
 
-# ---------------------------------------------------------------------------
-# broadcasting support (restricted on purpose)
-
-def _broadcast_ok(sa: tuple, sb: tuple) -> bool:
-    if sa == sb:
-        return True
-    for x, y in ((sa, sb), (sb, sa)):
-        if y == () or y == (1,):
-            return True
-        if len(x) == 2 and y == (x[1],):
-            return True
-        if len(x) == 2 and y == (x[0], 1):
-            return True
-    return False
-
-
 def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum-reduce a broadcast gradient back to an operand's shape."""
+    """Sum a gradient over the leading axes its operand lacks: a matmul
+    bias of shape () or (n,), or layer_norm's gain and bias."""
     while g.ndim > len(shape):
         g = g.sum(axis=0)
-    for ax, n in enumerate(shape):
-        if n == 1 and g.shape[ax] != 1:
-            g = g.sum(axis=ax, keepdims=True)
     return g.reshape(shape)
 
 
@@ -178,20 +158,16 @@ def _reduce_to(g: np.ndarray, shape: tuple) -> np.ndarray:
 # elementwise operations
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if not _broadcast_ok(a.shape, b.shape):
+    if a.shape != b.shape:
         raise ShapeError(f"add: incompatible shapes {a.shape} and {b.shape}")
-    out = a.data + b.data
-    return _record(out, "add", (a, b),
-                   lambda g: (_reduce_to(g, a.shape), _reduce_to(g, b.shape)))
+    return _record(a.data + b.data, "add", (a, b), lambda g: (g, g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if not _broadcast_ok(a.shape, b.shape):
+    if a.shape != b.shape:
         raise ShapeError(f"mul: incompatible shapes {a.shape} and {b.shape}")
-    out = a.data * b.data
-    return _record(out, "mul", (a, b),
-                   lambda g: (_reduce_to(g * b.data, a.shape),
-                              _reduce_to(g * a.data, b.shape)))
+    return _record(a.data * b.data, "mul", (a, b),
+                   lambda g: (g * b.data, g * a.data))
 
 
 def sigmoid(x: Tensor) -> Tensor:

@@ -312,9 +312,6 @@ def train(model: GlotModel, train_set: list[EncodedSample],
         sched.on_epoch_end(bleu[4])
         if cfg.stop_bleu1 is not None and bleu[1] >= cfg.stop_bleu1:
             break
-    if ckpt_path is not None and report.checkpoint_path is None:
-        save_checkpoint(model, ckpt_path)
-        report.checkpoint_path = str(ckpt_path)
     return report
 
 

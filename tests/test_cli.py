@@ -504,6 +504,10 @@ def _with_two_decoders(blob: bytes) -> bytes:
     return _edit_header(blob, lambda h: h["config"].update(n_decoders=2))
 
 
+def _with_negative_lssa_depth(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h["config"].update(n_lssa_layers=-1))
+
+
 def _header_only_1024_wide(blob: bytes) -> bytes:
     (hlen,) = struct.unpack("<I", blob[12:16])
     return _edit_header(blob[:16 + hlen], lambda h: h["config"].update(
@@ -524,6 +528,7 @@ def _header_only_1024_wide(blob: bytes) -> bytes:
     (_with_conv_kernel_5, "config conv_kernel=5 is not supported"),
     (_header_only_1024_wide, "bytes of parameters, 0 follow the header"),
     (_with_two_decoders, "config n_decoders=2 is not supported"),
+    (_with_negative_lssa_depth, "n_lssa_layers must be >= 0"),
 ])
 def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, expected):
     manifest = dataio.synth_generate(0, 4, 3, 5, 0.0, tmp_path / "d")

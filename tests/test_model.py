@@ -33,6 +33,9 @@ def test_config_validation():
         GlotConfig(d_model=7).validate()
     with pytest.raises(ConfigError):
         GlotConfig(d_model=8, n_heads=3).validate()
+    with pytest.raises(ConfigError, match=r"n_lssa_layers must be >= 0 "
+                                          r"\(0 means auto\)"):
+        GlotConfig.tiny(n_lssa_layers=-1)
 
 
 def test_positional_encoding_values():
@@ -355,17 +358,30 @@ def test_encoder_kinds_share_pipeline():
         assert len(res.text_ids) <= 4
 
 
-def test_instrumented_pair_counts():
+def test_instrumented_pair_counts(monkeypatch):
+    # The glot encoder runs the log-sparse stack once per clip, on that
+    # clip's rows, under build_mask; the pairs it scores per layer are
+    # count_attention_pairs' closed form. The dense encoder never runs it.
     rng = np.random.default_rng(18)
-    frames = rng.normal(size=(6, 5))
-    counter = sa.PairCounter()
-    m = tiny_model(n_lssa_layers=1)
-    m.encode([frames], counter=counter)
-    assert counter.total("logsparse") == sa.count_attention_pairs(6, "logsparse")
-    counter = sa.PairCounter()
-    m = tiny_model(encoder_kind="dense_baseline")
-    m.encode([frames], counter=counter)
-    assert counter.total("dense") == 36
+    frames = [rng.normal(size=(F, 5)) for F in (6, 9)]
+    calls = []
+    stacked_lssa = sa.stacked_lssa
+
+    def spy(x, layers, mask):
+        calls.append((x.shape[0], layers, mask))
+        return stacked_lssa(x, layers, mask)
+
+    monkeypatch.setattr(sa, "stacked_lssa", spy)
+    m = tiny_model(max_frames=16)
+    m.encode(frames)
+    assert [F for F, _, _ in calls] == [6, 9]
+    for F, layers, mask in calls:
+        assert mask is sa.build_mask(F)
+        assert len(layers) == m.config.lssa_depth
+        assert int(mask.sum()) == sa.count_attention_pairs(F, "logsparse")
+    calls.clear()
+    tiny_model(max_frames=16, encoder_kind="dense_baseline").encode(frames)
+    assert calls == []
 
 
 def test_checkpoint_roundtrip_bit_exact(tmp_path):
@@ -508,6 +524,18 @@ def test_checkpoint_with_two_decoder_layers_rejected_before_allocating(
     err, peak = _load_peak_bytes(path)
     assert "config n_decoders=2 is not supported" in str(err)
     assert peak < 2 ** 20
+
+
+def test_checkpoint_with_negative_lssa_depth_rejected_before_any_record(
+        tmp_path):
+    # A header-only file: had the loader read a record, it would report a
+    # truncated checkpoint instead.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_model(), path)
+    _rewrite_checkpoint(path, lambda c: c.update(n_lssa_layers=-1),
+                        keep_params=False)
+    with pytest.raises(ConfigError, match="n_lssa_layers must be >= 0"):
+        load_checkpoint(path)
 
 
 def test_checkpoint_load_peak_is_about_one_file(tmp_path):

@@ -579,7 +579,7 @@ def clip_case(opname, rng, w):
 
 
 GRADIENT_CASES = [
-    "add", "add_col", "add_vec", "mul", "sigmoid", "relu",
+    "add", "mul", "sigmoid", "relu",
     "dropout", "concat", "concat_rows", "slice", "masked_softmax",
     "log_softmax", "layer_norm", "conv1d", "gap", "gather", "pick",
 ] + ATTENTION_CASES + BLOCK_ATTENTION_CASES + OFFSET_ATTENTION_CASES \
@@ -631,12 +631,6 @@ def test_gradients_match_finite_differences(opname):
         elif opname == "add":
             other = Tensor(rng.normal(size=(4, 3)))
             f = lambda x: nc.tsum(nc.mul(nc.add(x, other), w))
-        elif opname == "add_col":
-            col = Tensor(rng.normal(size=(4, 1)))
-            f = lambda x: nc.tsum(nc.mul(nc.add(x, col), w))
-        elif opname == "add_vec":
-            vec = Tensor(rng.normal(size=3))
-            f = lambda x: nc.tsum(nc.mul(nc.add(x, vec), w))
         elif opname == "mul":
             other = Tensor(rng.normal(size=(4, 3)))
             f = lambda x: nc.tsum(nc.mul(nc.mul(x, other), w))
@@ -714,9 +708,19 @@ def test_finite_check_catches_every_position(bad):
             x = np.random.default_rng(14).normal(size=shape)
             x[pos] = bad
             with pytest.raises(nc.NonFiniteError):
-                nc.add(Tensor(x), Tensor(0.0))
+                nc.add(Tensor(x), Tensor(np.zeros(shape)))
     with pytest.raises(nc.NonFiniteError):  # +Inf and -Inf sum to NaN
-        nc.add(Tensor([np.inf, 1.0, -np.inf]), Tensor(0.0))
+        nc.add(Tensor([np.inf, 1.0, -np.inf]), Tensor(np.zeros(3)))
+
+
+@pytest.mark.parametrize("op", [nc.add, nc.mul])
+def test_elementwise_ops_reject_unequal_shapes(op):
+    a = Tensor(np.ones((4, 3)))
+    for shape in ((3,), (4, 1), ()):
+        b = Tensor(np.ones(shape))
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(nc.ShapeError):
+                op(x, y)
 
 
 def test_concat_rows_of_one_matrix_records_nothing():
@@ -842,14 +846,20 @@ def assert_bit_equal(got, ref):
 
 @pytest.mark.parametrize("bias_shape", [(5,), ()])
 def test_matmul_bias_bit_equal_to_matmul_then_add(bias_shape):
+    # The reference is numpy's a @ b + c, and the bias gradient is the
+    # output gradient summed over rows (then over columns for a () bias).
     rng = np.random.default_rng(18)
     for rows in (1, 7):
-        arrays = [rng.normal(size=(rows, 4)), rng.normal(size=(4, 5)),
-                  rng.normal(size=bias_shape)]
+        a, b, c = arrays = [rng.normal(size=(rows, 4)),
+                            rng.normal(size=(4, 5)),
+                            rng.normal(size=bias_shape)]
         w = rng.normal(size=(rows, 5))
+        gc = w.sum(axis=0)
+        if bias_shape == ():
+            gc = gc.sum(axis=0)
         assert_bit_equal(grads_of(nc.matmul, arrays, w),
-                         grads_of(lambda a, b, c: nc.add(nc.matmul(a, b), c),
-                                  arrays, w))
+                         [a @ b + c, w @ b.T, a.T @ w,
+                          np.asarray(gc).reshape(bias_shape)])
 
 
 def test_matmul_bias_shape_error():
