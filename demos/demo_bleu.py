@@ -16,7 +16,7 @@ def show(report, label):
 def main():
     cand = "the the the the the the the".split()
     ref = "the cat is on the mat".split()
-    p1 = metrics.ngram_clipped_precision(cand, [ref], 1)
+    p1 = metrics.ngram_clipped_precision(cand, ref, 1)
     print(f'candidate "{" ".join(cand)}"')
     print(f'reference "{" ".join(ref)}"')
     print(f"clipped unigram precision: {p1:.4f}  (2/7 — 'the' is clipped "
@@ -28,15 +28,15 @@ def main():
     print(f"candidate of length 3 vs reference of length 6: "
           f"brevity penalty e^(1-6/3) = {bp:.4f}\n")
 
-    rep = metrics.sentence_bleu("a b c d".split(), [long_ref])
+    rep = metrics.sentence_bleu("a b c d".split(), long_ref)
     show(rep, "sentence")
     print(f"  (all precisions are 1, so BLEU-4 = BP = e^-0.5 "
           f"= {rep.bleu[4]:.4f})\n")
 
     pairs = [
-        ("the cat sat".split(), ["the cat sat down".split()]),
-        ("a quick fox".split(), ["a quick brown fox".split()]),
-        ("hello world".split(), ["hello there world".split()]),
+        ("the cat sat".split(), "the cat sat down".split()),
+        ("a quick fox".split(), "a quick brown fox".split()),
+        ("hello world".split(), "hello there world".split()),
     ]
     show(metrics.corpus_bleu(pairs), "corpus ")
     print("  (counts pooled across segments before the ratios are taken)")

@@ -35,7 +35,8 @@ class UsageError(GlotError):
 
 
 def _load_config_file(path: str, known: set[str]) -> dict[str, tuple]:
-    """Map each key of a key=value file to (line number, raw value)."""
+    """Map each key of a key=value file to (line number, raw value); a
+    key given twice is rejected."""
     p = Path(path)
     if not p.exists():
         raise UsageError(f"config file not found: {path}")
@@ -50,6 +51,8 @@ def _load_config_file(path: str, known: set[str]) -> dict[str, tuple]:
         key = key.strip().replace("-", "_")
         if key not in known:
             raise UsageError(f"{path}:{ln}: unknown config key {key!r}")
+        if key in values:
+            raise UsageError(f"{path}:{ln}: duplicate config key {key!r}")
         values[key] = (ln, val.strip())
     return values
 

@@ -44,38 +44,24 @@ def _ngrams(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
 
-def ngram_counts(candidate: list[str], references: list[list[str]],
+def ngram_counts(candidate: list[str], reference: list[str],
                  n: int) -> tuple[int, int]:
     """(clipped matches, total candidate n-grams)."""
     if n < 1:
         raise MetricError(f"n must be >= 1, got {n}")
-    if not references:
-        raise MetricError("at least one reference is required")
     cand = _ngrams(candidate, n)
     total = sum(cand.values())
     if total == 0:
         return 0, 0
-    max_ref: Counter = Counter()
-    for ref in references:
-        rc = _ngrams(ref, n)
-        for gram, c in rc.items():
-            if c > max_ref[gram]:
-                max_ref[gram] = c
-    clipped = sum(min(c, max_ref[gram]) for gram, c in cand.items())
+    ref = _ngrams(reference, n)
+    clipped = sum(min(c, ref[gram]) for gram, c in cand.items())
     return clipped, total
 
 
-def ngram_clipped_precision(candidate: list[str],
-                            references: list[list[str]], n: int) -> float:
-    clipped, total = ngram_counts(candidate, references, n)
+def ngram_clipped_precision(candidate: list[str], reference: list[str],
+                            n: int) -> float:
+    clipped, total = ngram_counts(candidate, reference, n)
     return clipped / total if total else 0.0
-
-
-def closest_ref_length(candidate_len: int,
-                       references: list[list[str]]) -> int:
-    """Reference length closest to the candidate's; ties pick the shorter."""
-    lens = sorted(len(r) for r in references)
-    return min(lens, key=lambda rl: (abs(rl - candidate_len), rl))
 
 
 def brevity_penalty(c: int, r: int) -> float:
@@ -88,24 +74,21 @@ def brevity_penalty(c: int, r: int) -> float:
     return math.exp(1.0 - r / c)
 
 
-def corpus_bleu(pairs: list[tuple[list[str], list[list[str]]]]
-                ) -> BleuReport:
-    """Accumulate clipped counts and lengths over all pairs before taking
-    ratios; BLEU-1..4."""
+def corpus_bleu(pairs: list[tuple[list[str], list[str]]]) -> BleuReport:
+    """Accumulate clipped counts and lengths over all (candidate,
+    reference) pairs before taking ratios; BLEU-1..4."""
     if not pairs:
         raise MetricError("corpus_bleu requires at least one pair")
     numers = {n: 0 for n in ORDERS}
     denoms = {n: 0 for n in ORDERS}
     c = r = 0
-    for candidate, references in pairs:
-        if not references:
-            raise MetricError("every pair needs at least one reference")
+    for candidate, reference in pairs:
         for n in ORDERS:
-            num, den = ngram_counts(candidate, references, n)
+            num, den = ngram_counts(candidate, reference, n)
             numers[n] += num
             denoms[n] += den
         c += len(candidate)
-        r += closest_ref_length(len(candidate), references)
+        r += len(reference)
     precisions = {n: numers[n] / denoms[n] if denoms[n] else 0.0
                   for n in ORDERS}
     bp = brevity_penalty(c, r)
@@ -120,7 +103,6 @@ def corpus_bleu(pairs: list[tuple[list[str], list[list[str]]]]
                       candidate_length=c, reference_length=r)
 
 
-def sentence_bleu(candidate: list[str], references: list[list[str]]
-                  ) -> BleuReport:
+def sentence_bleu(candidate: list[str], reference: list[str]) -> BleuReport:
     """BLEU of one candidate: corpus_bleu of the single pair."""
-    return corpus_bleu([(candidate, references)])
+    return corpus_bleu([(candidate, reference)])

@@ -21,7 +21,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -56,6 +56,9 @@ class GlotConfig:
     feat_dim: int = 5
     encoder_kind: str = "glot"      # "glot" or "dense_baseline"
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self) -> None:
         if self.d_model < 2 or self.d_model % 2:
             raise ConfigError("d_model must be even and >= 2")
@@ -88,29 +91,20 @@ class GlotConfig:
     def set1(cls, **overrides) -> "GlotConfig":
         """Large preset: 512 hidden units, 8 heads, ff 2048, dropout 0.1."""
         cfg = cls(d_model=512, n_heads=8, ff_size=2048, dropout=0.1)
-        return _with_overrides(cfg, overrides)
+        return replace(cfg, **overrides)
 
     @classmethod
     def set2(cls, **overrides) -> "GlotConfig":
         """Small preset: 256 hidden units, 8 heads, ff 256, no dropout."""
         cfg = cls(d_model=256, n_heads=8, ff_size=256, dropout=0.0)
-        return _with_overrides(cfg, overrides)
+        return replace(cfg, **overrides)
 
     @classmethod
     def tiny(cls, **overrides) -> "GlotConfig":
         """Desk-scale preset for tests and gradient checking."""
         cfg = cls(d_model=8, n_heads=2, ff_size=8, dropout=0.0,
                   max_frames=16, max_target_len=12)
-        return _with_overrides(cfg, overrides)
-
-
-def _with_overrides(cfg: GlotConfig, overrides: dict) -> GlotConfig:
-    for key, val in overrides.items():
-        if not hasattr(cfg, key):
-            raise ConfigError(f"unknown config field {key!r}")
-        setattr(cfg, key, val)
-    cfg.validate()
-    return cfg
+        return replace(cfg, **overrides)
 
 
 def parameter_specs(cfg: GlotConfig):
@@ -233,6 +227,8 @@ class GlotModel:
                  text_vocab: Vocabulary | None = None,
                  seed: int = 0, params: dict[str, Tensor] | None = None):
         config.validate()
+        if seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {seed}")
         if gloss_vocab is not None and len(gloss_vocab) != config.gloss_vocab_size:
             raise ConfigError("gloss vocabulary size disagrees with config")
         if text_vocab is not None and len(text_vocab) != config.text_vocab_size:
@@ -653,7 +649,6 @@ def load_checkpoint(path: Path | str) -> GlotModel:
                 raise CheckpointError(
                     f"{path}: {key} is not a list of strings")
         config = GlotConfig(**settings)
-        config.validate()
         gloss_vocab, text_vocab = (None if v is None else Vocabulary(v)
                                    for v in vocabs)
         # Each record is checked against the spec the config implies, its

@@ -537,24 +537,20 @@ def _norm_rows(xs: np.ndarray, gain: np.ndarray, bias: np.ndarray):
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
-               residual: Tensor | None = None) -> Tensor:
-    """Normalize along the last axis (rows of a matrix independently).
+               residual: Tensor) -> Tensor:
+    """Normalize x + residual along the last axis (rows of a matrix
+    independently); x and the residual both get its gradient.
 
-    With a residual, the input is x + residual, and both get its gradient.
     Uses population variance; _NORM_EPS keeps the constant-input case
     finite.
     """
     d = x.shape[-1]
     if gain.shape != (d,) or bias.shape != (d,):
         raise ShapeError("layer_norm: gain/bias must match the last axis")
-    if residual is None:
-        xs, inputs = x.data, (x, gain, bias)
-    elif residual.shape == x.shape:
-        xs, inputs = x.data + residual.data, (x, gain, bias, residual)
-    else:
+    if residual.shape != x.shape:
         raise ShapeError(f"layer_norm: residual {residual.shape} vs "
                          f"input {x.shape}")
-    out, xhat, inv = _norm_rows(xs, gain.data, bias.data)
+    out, xhat, inv = _norm_rows(x.data + residual.data, gain.data, bias.data)
 
     def bw(g):
         dgain = _reduce_to(g * xhat, gain.shape)
@@ -563,19 +559,14 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor,
         dx = inv * (dxhat
                     - dxhat.sum(axis=-1, keepdims=True) / d
                     - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / d))
-        # x and the residual share dx; without a residual the fourth
-        # entry has no input to meet and is dropped.
         return (dx, dgain, dbias, dx)
 
-    return _record(out, "layer_norm", inputs, bw)
+    return _record(out, "layer_norm", (x, gain, bias, residual), bw)
 
 
-def _clip_lengths(lengths: Sequence[int] | None, n_rows: int,
-                  op: str) -> list[int]:
+def _clip_lengths(lengths: Sequence[int], n_rows: int, op: str) -> list[int]:
     """The row counts of the clips packed in n_rows rows, one after
-    another; None is the single clip of all rows."""
-    if lengths is None:
-        return [n_rows]
+    another."""
     lengths = [int(n) for n in lengths]
     if not lengths or min(lengths) < 1 or sum(lengths) != n_rows:
         raise ShapeError(f"{op}: clip lengths {lengths} do not tile "
@@ -593,13 +584,14 @@ def _clip_sums(a: np.ndarray, lengths: list[int]) -> np.ndarray:
 
 
 def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor,
-                lengths: Sequence[int] | None = None) -> Tensor:
-    """Length-preserving 1-D convolution over the sequence axis.
+                lengths: Sequence[int]) -> Tensor:
+    """Length-preserving 1-D convolution over the sequence axis of clips
+    packed in x.
 
     x is (F, c_in), kernels (c_out, c_in, k) with odd k, bias (c_out,);
-    positions outside the sequence are zero. ``lengths`` packs clips of
-    those row counts into x, one after another: each clip is padded with
-    its own zeros, so no output row sees another clip's rows.
+    ``lengths`` are the row counts of the clips packed in x, one after
+    another. Each clip is padded with its own zeros, so no output row
+    sees another clip's rows.
     """
     if x.data.ndim != 2 or kernels.data.ndim != 3:
         raise ShapeError("conv1d_same: x must be FxC, kernels CxCxK")
@@ -636,34 +628,27 @@ def conv1d_same(x: Tensor, kernels: Tensor, bias: Tensor,
     return _record(out[rows], "conv1d_same", (x, kernels, bias), bw)
 
 
-def global_avg_pool(v: Tensor, lengths: Sequence[int] | None = None
-                    ) -> Tensor:
-    """Mean over the sequence axis of an FxD matrix, producing a D vector;
-    with ``lengths``, the (B, D) means of the B clips packed in v."""
+def global_avg_pool(v: Tensor, lengths: Sequence[int]) -> Tensor:
+    """The (B, D) means over the sequence axis of the B clips of these
+    row counts packed in an FxD matrix v."""
     if v.data.ndim != 2:
         raise ShapeError("global_avg_pool expects a matrix")
-    if v.shape[0] < 1:
-        raise ShapeError("global_avg_pool: empty sequence")
-    one_clip = lengths is None
     lengths = _clip_lengths(lengths, v.shape[0], "global_avg_pool")
     n = np.array(lengths, dtype=np.float64)[:, None]
-    out = _clip_sums(v.data, lengths) / n
-    return _record(out[0] if one_clip else out, "global_avg_pool", (v,),
-                   lambda g: (np.repeat(g.reshape(out.shape) / n, lengths,
-                                        axis=0),))
+    return _record(_clip_sums(v.data, lengths) / n, "global_avg_pool", (v,),
+                   lambda g: (np.repeat(g / n, lengths, axis=0),))
 
 
 def gated_mix(g: Tensor, a: Tensor, b: Tensor,
-              lengths: Sequence[int] | None = None) -> Tensor:
-    """Row p = g[p]*a[p] + (1-g[p])*b: a per-row convex mix of a (F, d)
-    matrix with a (d,) vector, by a (F, 1) gate. With ``lengths``, b is
-    (B, d) and the rows of clip i mix with b[i]."""
-    B = 1 if lengths is None else len(lengths)
-    if (a.data.ndim != 2 or g.shape != (a.shape[0], 1) or b.shape != (
-            a.shape[1:] if lengths is None else (B, a.shape[1]))):
+              lengths: Sequence[int]) -> Tensor:
+    """Row p = g[p]*a[p] + (1-g[p])*b[i]: a per-row convex mix of a (F, d)
+    matrix with a (B, d) matrix by a (F, 1) gate, the rows of clip i (of
+    these row counts packed in a) mixing with b[i]."""
+    if (a.data.ndim != 2 or g.shape != (a.shape[0], 1)
+            or b.shape != (len(lengths), a.shape[1])):
         raise ShapeError(f"gated_mix: g {g.shape}, a {a.shape}, b {b.shape}")
     lengths = _clip_lengths(lengths, a.shape[0], "gated_mix")
-    b_rows = np.repeat(b.data.reshape(B, -1), lengths, axis=0)
+    b_rows = np.repeat(b.data, lengths, axis=0)
     one_minus_g = 1.0 - g.data
     out = g.data * a.data + one_minus_g * b_rows
 
@@ -672,8 +657,7 @@ def gated_mix(g: Tensor, a: Tensor, b: Tensor,
         # chain this op replaced, so one clip's gradients keep their bits
         dg = ((go * a.data).sum(axis=1, keepdims=True)
               - (go * b_rows).sum(axis=1, keepdims=True))
-        db = _clip_sums(go * one_minus_g, lengths)
-        return dg, go * g.data, db.reshape(b.shape)
+        return dg, go * g.data, _clip_sums(go * one_minus_g, lengths)
 
     return _record(out, "gated_mix", (g, a, b), bw)
 

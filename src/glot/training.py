@@ -61,6 +61,8 @@ class TrainConfig:
                                  f"got {self.lr_initial:g}")
         if self.schedule not in ("constant", "plateau"):
             raise nc.ConfigError(f"unknown schedule {self.schedule!r}")
+        if self.seed < 0:
+            raise nc.ConfigError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def set1(cls, **overrides) -> "TrainConfig":
@@ -152,9 +154,9 @@ class Adam:
 
     The moments of all parameters sit in two flat arrays, one segment per
     parameter in the order of params, so a step updates every parameter
-    that has a gradient in one pass of array arithmetic. Each element
-    meets the same expressions in the same order as in a per-parameter
-    loop, so the result is the same to the bit.
+    in one pass of array arithmetic. Each element meets the same
+    expressions in the same order as in a per-parameter loop, so the
+    result is the same to the bit.
     """
 
     def __init__(self, params: dict[str, Tensor]):
@@ -165,34 +167,29 @@ class Adam:
         self.v = np.zeros(self._bounds[-1])
 
     def step(self, lr: float) -> None:
-        """One update of every parameter with a gradient; a parameter
-        without one keeps its data and moments."""
+        """One update of every parameter. A parameter without a gradient
+        raises ContractError before any state or data changes."""
+        tensors = self.params.values()
+        for name, p in self.params.items():
+            if p.grad is None:
+                raise ContractError(f"Adam.step: parameter {name!r} has no "
+                                    f"gradient")
         self.t += 1
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
-        tensors = list(self.params.values())
-        live = [i for i, p in enumerate(tensors) if p.grad is not None]
-        if not live:
-            return
-        seg = (slice(None) if len(live) == len(tensors) else np.concatenate(
-            [np.arange(self._bounds[i], self._bounds[i + 1]) for i in live]))
-        g = np.concatenate([tensors[i].grad.reshape(-1) for i in live])
-        m = ADAM_BETA1 * self.m[seg] + (1 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * self.v[seg] + (1 - ADAM_BETA2) * g * g
-        self.m[seg], self.v[seg] = m, v
+        g = np.concatenate([p.grad.reshape(-1) for p in tensors])
+        m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g * g
+        self.m[:], self.v[:] = m, v
         mhat = m / b1c
         vhat = v / b2c
-        data = np.concatenate([tensors[i].data.reshape(-1) for i in live])
+        data = np.concatenate([p.data.reshape(-1) for p in tensors])
         data = data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         # Each parameter gets an array of its own: left as views into one
         # flat array, they made greedy decoding about 8% slower on the
         # tiny_learn benchmark.
-        start = 0
-        for i in live:
-            p = tensors[i]
-            stop = start + p.data.size
+        for p, start, stop in zip(tensors, self._bounds, self._bounds[1:]):
             p.data = data[start:stop].reshape(p.data.shape).copy()
-            start = stop
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -254,9 +251,9 @@ def evaluate_bleu(model: GlotModel, samples: list[EncodedSample],
     for s in samples:
         res = model.greedy_decode(s.features, max_len=max_decode_len)
         gloss_pairs.append((model.gloss_vocab.decode_content(res.gloss_ids),
-                            [s.gloss_tokens]))
+                            s.gloss_tokens))
         text_pairs.append((model.text_vocab.decode_content(res.text_ids),
-                           [s.text_tokens]))
+                           s.text_tokens))
     return metrics.corpus_bleu(gloss_pairs), metrics.corpus_bleu(text_pairs)
 
 
@@ -322,6 +319,8 @@ def make_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
         raise nc.ConfigError(f"cross-validation needs at least 2 folds, got {k}")
     if n < k:
         raise nc.ConfigError(f"dataset of {n} samples cannot form {k} folds")
+    if seed < 0:
+        raise nc.ConfigError(f"seed must be non-negative, got {seed}")
     order = np.random.default_rng(seed).permutation(n)
     base, rem = divmod(n, k)
     folds, start = [], 0

@@ -78,17 +78,17 @@ def test_criterion_4_gating_contract():
     for _ in range(1000):
         F = int(rng.integers(1, 7))
         lssa_out = rng.normal(size=(F, 4)) * 3
-        gap = rng.normal(size=4) * 3
+        gap = rng.normal(size=(1, 4)) * 3
         g = rng.uniform(1e-6, 1 - 1e-6, size=(F, 1))
-        out = nc.gated_mix(Tensor(g), Tensor(lssa_out), Tensor(gap)).data
+        out = nc.gated_mix(Tensor(g), Tensor(lssa_out), Tensor(gap), [F]).data
         lo = np.minimum(lssa_out, gap)
         hi = np.maximum(lssa_out, gap)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)
     lssa_out = Tensor(rng.normal(size=(5, 4)))
-    gap = Tensor(rng.normal(size=4))
-    pure_lssa = nc.gated_mix(Tensor(np.ones((5, 1))), lssa_out, gap)
+    gap = Tensor(rng.normal(size=(1, 4)))
+    pure_lssa = nc.gated_mix(Tensor(np.ones((5, 1))), lssa_out, gap, [5])
     assert np.array_equal(pure_lssa.data, lssa_out.data)
-    pure_gap = nc.gated_mix(Tensor(np.zeros((5, 1))), lssa_out, gap)
+    pure_gap = nc.gated_mix(Tensor(np.zeros((5, 1))), lssa_out, gap, [5])
     assert np.array_equal(pure_gap.data, np.tile(gap.data, (5, 1)))
     _passed(4, "1000 random gates stay inside the [min,max] envelope; "
                "g=0 and g=1 reproduce the pure branches bit-exactly")
@@ -106,9 +106,9 @@ def test_criterion_5_stacked_receptive_field():
 def test_criterion_6_bleu_fidelity():
     cand = "the the the the the the the".split()
     ref = "the cat is on the mat".split()
-    assert abs(metrics.ngram_clipped_precision(cand, [ref], 1) - 2 / 7) < 1e-6
+    assert abs(metrics.ngram_clipped_precision(cand, ref, 1) - 2 / 7) < 1e-6
     assert abs(metrics.brevity_penalty(3, 6) - math.exp(-1)) < 1e-6
-    rep = metrics.sentence_bleu("a b c d".split(), ["a b c d e f".split()])
+    rep = metrics.sentence_bleu("a b c d".split(), "a b c d e f".split())
     assert abs(rep.bleu[4] - math.exp(-0.5)) < 1e-6
 
     rng = np.random.default_rng(3)
@@ -116,8 +116,8 @@ def test_criterion_6_bleu_fidelity():
     for _ in range(100):
         c = [vocab[i] for i in rng.integers(0, 8, rng.integers(1, 10))]
         r = [vocab[i] for i in rng.integers(0, 8, rng.integers(1, 10))]
-        s = metrics.sentence_bleu(c, [r])
-        k = metrics.corpus_bleu([(c, [r])])
+        s = metrics.sentence_bleu(c, r)
+        k = metrics.corpus_bleu([(c, r)])
         for n in range(1, 5):
             assert abs(s.bleu[n] - k.bleu[n]) < 1e-12
     _passed(6, "hand-derived BLEU cases reproduce to 1e-6; corpus equals "

@@ -378,6 +378,16 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     assert "unknown config key" in err
 
 
+def test_config_file_duplicate_key_rejected(tmp_path, capsys):
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text("samples=3\n# the same key again\nsamples=5\n")
+    code, out, err = run(capsys, ["synth", "--config", str(cfg),
+                                  "--out", str(tmp_path / "d")])
+    assert code == 2 and out == ""
+    assert err == f"error: {cfg}:3: duplicate config key 'samples'\n"
+    assert not (tmp_path / "d").exists()
+
+
 def test_config_file_bad_value_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("seed=3\nepochs=abc\n")

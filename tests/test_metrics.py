@@ -7,22 +7,22 @@ from glot import metrics
 
 
 def test_unigram_precision_perfect_match():
-    assert metrics.ngram_clipped_precision(list("abcd"), [list("abcd")], 1) == 1.0
+    assert metrics.ngram_clipped_precision(list("abcd"), list("abcd"), 1) == 1.0
 
 
 def test_clipped_counts():
     cand = "the the the the the the the".split()
     ref = "the cat is on the mat".split()
-    assert metrics.ngram_clipped_precision(cand, [ref], 1) == pytest.approx(2 / 7)
+    assert metrics.ngram_clipped_precision(cand, ref, 1) == pytest.approx(2 / 7)
 
 
 def test_disjoint_vocab_zero():
-    assert metrics.ngram_clipped_precision(["x", "y"], [["a", "b"]], 1) == 0.0
+    assert metrics.ngram_clipped_precision(["x", "y"], ["a", "b"], 1) == 0.0
 
 
 def test_short_candidate_flagged_zero():
-    assert metrics.ngram_clipped_precision(["a"], [["a", "b"]], 2) == 0.0
-    assert metrics.ngram_clipped_precision([], [["a"]], 1) == 0.0
+    assert metrics.ngram_clipped_precision(["a"], ["a", "b"], 2) == 0.0
+    assert metrics.ngram_clipped_precision([], ["a"], 1) == 0.0
 
 
 def test_brevity_penalty_cases():
@@ -33,7 +33,7 @@ def test_brevity_penalty_cases():
 
 
 def test_sentence_bleu_identical():
-    rep = metrics.sentence_bleu(list("wxyz"), [list("wxyz")])
+    rep = metrics.sentence_bleu(list("wxyz"), list("wxyz"))
     for n in range(1, 5):
         assert rep.bleu[n] == pytest.approx(1.0)
 
@@ -41,13 +41,13 @@ def test_sentence_bleu_identical():
 def test_sentence_bleu_zero_bigram_rule():
     cand = ["a", "c", "b"]
     ref = ["a", "b", "c"]  # shares unigrams, shares no bigram
-    rep = metrics.sentence_bleu(cand, [ref])
+    rep = metrics.sentence_bleu(cand, ref)
     assert rep.bleu[1] > 0.0
     assert rep.bleu[2] == rep.bleu[3] == rep.bleu[4] == 0.0
 
 
 def test_sentence_bleu_brevity_case():
-    rep = metrics.sentence_bleu("a b c d".split(), ["a b c d e f".split()])
+    rep = metrics.sentence_bleu("a b c d".split(), "a b c d e f".split())
     for n in range(1, 5):
         assert rep.precisions[n] == 1.0
     assert rep.brevity_penalty == pytest.approx(math.exp(-0.5), abs=1e-9)
@@ -60,15 +60,15 @@ def test_corpus_equals_sentence_on_singleton():
     for _ in range(100):
         cand = [vocab[i] for i in rng.integers(0, 10, rng.integers(1, 9))]
         ref = [vocab[i] for i in rng.integers(0, 10, rng.integers(1, 9))]
-        s = metrics.sentence_bleu(cand, [ref])
-        c = metrics.corpus_bleu([(cand, [ref])])
+        s = metrics.sentence_bleu(cand, ref)
+        c = metrics.corpus_bleu([(cand, ref)])
         for n in range(1, 5):
             assert c.bleu[n] == pytest.approx(s.bleu[n], abs=1e-12)
 
 
 def test_corpus_duplication_invariance():
-    pairs = [("a b c".split(), ["a b d".split()]),
-             ("x y".split(), ["x y z".split()])]
+    pairs = [("a b c".split(), "a b d".split()),
+             ("x y".split(), "x y z".split())]
     once = metrics.corpus_bleu(pairs)
     twice = metrics.corpus_bleu(pairs + pairs)
     for n in range(1, 5):
@@ -76,8 +76,8 @@ def test_corpus_duplication_invariance():
 
 
 def test_corpus_two_pair_naive_accumulator():
-    pairs = [("a b c".split(), ["a b c d".split()]),
-             ("e f".split(), ["e g".split()])]
+    pairs = [("a b c".split(), "a b c d".split()),
+             ("e f".split(), "e g".split())]
     rep = metrics.corpus_bleu(pairs)
 
     # independent accumulation by hand
@@ -89,8 +89,8 @@ def test_corpus_two_pair_naive_accumulator():
         return num, sum(cg.values())
 
     def precision(n):
-        n1 = counts(*[pairs[0][0], pairs[0][1][0]], n)
-        n2 = counts(*[pairs[1][0], pairs[1][1][0]], n)
+        n1 = counts(*pairs[0], n)
+        n2 = counts(*pairs[1], n)
         return (n1[0] + n2[0]) / (n1[1] + n2[1])
 
     p1, p2 = precision(1), precision(2)
@@ -112,7 +112,7 @@ def test_scores_in_range_random():
     for _ in range(50):
         cand = [vocab[i] for i in rng.integers(0, 6, rng.integers(1, 12))]
         ref = [vocab[i] for i in rng.integers(0, 6, rng.integers(1, 12))]
-        rep = metrics.sentence_bleu(cand, [ref])
+        rep = metrics.sentence_bleu(cand, ref)
         assert 0.0 < rep.brevity_penalty <= 1.0
         for n in range(1, 5):
             assert 0.0 <= rep.bleu[n] <= 1.0
@@ -125,7 +125,7 @@ def test_monotone_weighting_when_precisions_ordered():
     for _ in range(200):
         cand = [vocab[i] for i in rng.integers(0, 4, rng.integers(4, 10))]
         ref = [vocab[i] for i in rng.integers(0, 4, rng.integers(4, 10))]
-        rep = metrics.sentence_bleu(cand, [ref])
+        rep = metrics.sentence_bleu(cand, ref)
         ps = [rep.precisions[n] for n in range(1, 5)]
         if all(p > 0 for p in ps) and all(a >= b for a, b in zip(ps, ps[1:])):
             checked += 1
@@ -134,13 +134,8 @@ def test_monotone_weighting_when_precisions_ordered():
     assert checked > 0
 
 
-def test_closest_reference_length_tie_prefers_shorter():
-    refs = [["a"] * 3, ["a"] * 5]
-    assert metrics.closest_ref_length(4, refs) == 3
-
-
 def test_record_schema():
-    rep = metrics.sentence_bleu(["a"], [["a"]])
+    rep = metrics.sentence_bleu(["a"], ["a"])
     rec = rep.record()
     for key in ("bleu1", "bleu2", "bleu3", "bleu4", "p1", "p2", "p3", "p4",
                 "bp", "c", "r"):

@@ -38,6 +38,16 @@ def test_config_validation():
         GlotConfig.tiny(n_lssa_layers=-1)
 
 
+def test_preset_rejects_an_unknown_field():
+    with pytest.raises(TypeError, match="bogus"):
+        GlotConfig.tiny(bogus=1)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        GlotModel(GlotConfig.tiny(), seed=-1)
+
+
 def test_positional_encoding_values():
     pe = positional_encoding(4, 6)
     assert np.allclose(pe[0], [0, 1, 0, 1, 0, 1])
@@ -97,16 +107,16 @@ def test_gate_value_examples():
 def test_gating_combine_limits_and_midpoint():
     rng = np.random.default_rng(4)
     lssa_out = Tensor(rng.normal(size=(3, 4)))
-    gap = Tensor(rng.normal(size=4))
+    gap = Tensor(rng.normal(size=(1, 4)))
     ones = Tensor(np.ones((3, 1)))
     zeros = Tensor(np.zeros((3, 1)))
-    assert np.array_equal(nc.gated_mix(ones, lssa_out, gap).data,
+    assert np.array_equal(nc.gated_mix(ones, lssa_out, gap, [3]).data,
                           lssa_out.data)
-    out0 = nc.gated_mix(zeros, lssa_out, gap).data
+    out0 = nc.gated_mix(zeros, lssa_out, gap, [3]).data
     assert np.array_equal(out0, np.tile(gap.data, (3, 1)))
     half = nc.gated_mix(Tensor(np.full((3, 1), 0.5)),
                         Tensor(np.array([[2.0, 4.0]] * 3)),
-                        Tensor(np.array([0.0, 2.0])))
+                        Tensor(np.array([[0.0, 2.0]])), [3])
     assert np.allclose(half.data, [[1.0, 3.0]] * 3)
 
 
@@ -114,9 +124,9 @@ def test_gating_convex_containment():
     rng = np.random.default_rng(5)
     for _ in range(50):
         lssa_out = rng.normal(size=(4, 4))
-        gap = rng.normal(size=4)
+        gap = rng.normal(size=(1, 4))
         g = rng.uniform(0.01, 0.99, size=(4, 1))
-        out = nc.gated_mix(Tensor(g), Tensor(lssa_out), Tensor(gap)).data
+        out = nc.gated_mix(Tensor(g), Tensor(lssa_out), Tensor(gap), [4]).data
         lo = np.minimum(lssa_out, gap)
         hi = np.maximum(lssa_out, gap)
         assert np.all(out >= lo - 1e-12) and np.all(out <= hi + 1e-12)

@@ -183,13 +183,13 @@ def test_offset_attention_contract_errors():
 
 def test_layer_norm_constant_vector_is_zero():
     out = nc.layer_norm(Tensor([4.0, 4.0, 4.0]), Tensor(np.ones(3)),
-                        Tensor(np.zeros(3)))
+                        Tensor(np.zeros(3)), Tensor(np.zeros(3)))
     assert np.allclose(out.data, 0.0, atol=1e-9)
 
 
 def test_layer_norm_two_point():
     out = nc.layer_norm(Tensor([-1.0, 1.0]), Tensor(np.ones(2)),
-                        Tensor(np.zeros(2)))
+                        Tensor(np.zeros(2)), Tensor(np.zeros(2)))
     want = 1.0 / math.sqrt(1.0 + nc._NORM_EPS)
     assert np.allclose(out.data, [-want, want], rtol=0.0, atol=1e-12)
 
@@ -199,14 +199,14 @@ def test_conv1d_identity_kernel():
     x = rng.normal(size=(5, 3))
     w = np.zeros((3, 3, 1))
     w[:, :, 0] = np.eye(3)
-    out = nc.conv1d_same(Tensor(x), Tensor(w), Tensor(np.zeros(3)))
+    out = nc.conv1d_same(Tensor(x), Tensor(w), Tensor(np.zeros(3)), [5])
     assert np.allclose(out.data, x, atol=1e-15)
 
 
 def test_conv1d_averaging_kernel():
     w = np.full((1, 1, 3), 1 / 3)
     out = nc.conv1d_same(Tensor([[0.0], [3.0], [6.0]]), Tensor(w),
-                         Tensor(np.zeros(1)))
+                         Tensor(np.zeros(1)), [3])
     assert np.allclose(out.data.ravel(), [1.0, 3.0, 3.0], atol=1e-12)
 
 
@@ -214,23 +214,23 @@ def test_conv1d_shape():
     rng = np.random.default_rng(3)
     out = nc.conv1d_same(Tensor(rng.normal(size=(7, 4))),
                          Tensor(rng.normal(size=(8, 4, 3))),
-                         Tensor(np.zeros(8)))
+                         Tensor(np.zeros(8)), [7])
     assert out.shape == (7, 8)
 
 
 def test_conv1d_even_kernel_rejected():
     with pytest.raises(nc.ConfigError):
         nc.conv1d_same(Tensor(np.zeros((4, 2))),
-                       Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)))
+                       Tensor(np.zeros((2, 2, 2))), Tensor(np.zeros(2)), [4])
 
 
 def test_global_avg_pool():
     assert np.array_equal(
-        nc.global_avg_pool(Tensor([[1.0, 2.0]])).data, [1.0, 2.0])
-    out = nc.global_avg_pool(Tensor([[1.0, 2.0], [3.0, 4.0]]))
-    assert np.array_equal(out.data, [2.0, 3.0])
-    out = nc.global_avg_pool(Tensor(np.full((4, 3), 7.0)))
-    assert np.allclose(out.data, 7.0)
+        nc.global_avg_pool(Tensor([[1.0, 2.0]]), [1]).data, [[1.0, 2.0]])
+    out = nc.global_avg_pool(Tensor([[1.0, 2.0], [3.0, 4.0]]), [2])
+    assert np.array_equal(out.data, [[2.0, 3.0]])
+    out = nc.global_avg_pool(Tensor(np.full((4, 3), 7.0)), [4])
+    assert out.shape == (1, 3) and np.allclose(out.data, 7.0)
 
 
 CLIPS = [3, 1, 4]
@@ -239,6 +239,11 @@ CLIPS = [3, 1, 4]
 def clip_rows():
     bounds = np.cumsum([0, *CLIPS])
     return [slice(s, e) for s, e in zip(bounds, bounds[1:])]
+
+
+def one_clip(op):
+    """op over the rows of its first input as a single clip."""
+    return lambda *t: op(*t, [t[0].shape[0]])
 
 
 @pytest.mark.parametrize("width", [1, 3, 5])
@@ -252,7 +257,8 @@ def test_conv1d_clips_match_one_call_per_clip(width):
                rng.normal(size=3))
     w = rng.normal(size=(8, 3))
     packed = grads_of(lambda *t: nc.conv1d_same(*t, CLIPS), [x, k, b], w)
-    per = [grads_of(nc.conv1d_same, [x[r], k, b], w[r]) for r in clip_rows()]
+    per = [grads_of(one_clip(nc.conv1d_same), [x[r], k, b], w[r])
+           for r in clip_rows()]
     refs = [np.concatenate([p[i] for p in per]) for i in (0, 1)]
     refs += [sum(p[i] for p in per) for i in (2, 3)]
     for got, ref in zip(packed, refs):
@@ -264,34 +270,34 @@ def test_pool_and_gated_mix_clips_match_one_call_per_clip():
     rng = np.random.default_rng(31)
     v, w = rng.normal(size=(8, 2)), rng.normal(size=(3, 2))
     packed = grads_of(lambda t: nc.global_avg_pool(t, CLIPS), [v], w)
-    per = [grads_of(nc.global_avg_pool, [v[r]], w[i])
+    per = [grads_of(one_clip(nc.global_avg_pool), [v[r]], w[i:i + 1])
            for i, r in enumerate(clip_rows())]
-    assert np.array_equal(packed[0], np.stack([p[0] for p in per]))
-    assert np.array_equal(packed[1], np.concatenate([p[1] for p in per]))
+    for i in range(2):
+        assert np.array_equal(packed[i], np.concatenate([p[i] for p in per]))
 
     g, a, b = rng.uniform(size=(8, 1)), rng.normal(size=(8, 2)), w
     w = rng.normal(size=(8, 2))
     packed = grads_of(lambda *t: nc.gated_mix(*t, CLIPS), [g, a, b], w)
-    per = [grads_of(nc.gated_mix, [g[r], a[r], b[i]], w[r])
+    per = [grads_of(one_clip(nc.gated_mix), [g[r], a[r], b[i:i + 1]], w[r])
            for i, r in enumerate(clip_rows())]
-    for i in range(3):
+    for i in range(4):
         assert np.array_equal(packed[i], np.concatenate([p[i] for p in per]))
-    assert np.array_equal(packed[3], np.stack([p[3] for p in per]))
 
 
 @pytest.mark.parametrize("F", [1, 5])
 def test_gated_mix_bit_equal_to_the_unfused_chain(F):
     # the mul/add chain with 1 - g as (g * -1) + 1 that gated_mix replaced
     rng = np.random.default_rng(32)
-    g, a, b = rng.uniform(size=(F, 1)), rng.normal(size=(F, 4)), rng.normal(size=4)
+    g, a, b = (rng.uniform(size=(F, 1)), rng.normal(size=(F, 4)),
+               rng.normal(size=(1, 4)))
     w = rng.normal(size=(F, 4))
     one_minus_g, b_rows = g * -1.0 + 1.0, np.tile(b, (F, 1))
-    assert_bit_equal(grads_of(nc.gated_mix, [g, a, b], w), [
+    assert_bit_equal(grads_of(one_clip(nc.gated_mix), [g, a, b], w), [
         g * a + one_minus_g * b_rows,
         (w * a).sum(axis=1, keepdims=True)
         + (w * b_rows).sum(axis=1, keepdims=True) * -1.0,
         w * g,
-        (w * one_minus_g).sum(axis=0)])
+        (w * one_minus_g).sum(axis=0, keepdims=True)])
 
 
 @pytest.mark.parametrize("lengths", [[], [2, 2], [0, 5], [6, -1]])
@@ -411,9 +417,10 @@ def test_grad_check_layer_norm_composite():
     gain = Tensor(np.random.default_rng(9).normal(size=d))
     bias = Tensor(np.random.default_rng(10).normal(size=d))
     weights = Tensor(np.random.default_rng(11).normal(size=(3, d)))
+    zero = Tensor(np.zeros((3, d)))
 
     def f(x):
-        return nc.tsum(nc.mul(nc.layer_norm(x, gain, bias), weights))
+        return nc.tsum(nc.mul(nc.layer_norm(x, gain, bias, zero), weights))
 
     x = Tensor(np.random.default_rng(12).normal(size=(3, d)), requires_grad=True)
     [c] = nc.grad_check(lambda: f(x), {"x": x})
@@ -542,8 +549,8 @@ CLIP_CASES = ["slice_rows", "conv1d_clips_x", "conv1d_clips_kernels",
 
 def clip_case(opname, rng, w):
     """(f, point) checking one input's gradient of an op over clips packed
-    as rows (lengths 1 and 3 of a 4-row matrix), or of slice_rows or
-    gated_mix over one clip; the other inputs are fixed."""
+    as rows (lengths 1 and 3 of a 4-row matrix), or of slice_rows, or of
+    gated_mix over one clip of 4 rows; the other inputs are fixed."""
     lengths = [1, 3]
     if opname == "slice_rows":
         w2 = Tensor(rng.normal(size=(2, 3)))
@@ -567,13 +574,13 @@ def clip_case(opname, rng, w):
                                         w2)), None
     wrt = opname.split("_")[2]
     clips = opname.endswith("_clips")
-    shapes = {"g": (4, 1), "a": (4, 3), "b": (2, 3) if clips else (3,)}
+    shapes = {"g": (4, 1), "a": (4, 3), "b": (2, 3) if clips else (1, 3)}
     fixed = {n: Tensor(rng.normal(size=shape)) for n, shape in shapes.items()}
 
     def f(x):
         args = dict(fixed, **{wrt: x})
         return nc.tsum(nc.mul(nc.gated_mix(
-            args["g"], args["a"], args["b"], lengths if clips else None), w))
+            args["g"], args["a"], args["b"], lengths if clips else [4]), w))
 
     return f, Tensor(rng.normal(size=shapes[wrt]))
 
@@ -616,7 +623,7 @@ def test_gradients_match_finite_differences(opname):
     rng = np.random.default_rng(zlib.crc32(opname.encode()))
     for trial in range(20):
         w = Tensor(rng.normal(size=(4, 3)))
-        wv = Tensor(rng.normal(size=3))
+        wv = Tensor(rng.normal(size=(1, 3)))
         point = None
         if opname.startswith("attention_"):
             f, point = attention_case(opname, rng)
@@ -664,14 +671,16 @@ def test_gradients_match_finite_differences(opname):
         elif opname == "layer_norm":
             gain = Tensor(rng.normal(size=3))
             bias = Tensor(rng.normal(size=3))
-            f = lambda x: nc.tsum(nc.mul(nc.layer_norm(x, gain, bias), w))
+            zero = Tensor(np.zeros((4, 3)))
+            f = lambda x: nc.tsum(nc.mul(nc.layer_norm(x, gain, bias, zero), w))
         elif opname == "conv1d":
             kern = Tensor(rng.normal(size=(2, 3, 3)))
             bias = Tensor(rng.normal(size=2))
             w2 = Tensor(rng.normal(size=(4, 2)))
-            f = lambda x: nc.tsum(nc.mul(nc.conv1d_same(x, kern, bias), w2))
+            f = lambda x: nc.tsum(nc.mul(nc.conv1d_same(x, kern, bias, [4]),
+                                         w2))
         elif opname == "gap":
-            f = lambda x: nc.tsum(nc.mul(nc.global_avg_pool(x), wv))
+            f = lambda x: nc.tsum(nc.mul(nc.global_avg_pool(x, [4]), wv))
         elif opname == "gather":
             ids = [0, 2, 2, 1]
             f = lambda x: nc.tsum(nc.mul(nc.gather_rows(x, ids), w))
@@ -750,7 +759,7 @@ def test_layer_norm_bit_equal_to_mean_var_formula(shape):
         g0, b0 = rng.normal(size=d), rng.normal(size=d)
         x, gain, bias = (Tensor(a, requires_grad=True) for a in (x0, g0, b0))
         with Tape() as tape:
-            out = nc.layer_norm(x, gain, bias)
+            out = nc.layer_norm(x, gain, bias, Tensor(np.zeros(shape)))
             loss = nc.tsum(nc.mul(out, Tensor(w)))
         tape.backward(loss)
 
@@ -775,7 +784,7 @@ def test_layer_norm_rejects_an_overflowing_variance(rows):
     gain, bias = Tensor(np.ones(4)), Tensor([0.0, 1.0, 2.0, 3.0])
     with np.errstate(over="ignore"), pytest.raises(
             nc.NonFiniteError, match="^layer_norm produced non-finite values$"):
-        nc.layer_norm(Tensor(x), gain, bias)
+        nc.layer_norm(Tensor(x), gain, bias, Tensor(np.zeros_like(x)))
 
 
 def test_one_row_norm_bit_equal_to_that_row_among_two():
@@ -876,8 +885,8 @@ def test_layer_norm_residual_bit_equal_to_add_then_layer_norm(shape):
               rng.normal(size=6), rng.normal(size=shape)]
     w = rng.normal(size=shape)
     assert_bit_equal(grads_of(nc.layer_norm, arrays, w),
-                     grads_of(lambda x, g, b, r: nc.layer_norm(nc.add(x, r), g, b),
-                              arrays, w))
+                     grads_of(lambda x, g, b, r: nc.layer_norm(
+                         nc.add(x, r), g, b, Tensor(np.zeros(shape))), arrays, w))
     with pytest.raises(nc.ShapeError):
         nc.layer_norm(Tensor(arrays[0]), Tensor(arrays[1]), Tensor(arrays[2]),
                       Tensor(np.zeros(shape[:-1] + (3,))))

@@ -139,9 +139,15 @@ def test_make_folds_needs_two_folds(k):
         training.make_folds(10, k, seed=0)
 
 
+def test_make_folds_rejects_a_negative_seed():
+    # numpy's generators take no negative seed; the library says so first
+    with pytest.raises(nc.ConfigError, match="seed must be non-negative"):
+        training.make_folds(10, 2, -1)
+
+
 @pytest.mark.parametrize("field, value", [
     ("epochs", 0), ("batch_size", -1), ("lr_initial", 0.0),
-    ("lr_initial", float("nan"))])
+    ("lr_initial", float("nan")), ("seed", -1)])
 def test_train_config_rejects_nonpositive(field, value):
     with pytest.raises(nc.ConfigError):
         training.TrainConfig.set2(**{field: value})
@@ -326,8 +332,6 @@ def _adam_reference_step(params, m, v, t, lr, beta1=0.9, beta2=0.999,
     b1c = 1.0 - beta1 ** t
     b2c = 1.0 - beta2 ** t
     for name, p in params.items():
-        if p.grad is None:
-            continue
         g = p.grad
         m[name] = beta1 * m[name] + (1 - beta1) * g
         v[name] = beta2 * v[name] + (1 - beta2) * g * g
@@ -337,10 +341,8 @@ def _adam_reference_step(params, m, v, t, lr, beta1=0.9, beta2=0.999,
 
 
 def test_adam_one_pass_bit_equal_to_per_parameter_loop():
-    # "frozen" has no gradient for 10 steps, then one: its data and
-    # moments stay untouched until then.
     rng = np.random.default_rng(41)
-    shapes = {"w": (3, 4), "b": (4,), "s": (), "frozen": (2, 2)}
+    shapes = {"w": (3, 4), "b": (4,), "s": (), "u": (2, 2)}
     start = {n: rng.normal(size=shape) for n, shape in shapes.items()}
     params = {n: Tensor(a.copy(), requires_grad=True) for n, a in start.items()}
     ref = {n: Tensor(a.copy(), requires_grad=True) for n, a in start.items()}
@@ -349,9 +351,7 @@ def test_adam_one_pass_bit_equal_to_per_parameter_loop():
     v = {n: np.zeros(shape) for n, shape in shapes.items()}
     for t in range(1, 12):
         for n, shape in shapes.items():
-            # "s" also misses every third step
-            skip = (n == "frozen" and t <= 10) or (n == "s" and t % 3 == 0)
-            g = None if skip else rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
             params[n].grad = ref[n].grad = g
         opt.step(lr=1e-2)
         _adam_reference_step(ref, m, v, t, lr=1e-2)
@@ -362,8 +362,27 @@ def test_adam_one_pass_bit_equal_to_per_parameter_loop():
         for flat, per_param in ((opt.m, m), (opt.v, v)):
             assert np.array_equal(flat, np.concatenate(
                 [per_param[n].reshape(-1) for n in shapes])), t
-        if t == 10:
-            assert np.array_equal(params["frozen"].data, start["frozen"])
+
+
+def test_adam_step_with_a_missing_gradient_raises_and_changes_nothing():
+    rng = np.random.default_rng(42)
+    params = {n: Tensor(rng.normal(size=shape), requires_grad=True)
+              for n, shape in (("w", (3, 2)), ("b", (2,)), ("s", ()))}
+    opt = training.Adam(params)
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    opt.step(lr=1e-2)
+    before = {n: p.data.copy() for n, p in params.items()}
+    m, v = opt.m.copy(), opt.v.copy()
+    params["w"].grad = rng.normal(size=(3, 2))
+    params["b"].grad = None
+    params["s"].grad = rng.normal(size=())
+    with pytest.raises(nc.ContractError, match="'b' has no gradient"):
+        opt.step(lr=1e-2)
+    assert opt.t == 1
+    assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+    for n, p in params.items():
+        assert np.array_equal(p.data, before[n]), n
 
 
 @pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
