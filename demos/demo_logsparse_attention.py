@@ -17,8 +17,7 @@ from glot.numcore import Tensor
 def main():
     print("index sets for the first positions:")
     for p in (1, 2, 3, 8, 13):
-        members = sa.log_index_set(p).members
-        print(f"  I_{p} = {members}")
+        print(f"  I_{p} = {sa.log_index_set(p)}")
 
     L = 8
     print(f"\nboolean mask for L={L} (rows are queries):")
@@ -37,7 +36,8 @@ def main():
 
     L, d = 16, 8
     depth = sa.default_depth(L)
-    closure = sa.mask_closure(sa.build_mask(L), depth)
+    mask = sa.build_mask(L)
+    closure = sa.mask_closure(mask, depth)
     full = np.tril(np.ones((L, L), dtype=bool))
     print(f"\nstacking {depth} layers at L={L} covers the causal pattern: "
           f"{np.array_equal(closure, full)}")
@@ -47,10 +47,9 @@ def main():
     params = [sa.LssaParams(Tensor(rng.normal(size=(d, d)) / math.sqrt(d)),
                             Tensor(rng.normal(size=(d, d)) / math.sqrt(d)))
               for _ in range(depth)]
-    counter = sa.PairCounter()
-    out = sa.stacked_lssa(x, params, sa.build_mask(L), counter=counter)
+    out = sa.stacked_lssa(x, params, mask)
     print(f"stacked output shape: {out.data.shape}, "
-          f"pairs scored: {counter.total('logsparse')} "
+          f"pairs scored: {depth * int(mask.sum())} "
           f"(dense would score {depth * L * L})")
 
 

@@ -1,9 +1,8 @@
 """Gated log-sparse transformer toolkit for sign->gloss->text experiments."""
 
 from .numcore import Tape, Tensor, grad_check
-from .sparse_attention import (IndexSet, LssaParams, PairCounter, build_mask,
-                               count_attention_pairs, log_index_set,
-                               lssa_layer, stacked_lssa)
+from .sparse_attention import (LssaParams, build_mask, count_attention_pairs,
+                               log_index_set, lssa_layer, stacked_lssa)
 from .model import GlotConfig, GlotModel, load_checkpoint, save_checkpoint
 from .metrics import BleuReport, corpus_bleu, sentence_bleu
 from .dataio import Manifest, SignSample, Vocabulary, synth_generate
@@ -11,9 +10,9 @@ from .training import Adam, FoldReport, TrainConfig, cross_validate, train
 
 __all__ = [
     "Adam", "BleuReport", "FoldReport", "GlotConfig", "GlotModel",
-    "IndexSet", "LssaParams", "Manifest", "PairCounter", "SignSample",
-    "Tape", "Tensor", "TrainConfig", "Vocabulary", "build_mask",
-    "corpus_bleu", "count_attention_pairs", "cross_validate", "grad_check",
-    "load_checkpoint", "log_index_set", "lssa_layer", "save_checkpoint",
-    "sentence_bleu", "stacked_lssa", "synth_generate", "train",
+    "LssaParams", "Manifest", "SignSample", "Tape", "Tensor", "TrainConfig",
+    "Vocabulary", "build_mask", "corpus_bleu", "count_attention_pairs",
+    "cross_validate", "grad_check", "load_checkpoint", "log_index_set",
+    "lssa_layer", "save_checkpoint", "sentence_bleu", "stacked_lssa",
+    "synth_generate", "train",
 ]

@@ -42,6 +42,24 @@ RETIRED_CONFIG_KEYS = {"pe_kind": "sinusoidal", "conv_kernel": CONV_KERNEL,
                        "n_encoders": 1, "n_decoders": 1}
 
 
+# The values a config field of each annotated type accepts: a float field
+# takes an int too, and a bool, though an int to Python, is neither. The
+# config modules postpone annotations, so each field's type is its text.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "str": (str,),
+                "None": (type(None),)}
+
+
+def check_field_types(cfg) -> None:
+    """Raise ConfigError naming the first field of the config dataclass
+    cfg whose value is not of its annotated type."""
+    for f in fields(cfg):
+        val = getattr(cfg, f.name)
+        kinds = sum((_FIELD_TYPES[t] for t in f.type.split(" | ")), ())
+        if isinstance(val, bool) or not isinstance(val, kinds):
+            raise ConfigError(f"config {f.name}={val!r} is not a valid "
+                              f"{f.type}")
+
+
 @dataclass
 class GlotConfig:
     d_model: int = 8
@@ -60,6 +78,7 @@ class GlotConfig:
         self.validate()
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.d_model < 2 or self.d_model % 2:
             raise ConfigError("d_model must be even and >= 2")
         if self.n_heads < 1:
@@ -636,19 +655,16 @@ def load_checkpoint(path: Path | str) -> GlotModel:
         if unknown:
             raise CheckpointError(f"{path}: unknown config keys "
                                   f"{', '.join(sorted(unknown))}")
-        for f in fields(GlotConfig):
-            val, want = settings.get(f.name, f.default), type(f.default)
-            if isinstance(val, bool) or not isinstance(
-                    val, (int, float) if want is float else want):
-                raise CheckpointError(f"{path}: config {f.name}={val!r} is "
-                                      f"not a valid {want.__name__}")
+        try:
+            config = GlotConfig(**settings)
+        except ConfigError as e:
+            raise CheckpointError(f"{path}: {e}") from None
         vocabs = [header.get(key) for key in ("gloss_vocab", "text_vocab")]
         for key, vocab in zip(("gloss_vocab", "text_vocab"), vocabs):
             if vocab is not None and not (isinstance(vocab, list) and all(
                     isinstance(t, str) for t in vocab)):
                 raise CheckpointError(
                     f"{path}: {key} is not a list of strings")
-        config = GlotConfig(**settings)
         gloss_vocab, text_vocab = (None if v is None else Vocabulary(v)
                                    for v in vocabs)
         # Each record is checked against the spec the config implies, its

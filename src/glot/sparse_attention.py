@@ -1,4 +1,4 @@
-"""Log-sparse self-attention: index sets, masks, layers, and pair counting.
+"""Log-sparse self-attention: index sets, masks, layers, and pair counts.
 
 Each query position p (1-based) attends to itself plus the positions at
 power-of-two distances into the past, so one layer evaluates
@@ -16,7 +16,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import GlotError
-from .numcore import Tensor
+from .numcore import ContractError, Tensor
 
 
 # Shortest length at which lssa_layer gathers the log-sparse keys instead
@@ -32,13 +32,6 @@ class DomainError(GlotError, ValueError):
     """Position or length outside the valid domain."""
 
 
-@dataclass(frozen=True)
-class IndexSet:
-    """Positions a query at 1-based position p may attend to."""
-    position: int
-    members: tuple[int, ...]
-
-
 @dataclass
 class LssaParams:
     """Query/key projections of one attention layer (no value projection)."""
@@ -46,22 +39,10 @@ class LssaParams:
     w_k: Tensor
 
 
-class PairCounter:
-    """Tallies (query, key) score evaluations per attention kind."""
-
-    def __init__(self):
-        self.counts: dict[str, int] = {}
-
-    def add(self, kind: str, n: int) -> None:
-        self.counts[kind] = self.counts.get(kind, 0) + int(n)
-
-    def total(self, kind: str) -> int:
-        return self.counts.get(kind, 0)
-
-
-def log_index_set(p: int) -> IndexSet:
+def log_index_set(p: int) -> tuple[int, ...]:
     """{p - 2^k : k = floor(log2 p) .. 0} plus p itself, dropping
-    candidates below position 1."""
+    candidates below position 1, in increasing order: the positions a
+    query at 1-based position p may attend to."""
     if p < 1:
         raise DomainError(f"position must be >= 1, got {p}")
     members = {p}
@@ -70,7 +51,7 @@ def log_index_set(p: int) -> IndexSet:
             q = p - 2 ** k
             if q >= 1:
                 members.add(q)
-    return IndexSet(position=p, members=tuple(sorted(members)))
+    return tuple(sorted(members))
 
 
 @functools.lru_cache(maxsize=256)
@@ -83,28 +64,16 @@ def log_sparse_offsets(length: int) -> tuple[int, ...]:
     return (0,) + tuple(2 ** k for k in range((length - 1).bit_length()))
 
 
-def log_sparse_table(length: int) -> tuple[np.ndarray, np.ndarray]:
-    """(L, K) key-index table of the log-sparse pattern and its validity
-    mask, K = len(log_sparse_offsets(L)); invalid slots hold index 0.
-    Cached per length and read-only."""
-    return nc.offset_table(length, log_sparse_offsets(length))
-
-
+@functools.lru_cache(maxsize=256)
 def build_mask(length: int) -> np.ndarray:
     """Boolean LxL matrix; row p marks log_index_set(p+1) (0-based storage):
     the diagonal plus every sub-diagonal at a power-of-two distance.
 
     Built once per length and returned read-only, so callers share it.
     """
-    if length < 1:
-        raise DomainError(f"length must be >= 1, got {length}")
-    return _log_sparse_mask(length)
-
-
-@functools.lru_cache(maxsize=256)
-def _log_sparse_mask(length: int) -> np.ndarray:
+    offsets = log_sparse_offsets(length)
     mask = np.zeros((length, length), dtype=bool)
-    for delta in log_sparse_offsets(length):
+    for delta in offsets:
         mask |= np.eye(length, k=-delta, dtype=bool)
     mask.setflags(write=False)
     return mask
@@ -120,12 +89,6 @@ def causal_mask(length: int) -> np.ndarray:
     return mask
 
 
-def full_mask(length: int) -> np.ndarray:
-    if length < 1:
-        raise DomainError(f"length must be >= 1, got {length}")
-    return np.ones((length, length), dtype=bool)
-
-
 def count_attention_pairs(length: int, mode: str) -> int:
     """Exact score evaluations one attention layer performs at this length."""
     if length < 1:
@@ -139,41 +102,37 @@ def count_attention_pairs(length: int, mode: str) -> int:
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def lssa_layer(x: Tensor, params: LssaParams, mask: np.ndarray,
-               counter: PairCounter | None = None,
-               tag: str = "logsparse") -> Tensor:
-    """One log-sparse attention layer.
+def lssa_layer(x: Tensor, params: LssaParams, mask: np.ndarray) -> Tensor:
+    """One log-sparse attention layer over the L rows of x; mask must be
+    build_mask(L) itself, and any other mask raises ContractError.
 
     Scores come from learned Q/K projections scaled by sqrt(d_b); the raw
     input rows act as values, so the output row p is the softmax-weighted
-    mean of x over its index set. The log-sparse mask of build_mask at a
-    length of at least GATHER_MIN_LENGTH runs the gathered op, which
-    evaluates only the O(L log L) allowed pairs; any other mask runs
-    masked-dense attention.
+    mean of x over its index set. From GATHER_MIN_LENGTH on, the gathered
+    op evaluates only the O(L log L) allowed pairs; below it, masked-dense
+    attention scores the same pairs.
     """
     L = x.shape[0]
-    gathered = L >= GATHER_MIN_LENGTH and mask is _log_sparse_mask(L)
+    if mask is not build_mask(L):
+        raise ContractError(f"lssa_layer: the mask must be build_mask({L}), "
+                            f"the log-sparse mask of the input's length")
     q = nc.matmul(x, params.w_q)
     k = nc.matmul(x, params.w_k)
-    if gathered:
-        out = nc.offset_attention(q, k, x, log_sparse_offsets(L))
-    else:
-        out = nc.attention(q, k, x, mask)
-    if counter is not None:
-        valid = log_sparse_table(L)[1] if gathered else mask
-        counter.add(tag, int(valid.sum()))
-    return out
+    if L >= GATHER_MIN_LENGTH:
+        return nc.offset_attention(q, k, x, log_sparse_offsets(L))
+    return nc.attention(q, k, x, mask)
 
 
-def stacked_lssa(x: Tensor, layer_params: list[LssaParams], mask: np.ndarray,
-                 counter: PairCounter | None = None) -> Tensor:
-    """Sequential log-sparse layers; depth ceil(log2 F) makes the stacked
-    receptive field fully causal."""
+def stacked_lssa(x: Tensor, layer_params: list[LssaParams],
+                 mask: np.ndarray) -> Tensor:
+    """Sequential log-sparse layers under mask, which must be build_mask
+    of x's length; depth ceil(log2 F) makes the stacked receptive field
+    fully causal."""
     if not layer_params:
         raise nc.ConfigError("stacked_lssa requires at least one layer")
     out = x
     for params in layer_params:
-        out = lssa_layer(out, params, mask, counter=counter)
+        out = lssa_layer(out, params, mask)
     return out
 
 

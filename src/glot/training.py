@@ -23,7 +23,7 @@ import numpy as np
 
 from . import metrics, numcore as nc
 from .dataio import EOS, SignSample, Vocabulary
-from .model import GlotModel, save_checkpoint
+from .model import GlotModel, check_field_types, save_checkpoint
 from .numcore import ContractError, Tape, Tensor
 
 
@@ -51,6 +51,7 @@ class TrainConfig:
         self.validate()
 
     def validate(self) -> None:
+        check_field_types(self)
         if self.epochs < 1:
             raise nc.ConfigError(f"epochs must be positive, got {self.epochs}")
         if self.batch_size < 1:

@@ -22,7 +22,7 @@ def test_criterion_1_index_set_oracle():
         diff = p - np.arange(1, p + 1)
         is_pow2 = (diff > 0) & ((diff & (diff - 1)) == 0)
         oracle = tuple(int(q) for q in np.arange(1, p + 1)[is_pow2 | (diff == 0)])
-        assert sa.log_index_set(p).members == oracle, p
+        assert sa.log_index_set(p) == oracle, p
     dt = time.perf_counter() - t0
     assert dt < 1.0, f"oracle sweep took {dt:.2f}s"
     _passed(1, f"log index sets match brute force for p in [1,4096] in {dt:.2f}s")
@@ -32,24 +32,29 @@ def test_criterion_2_complexity_counts():
     rng = np.random.default_rng(0)
     d = 8
     for L in (8, 64, 512, 1024):
-        expected_sparse = sum(len(sa.log_index_set(p).members)
+        expected_sparse = sum(len(sa.log_index_set(p))
                               for p in range(1, L + 1))
         assert sa.count_attention_pairs(L, "logsparse") == expected_sparse
         assert expected_sparse <= L * (math.floor(math.log2(L)) + 2)
         assert sa.count_attention_pairs(L, "dense") == L * L
 
-        x = Tensor(rng.normal(size=(L, d)))
+        # What the kernels score: masked-dense attention the pairs of
+        # build_mask, the gathered op the valid slots of its offset table.
+        assert int(sa.build_mask(L).sum()) == expected_sparse
+        _, valid = nc.offset_table(L, sa.log_sparse_offsets(L))
+        assert int(valid.sum()) == expected_sparse
+        x = Tensor(rng.normal(size=(L, d)), requires_grad=True)
         params = sa.LssaParams(Tensor(rng.normal(size=(d, d)) / 3),
                                Tensor(rng.normal(size=(d, d)) / 3))
-        counter = sa.PairCounter()
-        sa.lssa_layer(x, params, sa.build_mask(L), counter=counter)
-        sa.lssa_layer(x, params, sa.full_mask(L), counter=counter, tag="dense")
-        assert counter.total("logsparse") == expected_sparse
-        assert counter.total("dense") == L * L
+        with nc.Tape() as tape:
+            sa.lssa_layer(x, params, sa.build_mask(L))
+        kernel = tape._entries[-1][2].__qualname__.split(".")[0]
+        assert kernel == ("offset_attention" if L >= sa.GATHER_MIN_LENGTH
+                          else "attention"), L
     assert sa.count_attention_pairs(8, "logsparse") == 25
     assert sa.count_attention_pairs(8, "dense") == 64
     assert sa.count_attention_pairs(8, "causal_dense") == 36
-    _passed(2, "instrumented pair counts equal the enumeration and bound "
+    _passed(2, "pairs the kernels score equal the enumeration and bound "
                "for L in {8,64,512,1024}; L=8 gives 25/64/36")
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from glot import cli, dataio
+from glot import cli, dataio, sparse_attention as sa
 from glot.model import GlotConfig, GlotModel, save_checkpoint
 
 
@@ -341,6 +341,16 @@ def test_bench_attn_small(capsys):
     assert fields[1:5] == ["64", "36", "25", "40"]
 
 
+def test_bench_attn_pair_count_mismatch_exits_1(capsys, monkeypatch):
+    # the closed form, off by one, no longer matches build_mask's pairs
+    count = sa.count_attention_pairs
+    monkeypatch.setattr(sa, "count_attention_pairs",
+                        lambda L, mode: count(L, mode) + (mode == "logsparse"))
+    code, _, err = run(capsys, ["bench-attn", "--lengths", "8"])
+    assert code == 1
+    assert err == "pair counts disagree at L=8\n"
+
+
 def test_bench_attn_bad_lengths(capsys):
     assert run(capsys, ["bench-attn", "--lengths", "0"])[0] == 2
 
@@ -557,6 +567,32 @@ def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, expected):
     assert code == 2
     [msg] = err.splitlines()
     assert msg.startswith("error: ") and expected in msg
+
+
+def test_train_is_byte_reproducible_at_a_fixed_blas_thread_count(tmp_path):
+    # The bits of a run may depend on the BLAS thread count, so both runs
+    # pin it, each in a fresh interpreter, one after the other.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "2",
+           "OMP_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}
+
+    def glot(*argv):
+        proc = subprocess.run([sys.executable, "-m", "glot.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env=env)
+        assert proc.returncode == 0, proc.stderr
+
+    digests = []
+    for root in (tmp_path / "one", tmp_path / "two"):
+        glot("synth", "--samples", "32", "--seed", "3",
+             "--out", str(root / "data"))
+        glot("train", "--manifest", str(root / "data" / "manifest.tsv"),
+             "--hparams", "set2", "--encoder", "glot", "--epochs", "1",
+             "--out", str(root / "run"))
+        digests.append([hashlib.sha256((root / "run" / name).read_bytes())
+                        .hexdigest()
+                        for name in ("fold1_best.ckpt", "train_log.txt")])
+    assert digests[0] == digests[1]
 
 
 def _eval_in_fresh_interpreter(tmp_path, param: str, index, value: float):

@@ -38,6 +38,21 @@ def test_config_validation():
         GlotConfig.tiny(n_lssa_layers=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("d_model", "8"), ("n_heads", 2.0), ("n_heads", True),
+    ("d_model", np.int64(8)), ("dropout", "0.1"), ("encoder_kind", None)])
+def test_config_rejects_a_field_of_the_wrong_type(field, value):
+    # An int field takes only a Python int, which save_checkpoint's JSON
+    # header can write; a bool is never a number.
+    with pytest.raises(ConfigError, match=rf"^config {field}=.* is not a "
+                                          rf"valid (int|float|str)$"):
+        GlotConfig(**{field: value})
+
+
+def test_config_float_field_takes_an_int():
+    assert GlotConfig(dropout=0).dropout == 0
+
+
 def test_preset_rejects_an_unknown_field():
     with pytest.raises(TypeError, match="bogus"):
         GlotConfig.tiny(bogus=1)
@@ -182,7 +197,7 @@ def test_encoder_reduced_form_oracle():
     x1, x2 = x[:, :d_b], x[:, d_b:]
     fused = np.zeros_like(x2)
     for p in range(1, F + 1):
-        members = np.array(sa.log_index_set(p).members) - 1
+        members = np.array(sa.log_index_set(p)) - 1
         fused[p - 1] = 0.5 * x2[members].mean(axis=0)
     y = x + np.concatenate([x1, fused], axis=1)
     mu = y.mean(axis=1, keepdims=True)
@@ -201,7 +216,8 @@ def test_dense_uniform_attention_oracle():
     m.params["enc0.attn.wo"].data = np.eye(8)
     rng = np.random.default_rng(9)
     x = rng.normal(size=(5, 8))
-    out = m._mha("enc0.attn.", Tensor(x), Tensor(x), sa.full_mask(5)).data
+    out = m._mha("enc0.attn.", Tensor(x), Tensor(x),
+                 np.ones((5, 5), dtype=bool)).data
     assert np.allclose(out, np.tile(x.mean(axis=0), (5, 1)), atol=1e-12)
 
 
@@ -212,7 +228,8 @@ def test_attention_rows_sum_to_one():
     q = nc.matmul(x, m.params["enc0.attn.wq"])
     k = nc.matmul(x, m.params["enc0.attn.wk"])
     eye = Tensor(np.eye(6))  # k = v = I: the attention output is alpha
-    alpha = nc.attention(Tensor(q.data @ k.data.T), eye, eye, sa.full_mask(6))
+    alpha = nc.attention(Tensor(q.data @ k.data.T), eye, eye,
+                         np.ones((6, 6), dtype=bool))
     assert np.allclose(alpha.data.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -544,7 +561,7 @@ def test_checkpoint_with_negative_lssa_depth_rejected_before_any_record(
     save_checkpoint(tiny_model(), path)
     _rewrite_checkpoint(path, lambda c: c.update(n_lssa_layers=-1),
                         keep_params=False)
-    with pytest.raises(ConfigError, match="n_lssa_layers must be >= 0"):
+    with pytest.raises(CheckpointError, match="n_lssa_layers must be >= 0"):
         load_checkpoint(path)
 
 

@@ -16,9 +16,9 @@ def brute_force_members(p):
 
 
 def test_index_set_small_examples():
-    assert sa.log_index_set(1).members == (1,)
-    assert sa.log_index_set(5).members == (1, 3, 4, 5)
-    assert sa.log_index_set(8).members == (4, 6, 7, 8)
+    assert sa.log_index_set(1) == (1,)
+    assert sa.log_index_set(5) == (1, 3, 4, 5)
+    assert sa.log_index_set(8) == (4, 6, 7, 8)
 
 
 def test_index_set_rejects_bad_position():
@@ -28,12 +28,12 @@ def test_index_set_rejects_bad_position():
 
 def test_index_set_matches_brute_force():
     for p in range(1, 513):
-        assert sa.log_index_set(p).members == brute_force_members(p)
+        assert sa.log_index_set(p) == brute_force_members(p)
 
 
 def test_index_set_invariants():
     for p in range(1, 1025):
-        m = sa.log_index_set(p).members
+        m = sa.log_index_set(p)
         assert p in m and max(m) == p
         assert all(a < b for a, b in zip(m, m[1:]))
         assert len(m) <= math.floor(math.log2(p)) + 2
@@ -85,7 +85,7 @@ def test_lssa_zero_projections_give_index_set_means():
     params = sa.LssaParams(Tensor(np.zeros((d, d))), Tensor(np.zeros((d, d))))
     out = sa.lssa_layer(Tensor(x), params, sa.build_mask(F)).data
     for p in range(1, F + 1):
-        members = np.array(sa.log_index_set(p).members) - 1
+        members = np.array(sa.log_index_set(p)) - 1
         assert np.allclose(out[p - 1], x[members].mean(axis=0), atol=1e-12)
 
 
@@ -165,23 +165,11 @@ def test_lssa_gradients():
     assert [c.name for c in checks if not c.passed] == []
 
 
-def test_pair_counter_instrumentation():
-    rng = np.random.default_rng(7)
-    F, d = 16, 4
-    x = Tensor(rng.normal(size=(F, d)))
-    counter = sa.PairCounter()
-    sa.lssa_layer(x, _random_params(rng, d), sa.build_mask(F), counter=counter)
-    assert counter.total("logsparse") == sa.count_attention_pairs(F, "logsparse")
-    sa.lssa_layer(x, _random_params(rng, d), sa.full_mask(F), counter=counter,
-                  tag="dense")
-    assert counter.total("dense") == sa.count_attention_pairs(F, "dense")
-
-
 def test_build_mask_is_shared_read_only_and_matches_oracle():
     for L in range(1, 65):
         oracle = np.zeros((L, L), dtype=bool)
         for p in range(1, L + 1):
-            oracle[p - 1, [q - 1 for q in sa.log_index_set(p).members]] = True
+            oracle[p - 1, [q - 1 for q in sa.log_index_set(p)]] = True
         mask = sa.build_mask(L)
         assert np.array_equal(mask, oracle), L
         assert sa.build_mask(L) is mask
@@ -201,67 +189,85 @@ def test_log_sparse_offsets():
 
 def test_log_sparse_table_matches_oracle():
     for L in range(1, 130):
-        idx, valid = sa.log_sparse_table(L)
+        idx, valid = nc.offset_table(L, sa.log_sparse_offsets(L))
         assert idx.shape == valid.shape == (L, len(sa.log_sparse_offsets(L)))
         for p in range(1, L + 1):
             keys = sorted(int(i) + 1 for i in idx[p - 1][valid[p - 1]])
-            assert tuple(keys) == sa.log_index_set(p).members, (L, p)
-        assert sa.log_sparse_table(L)[0] is idx
+            assert tuple(keys) == sa.log_index_set(p), (L, p)
+        assert nc.offset_table(L, sa.log_sparse_offsets(L))[0] is idx
         assert not idx.flags.writeable and not valid.flags.writeable
 
 
 def test_count_attention_pairs_closed_form_matches_loop():
     for L in list(range(1, 301)) + [2048]:
-        loop = sum(len(sa.log_index_set(p).members) for p in range(1, L + 1))
+        loop = sum(len(sa.log_index_set(p)) for p in range(1, L + 1))
         assert sa.count_attention_pairs(L, "logsparse") == loop, L
 
 
-def _lssa_run(x0, params, mask):
+def _lssa_run(x0, params, layer):
     """Output, x/w_q/w_k gradients and the recorded op names of one
-    lssa_layer call under a weighted-sum loss."""
+    layer(x, LssaParams) call under a weighted-sum loss."""
     x = Tensor(x0, requires_grad=True)
     wq, wk = (Tensor(t.data, requires_grad=True)
               for t in (params.w_q, params.w_k))
     w = Tensor(np.random.default_rng(0).normal(size=x0.shape))
     with nc.Tape() as tape:
-        out = sa.lssa_layer(x, sa.LssaParams(wq, wk), mask)
+        out = layer(x, sa.LssaParams(wq, wk))
         ops = [fn.__qualname__.split(".")[0] for _, _, fn in tape._entries]
         loss = nc.tsum(nc.mul(out, w))
     tape.backward(loss)
     return out.data, (x.grad, wq.grad, wk.grad), ops
 
 
+def _layer_and_masked_dense(x0, params):
+    """_lssa_run of lssa_layer, then of the same projections under
+    masked-dense attention with build_mask."""
+    mask = sa.build_mask(len(x0))
+    return (_lssa_run(x0, params, lambda x, p: sa.lssa_layer(x, p, mask)),
+            _lssa_run(x0, params, lambda x, p: nc.attention(
+                nc.matmul(x, p.w_q), nc.matmul(x, p.w_k), x, mask)))
+
+
 def test_lssa_layer_gathers_above_crossover():
     rng = np.random.default_rng(8)
     L, d = sa.GATHER_MIN_LENGTH + 9, 4
     x0, params = rng.normal(size=(L, d)), _random_params(rng, d)
-    out, grads, ops = _lssa_run(x0, params, sa.build_mask(L))
-    assert "offset_attention" in ops and "attention" not in ops
-    ref_out, ref_grads, ref_ops = _lssa_run(x0, params,
-                                            sa.build_mask(L).copy())
-    assert "attention" in ref_ops and "offset_attention" not in ref_ops
-    assert nc.rel_err(out, ref_out) <= 1e-12
-    for g, ref in zip(grads, ref_grads):
-        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref))
+    (out, grads, ops), (ref, ref_grads, _) = _layer_and_masked_dense(x0,
+                                                                     params)
+    assert ops == ["matmul", "matmul", "offset_attention"]
+    assert nc.rel_err(out, ref) <= 1e-12
+    for g, r in zip(grads, ref_grads):
+        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
 
 def test_lssa_layer_below_crossover_is_masked_dense():
     rng = np.random.default_rng(9)
     L, d = sa.GATHER_MIN_LENGTH - 1, 4
     x0, params = rng.normal(size=(L, d)), _random_params(rng, d)
-    mask = sa.build_mask(L)
-    out, grads, ops = _lssa_run(x0, params, mask)
+    (out, grads, ops), (ref, ref_grads, _) = _layer_and_masked_dense(x0,
+                                                                     params)
     assert ops == ["matmul", "matmul", "attention"]
     # the same three ops called directly: bit-identical results
-    x = Tensor(x0, requires_grad=True)
-    wq, wk = (Tensor(t.data, requires_grad=True)
-              for t in (params.w_q, params.w_k))
-    w = Tensor(np.random.default_rng(0).normal(size=x0.shape))
-    with nc.Tape() as tape:
-        ref = nc.attention(nc.matmul(x, wq), nc.matmul(x, wk), x, mask)
-        loss = nc.tsum(nc.mul(ref, w))
-    tape.backward(loss)
-    assert np.array_equal(out, ref.data)
-    for g, r in zip(grads, (x.grad, wq.grad, wk.grad)):
+    assert np.array_equal(out, ref)
+    for g, r in zip(grads, ref_grads):
         assert np.array_equal(g, r)
 
+
+def test_lssa_layer_rejects_a_foreign_mask():
+    # The layer runs only the mask build_mask returns for the input's
+    # length: an equal copy or a full mask is refused on either side of
+    # the crossover, before any op is recorded.
+    rng = np.random.default_rng(10)
+    d = 4
+    params = _random_params(rng, d)
+    for L in (sa.GATHER_MIN_LENGTH - 1, sa.GATHER_MIN_LENGTH + 1):
+        x = Tensor(rng.normal(size=(L, d)), requires_grad=True)
+        for mask in (sa.build_mask(L).copy(), np.ones((L, L), dtype=bool)):
+            with nc.Tape() as tape:
+                with pytest.raises(nc.ContractError, match="build_mask"):
+                    sa.lssa_layer(x, params, mask)
+                with pytest.raises(nc.ContractError, match="build_mask"):
+                    sa.stacked_lssa(x, [params], mask)
+            assert tape._entries == []
+        with pytest.raises(nc.ContractError):  # a mask of another length
+            sa.lssa_layer(x, params, sa.build_mask(L - 1))

@@ -155,6 +155,23 @@ def test_train_config_rejects_nonpositive(field, value):
         training.TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field, value", [
+    ("epochs", "3"), ("seed", 1.5), ("batch_size", np.int64(4)),
+    ("lr_initial", True), ("schedule", None), ("checkpoint_dir", 3),
+    ("stop_bleu1", "0.5")])
+def test_train_config_rejects_a_field_of_the_wrong_type(field, value):
+    with pytest.raises(nc.ConfigError,
+                       match=rf"^config {field}=.* is not a valid "):
+        training.TrainConfig(**{field: value})
+
+
+def test_train_config_float_fields_take_an_int():
+    cfg = training.TrainConfig(lr_initial=1, checkpoint_dir="runs",
+                               stop_bleu1=1)
+    assert (cfg.lr_initial, cfg.checkpoint_dir, cfg.stop_bleu1) == \
+        (1, "runs", 1)
+
+
 def _tiny_corpus(tmp_path, n=6, seed=9, noise=0.0):
     manifest = dataio.synth_generate(seed, n, 4, 5, noise, tmp_path)
     samples = manifest.load_samples()
