@@ -109,7 +109,7 @@ def read_feature_file(path: Path | str) -> np.ndarray:
     if len(blob) != expected:
         raise FormatError(f"{path}: payload is {len(blob)} bytes, "
                           f"header implies {expected}")
-    data = np.frombuffer(blob[20:], dtype="<f8").reshape(F, width).copy()
+    data = np.frombuffer(blob, dtype="<f8", offset=20).reshape(F, width).copy()
     if not np.all(np.isfinite(data)):
         raise FormatError(f"{path}: non-finite feature values")
     return data

@@ -348,11 +348,11 @@ class GlotModel:
         x = nc.add(x, self._pe([len(f) for f in frames]))
         return self._dropout(x)
 
-    def gate_value(self, lssa_out: Tensor, enc_prefix: str) -> Tensor:
+    def gate_value(self, lssa_out: Tensor) -> Tensor:
         """Per-position scalar gate in (0,1): sigmoid(<w, row> + b)."""
         p = self.params
-        return nc.sigmoid(nc.matmul(lssa_out, p[enc_prefix + "gate_w"],
-                                    p[enc_prefix + "gate_b"]))
+        return nc.sigmoid(nc.matmul(lssa_out, p["enc0.gate_w"],
+                                    p["enc0.gate_b"]))
 
     def encoder_block_glot(self, x: Tensor, lengths: list[int]) -> Tensor:
         """The GLoT block over clips of these row counts packed in x. Only
@@ -375,7 +375,7 @@ class GlotModel:
                             lengths)])
         values = nc.matmul(x2, p[pre + "wv"])
         gap = nc.global_avg_pool(values, lengths)
-        g = self.gate_value(lssa_out, pre)
+        g = self.gate_value(lssa_out)
         fused = nc.gated_mix(g, lssa_out, gap, lengths)
 
         return self._norm(pre + "norm", x, nc.concat_channels(conv_out, fused))

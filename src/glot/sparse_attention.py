@@ -102,37 +102,39 @@ def count_attention_pairs(length: int, mode: str) -> int:
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def lssa_layer(x: Tensor, params: LssaParams, mask: np.ndarray) -> Tensor:
-    """One log-sparse attention layer over the L rows of x; mask must be
-    build_mask(L) itself, and any other mask raises ContractError.
+def lssa_layer(x: Tensor, params: LssaParams) -> Tensor:
+    """One log-sparse attention layer over the L rows of x.
 
     Scores come from learned Q/K projections scaled by sqrt(d_b); the raw
     input rows act as values, so the output row p is the softmax-weighted
     mean of x over its index set. From GATHER_MIN_LENGTH on, the gathered
     op evaluates only the O(L log L) allowed pairs; below it, masked-dense
-    attention scores the same pairs.
+    attention under build_mask(L) scores the same pairs.
     """
     L = x.shape[0]
-    if mask is not build_mask(L):
-        raise ContractError(f"lssa_layer: the mask must be build_mask({L}), "
-                            f"the log-sparse mask of the input's length")
     q = nc.matmul(x, params.w_q)
     k = nc.matmul(x, params.w_k)
     if L >= GATHER_MIN_LENGTH:
         return nc.offset_attention(q, k, x, log_sparse_offsets(L))
-    return nc.attention(q, k, x, mask)
+    return nc.attention(q, k, x, build_mask(L))
 
 
 def stacked_lssa(x: Tensor, layer_params: list[LssaParams],
                  mask: np.ndarray) -> Tensor:
-    """Sequential log-sparse layers under mask, which must be build_mask
-    of x's length; depth ceil(log2 F) makes the stacked receptive field
-    fully causal."""
+    """Sequential log-sparse layers over x; depth ceil(log2 F) makes the
+    stacked receptive field fully causal. mask must equal build_mask of
+    x's length, or ContractError is raised; the layers work out the
+    pattern themselves, and the mask stays for the bench's pair probe."""
     if not layer_params:
         raise nc.ConfigError("stacked_lssa requires at least one layer")
+    L = x.shape[0]
+    expected = build_mask(L)
+    if mask is not expected and not np.array_equal(mask, expected):
+        raise ContractError(f"stacked_lssa: the mask must equal "
+                            f"build_mask({L}), the log-sparse mask of x")
     out = x
     for params in layer_params:
-        out = lssa_layer(out, params, mask)
+        out = lssa_layer(out, params)
     return out
 
 

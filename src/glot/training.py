@@ -97,7 +97,6 @@ class FoldReport:
     epochs: list[EpochRecord] = field(default_factory=list)
     best_epoch: int = 0
     best_bleu4: float = 0.0
-    best_bleu: dict[int, float] = field(default_factory=dict)
     checkpoint_path: str | None = None
 
     def log_text(self) -> str:
@@ -303,7 +302,6 @@ def train(model: GlotModel, train_set: list[EncodedSample],
             best_bleu4 = bleu[4]
             report.best_epoch = epoch
             report.best_bleu4 = bleu[4]
-            report.best_bleu = bleu
             if ckpt_path is not None:
                 save_checkpoint(model, ckpt_path)
                 report.checkpoint_path = str(ckpt_path)

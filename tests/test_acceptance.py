@@ -47,7 +47,7 @@ def test_criterion_2_complexity_counts():
         params = sa.LssaParams(Tensor(rng.normal(size=(d, d)) / 3),
                                Tensor(rng.normal(size=(d, d)) / 3))
         with nc.Tape() as tape:
-            sa.lssa_layer(x, params, sa.build_mask(L))
+            sa.lssa_layer(x, params)
         kernel = tape._entries[-1][2].__qualname__.split(".")[0]
         assert kernel == ("offset_attention" if L >= sa.GATHER_MIN_LENGTH
                           else "attention"), L

@@ -104,10 +104,10 @@ def test_gate_value_examples():
     lssa_out = Tensor(np.random.default_rng(3).normal(size=(5, 4)))
     m.params["enc0.gate_w"].data[:] = 0.0
     m.params["enc0.gate_b"].data = np.asarray(0.0)
-    g = m.gate_value(lssa_out, "enc0.")
+    g = m.gate_value(lssa_out)
     assert np.allclose(g.data, 0.5)
     m.params["enc0.gate_b"].data = np.asarray(50.0)
-    g = m.gate_value(lssa_out, "enc0.")
+    g = m.gate_value(lssa_out)
     assert np.all(g.data > 1 - 1e-9)
     # sigmoid(ln 3) = 0.75 through the first coordinate
     m.params["enc0.gate_b"].data = np.asarray(0.0)
@@ -115,7 +115,7 @@ def test_gate_value_examples():
     m.params["enc0.gate_w"].data[0, 0] = 1.0
     row = np.zeros((1, 4))
     row[0, 0] = np.log(3.0)
-    g = m.gate_value(Tensor(row), "enc0.")
+    g = m.gate_value(Tensor(row))
     assert g.data[0, 0] == pytest.approx(0.75, abs=1e-12)
 
 

@@ -74,7 +74,7 @@ def _random_params(rng, d):
 def test_lssa_single_position_is_identity():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(1, 4)))
-    out = sa.lssa_layer(x, _random_params(rng, 4), sa.build_mask(1))
+    out = sa.lssa_layer(x, _random_params(rng, 4))
     assert np.allclose(out.data, x.data, atol=1e-12)
 
 
@@ -83,7 +83,7 @@ def test_lssa_zero_projections_give_index_set_means():
     F, d = 6, 4
     x = rng.normal(size=(F, d))
     params = sa.LssaParams(Tensor(np.zeros((d, d))), Tensor(np.zeros((d, d))))
-    out = sa.lssa_layer(Tensor(x), params, sa.build_mask(F)).data
+    out = sa.lssa_layer(Tensor(x), params).data
     for p in range(1, F + 1):
         members = np.array(sa.log_index_set(p)) - 1
         assert np.allclose(out[p - 1], x[members].mean(axis=0), atol=1e-12)
@@ -107,9 +107,8 @@ def test_stacked_single_layer_equals_layer():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(5, 4)))
     params = _random_params(rng, 4)
-    mask = sa.build_mask(5)
-    one = sa.lssa_layer(x, params, mask)
-    stacked = sa.stacked_lssa(x, [params], mask)
+    one = sa.lssa_layer(x, params)
+    stacked = sa.stacked_lssa(x, [params], sa.build_mask(5))
     assert np.array_equal(one.data, stacked.data)
 
 
@@ -140,27 +139,25 @@ def test_permutation_covariance():
     x = rng.normal(size=(F, d))
     wq = rng.normal(size=(d, d))
     wk = rng.normal(size=(d, d))
-    mask = sa.build_mask(F)
     perm = rng.permutation(d)
-    base = sa.lssa_layer(Tensor(x), sa.LssaParams(Tensor(wq), Tensor(wk)),
-                         mask).data
+    base = sa.lssa_layer(Tensor(x),
+                         sa.LssaParams(Tensor(wq), Tensor(wk))).data
     permuted = sa.lssa_layer(
         Tensor(x[:, perm]),
-        sa.LssaParams(Tensor(wq[perm][:, perm]), Tensor(wk[perm][:, perm])),
-        mask).data
+        sa.LssaParams(Tensor(wq[perm][:, perm]),
+                      Tensor(wk[perm][:, perm]))).data
     assert np.allclose(permuted, base[:, perm], atol=1e-12)
 
 
 def test_lssa_gradients():
     rng = np.random.default_rng(6)
     F, d = 5, 3
-    mask = sa.build_mask(F)
     x, wq, wk = (Tensor(rng.normal(size=shape), requires_grad=True)
                  for shape in ((F, d), (d, d), (d, d)))
     w = Tensor(rng.normal(size=(F, d)))
     params = sa.LssaParams(wq, wk)
     checks = nc.grad_check(
-        lambda: nc.tsum(nc.mul(sa.lssa_layer(x, params, mask), w)),
+        lambda: nc.tsum(nc.mul(sa.lssa_layer(x, params), w)),
         {"x": x, "wq": wq, "wk": wk})
     assert [c.name for c in checks if not c.passed] == []
 
@@ -223,7 +220,7 @@ def _layer_and_masked_dense(x0, params):
     """_lssa_run of lssa_layer, then of the same projections under
     masked-dense attention with build_mask."""
     mask = sa.build_mask(len(x0))
-    return (_lssa_run(x0, params, lambda x, p: sa.lssa_layer(x, p, mask)),
+    return (_lssa_run(x0, params, sa.lssa_layer),
             _lssa_run(x0, params, lambda x, p: nc.attention(
                 nc.matmul(x, p.w_q), nc.matmul(x, p.w_k), x, mask)))
 
@@ -253,21 +250,39 @@ def test_lssa_layer_below_crossover_is_masked_dense():
         assert np.array_equal(g, r)
 
 
-def test_lssa_layer_rejects_a_foreign_mask():
-    # The layer runs only the mask build_mask returns for the input's
-    # length: an equal copy or a full mask is refused on either side of
-    # the crossover, before any op is recorded.
+def test_stacked_lssa_rejects_a_foreign_mask():
+    # The mask must equal build_mask of the input's length: a full mask,
+    # another length's mask and a copy with one pair flipped are refused
+    # on either side of the crossover, before any op is recorded; an equal
+    # copy runs as build_mask itself does.
     rng = np.random.default_rng(10)
     d = 4
     params = _random_params(rng, d)
     for L in (sa.GATHER_MIN_LENGTH - 1, sa.GATHER_MIN_LENGTH + 1):
         x = Tensor(rng.normal(size=(L, d)), requires_grad=True)
-        for mask in (sa.build_mask(L).copy(), np.ones((L, L), dtype=bool)):
+        flipped = sa.build_mask(L).copy()
+        flipped[-1, 0] = not flipped[-1, 0]
+        for mask in (np.ones((L, L), dtype=bool), sa.build_mask(L - 1),
+                     flipped):
             with nc.Tape() as tape:
-                with pytest.raises(nc.ContractError, match="build_mask"):
-                    sa.lssa_layer(x, params, mask)
                 with pytest.raises(nc.ContractError, match="build_mask"):
                     sa.stacked_lssa(x, [params], mask)
             assert tape._entries == []
-        with pytest.raises(nc.ContractError):  # a mask of another length
-            sa.lssa_layer(x, params, sa.build_mask(L - 1))
+        out = sa.stacked_lssa(x, [params], sa.build_mask(L).copy())
+        assert np.array_equal(
+            out.data, sa.stacked_lssa(x, [params], sa.build_mask(L)).data)
+
+
+def test_stacked_lssa_accepts_a_held_mask_after_eviction():
+    # build_mask caches 256 lengths, so a mask held while 294 others are
+    # built is no longer the cached object; it still has the right pattern.
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=(5, 4)))
+    layers = [_random_params(rng, 4) for _ in range(3)]
+    held = sa.build_mask(5)
+    for L in range(6, 300):
+        sa.build_mask(L)
+    assert held is not sa.build_mask(5)
+    out = sa.stacked_lssa(x, layers, held)
+    assert np.array_equal(out.data,
+                          sa.stacked_lssa(x, layers, sa.build_mask(5)).data)
