@@ -22,6 +22,7 @@ import contextvars
 import functools
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -465,20 +466,26 @@ def offset_attention(q: Tensor, k: Tensor, v: Tensor,
     """Single-head scaled dot-product attention over fixed key distances.
 
     q, k and v are (L, d); query row p attends to the rows p - delta of k
-    and v for each delta in offsets with delta <= p. The K = len(offsets)
-    keys and values of every row are gathered into (L, K, d) arrays, so
-    time and memory grow as L*K rather than L*L. Scores are scaled by
+    and v for each delta in offsets with delta <= p. The offsets are
+    distinct integers. The K = len(offsets) keys and values of every row
+    are gathered into (L, K, d) arrays, so time grows as L*K rather than
+    L*L. The tape keeps only the (L, K) weights: the backward pass gathers
+    the keys and values again from the op's inputs. Scores are scaled by
     1/sqrt(d) and softmax-normalized over a row's valid slots only. The
     result equals attention(q, k, v, mask) with mask[p, p - delta] true.
     """
-    offsets = tuple(int(o) for o in offsets)
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"offset_attention: q {q.shape}, k {k.shape}, "
                          f"v {v.shape}")
     L, d = q.shape
-    if 0 not in offsets or not all(0 <= o < L for o in offsets):
-        raise ContractError(f"offset_attention: offsets {offsets} must "
-                            f"include 0 and lie in [0, {L})")
+    offsets = tuple(offsets)
+    if (not all(isinstance(o, numbers.Integral) and not isinstance(o, bool)
+                for o in offsets)
+            or len(set(offsets)) != len(offsets) or 0 not in offsets
+            or not all(0 <= o < L for o in offsets)):
+        raise ContractError(f"offset_attention: offsets {offsets} must be "
+                            f"distinct integers, include 0 and lie in "
+                            f"[0, {L})")
     idx, valid = offset_table(L, offsets)
     c = 1.0 / math.sqrt(d)
     kg, vg = np.take(k.data, idx, axis=0), np.take(v.data, idx, axis=0)
@@ -488,13 +495,15 @@ def offset_attention(q: Tensor, k: Tensor, v: Tensor,
     alpha -= alpha.max(axis=1, keepdims=True)
     np.exp(alpha, out=alpha)
     alpha /= alpha.sum(axis=1, keepdims=True)
+    out = (alpha[:, None, :] @ vg)[:, 0]
+    del kg, vg
 
     def bw(g):
-        ds = np.einsum("lkd,ld->lk", vg, g)
+        ds = np.einsum("lkd,ld->lk", np.take(v.data, idx, axis=0), g)
         ds -= (ds * alpha).sum(axis=1, keepdims=True)
         ds *= alpha
         ds *= c
-        dq = (ds[:, None, :] @ kg)[:, 0]
+        dq = (ds[:, None, :] @ np.take(k.data, idx, axis=0))[:, 0]
         dk, dv = np.zeros_like(k.data), np.zeros_like(v.data)
         # Scatter-back of the gather: slot j of row p came from row p - delta.
         for j, delta in enumerate(offsets):
@@ -502,8 +511,7 @@ def offset_attention(q: Tensor, k: Tensor, v: Tensor,
             dv[:L - delta] += alpha[delta:, j, None] * g[delta:]
         return dq, dk, dv
 
-    return _record((alpha[:, None, :] @ vg)[:, 0], "offset_attention",
-                   (q, k, v), bw)
+    return _record(out, "offset_attention", (q, k, v), bw)
 
 
 # ---------------------------------------------------------------------------

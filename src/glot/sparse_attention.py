@@ -22,9 +22,10 @@ from .numcore import ContractError, Tensor
 # Shortest length at which lssa_layer gathers the log-sparse keys instead
 # of masking a dense L x L score matrix. Below it, the masked-dense op's
 # few large BLAS calls beat the gathered op's per-slot work. Forward plus
-# backward of 5 stacked layers at d_b = 8, one BLAS thread on a 2-vCPU
-# Xeon: gathered/dense time is about 1.35 at L = 32, 1.0 at L = 96, at
-# most 1.0 from L = 128 on, and 0.44 at L = 192.
+# backward of 5 stacked layers at d_b = 8, the gathered backward pass
+# gathering its keys and values again, one BLAS thread on a 2-vCPU Xeon:
+# gathered/dense time is about 1.4 at L = 32, 1.0 at L = 96, 0.7 at
+# L = 128 and 0.36 at L = 192.
 GATHER_MIN_LENGTH = 128
 
 

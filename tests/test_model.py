@@ -291,6 +291,31 @@ def test_encoder_gradients_above_gather_crossover():
     assert [(c.name, c.max_rel_err) for c in checks if not c.passed] == []
 
 
+def test_long_clip_forward_keeps_no_lssa_gathers():
+    # long_video's model shape: 10 LSSA layers of width d_b = 8 over two
+    # 736-frame clips. A tape that kept each layer's two (L, K, d_b) key
+    # and value gathers (K = 11) would hold their 20.7 MB on top of the
+    # about 8.2 MB it holds now; the bound of 0.75 x 20.7 = 15.5 MB leaves
+    # 7.3 MB of headroom over today's figure.
+    F, depth = 736, 10
+    m = tiny_model(d_model=16, ff_size=32, n_lssa_layers=depth, max_frames=F)
+    rng = np.random.default_rng(0)
+    args = (m, [rng.normal(size=(F, 5)) for _ in range(2)],
+            [[5, 6], [6, 5]], [[5, 7], [7, 9]])
+    training.batch_loss(*args)  # warm the per-length caches
+    gathers = 2 * depth * 2 * F * len(sa.log_sparse_offsets(F)) * 8 * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with nc.Tape() as tape:
+            loss = training.batch_loss(*args)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(tape) > 0 and np.isfinite(loss.item())
+    assert held < 0.75 * gathers, (held, gathers)
+
+
 def test_s2g2t_shapes_and_finite_loss():
     m = tiny_model()
     rng = np.random.default_rng(14)
