@@ -14,7 +14,6 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -83,44 +82,56 @@ def _merge_config(args: argparse.Namespace, flags: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# shared model/pipeline assembly
+# shared run assembly
 
-def _dataset_limits(samples: list[dataio.SignSample]) -> tuple[int, int, int]:
-    max_frames = max(s.features.shape[0] for s in samples)
-    max_target = max(max(len(s.gloss), len(s.text)) for s in samples)
-    feat_dim = samples[0].features.shape[1]
-    return max_frames, max_target, feat_dim
+def _split_samples(manifest_path: str, split: str) -> list[dataio.SignSample]:
+    """The samples of one split of a manifest; an empty split is a usage
+    error."""
+    samples = dataio.read_manifest(manifest_path).load_samples(split=split)
+    if not samples:
+        raise UsageError(f"manifest has no samples in split {split!r}")
+    return samples
 
 
 def _build_pipeline(args, cv_samples):
+    """Assemble a train or crossval run: size the --hparams presets to the
+    data, print the effective config, encode the samples and make the run
+    directory. Returns (model from a seed, TrainConfig, encoded, run dir)."""
     gloss_vocab = dataio.build_vocab([s.gloss for s in cv_samples])
     text_vocab = dataio.build_vocab([s.text for s in cv_samples])
-    max_frames, max_target, feat_dim = _dataset_limits(cv_samples)
-    preset = GlotConfig.set1 if args.hparams == "set1" else GlotConfig.set2
-    overrides = dict(feat_dim=feat_dim,
-                     max_frames=max_frames,
-                     max_target_len=max_target + 2,
-                     gloss_vocab_size=len(gloss_vocab),
-                     text_vocab_size=len(text_vocab),
-                     encoder_kind=("glot" if args.encoder == "glot"
-                                   else "dense_baseline"))
+    overrides = dict(
+        feat_dim=cv_samples[0].features.shape[1],
+        max_frames=max(s.features.shape[0] for s in cv_samples),
+        max_target_len=2 + max(max(len(s.gloss), len(s.text))
+                               for s in cv_samples),
+        gloss_vocab_size=len(gloss_vocab),
+        text_vocab_size=len(text_vocab),
+        encoder_kind=("glot" if args.encoder == "glot" else "dense_baseline"))
     # A flag left unset keeps the preset's value; a set one, even 0, is
     # passed on for the config to validate.
     for flag, field in (("d_model", "d_model"), ("ff_size", "ff_size"),
                         ("heads", "n_heads")):
         if getattr(args, flag) is not None:
             overrides[field] = getattr(args, flag)
-    mconfig = preset(**overrides)
+    mconfig = getattr(GlotConfig, args.hparams)(**overrides)
 
-    tpreset = (training.TrainConfig.set1 if args.hparams == "set1"
-               else training.TrainConfig.set2)
-    toverrides = dict(seed=args.seed)
+    toverrides = dict(seed=args.seed, checkpoint_dir=args.out)
     for flag, field in (("epochs", "epochs"), ("batch_size", "batch_size"),
                         ("lr", "lr_initial")):
         if getattr(args, flag) is not None:
             toverrides[field] = getattr(args, flag)
-    tconfig = tpreset(**toverrides)
-    return mconfig, tconfig, gloss_vocab, text_vocab
+    tconfig = getattr(training.TrainConfig, args.hparams)(**toverrides)
+
+    _print_effective_config(mconfig, tconfig)
+    encoded = training.encode_samples(cv_samples, gloss_vocab, text_vocab)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+
+    def make_model(seed: int) -> GlotModel:
+        return GlotModel(mconfig, gloss_vocab=gloss_vocab,
+                         text_vocab=text_vocab, seed=seed)
+
+    return make_model, tconfig, encoded, out
 
 
 def _print_effective_config(mconfig: GlotConfig, tconfig) -> None:
@@ -148,28 +159,16 @@ def cmd_synth(args) -> int:
 
 
 def cmd_train(args) -> int:
-    manifest = dataio.read_manifest(args.manifest)
-    cv_samples = manifest.load_samples(split="cv")
-    if not cv_samples:
-        raise UsageError("manifest has no cv-split samples")
+    cv_samples = _split_samples(args.manifest, "cv")
     # the validation carve-out, checked before any output or run directory
     order = np.random.default_rng(args.seed).permutation(len(cv_samples))
     n_val = max(1, len(cv_samples) // 5)
     if n_val == len(cv_samples):
         raise UsageError("dataset too small to carve out a validation set")
-    mconfig, tconfig, gloss_vocab, text_vocab = _build_pipeline(args, cv_samples)
-    _print_effective_config(mconfig, tconfig)
-
-    encoded = training.encode_samples(cv_samples, gloss_vocab, text_vocab)
+    make_model, tconfig, encoded, out = _build_pipeline(args, cv_samples)
     val_set = [encoded[i] for i in order[:n_val]]
     train_set = [encoded[i] for i in order[n_val:]]
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    tconfig = replace(tconfig, checkpoint_dir=str(out))
-    model = GlotModel(mconfig, gloss_vocab=gloss_vocab, text_vocab=text_vocab,
-                      seed=args.seed)
-    report = training.train(model, train_set, val_set, tconfig)
+    report = training.train(make_model(args.seed), train_set, val_set, tconfig)
     report.write_log(out / "train_log.txt")
     print(f"best epoch {report.best_epoch} "
           f"val bleu4={report.best_bleu4:.6f} "
@@ -178,24 +177,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_crossval(args) -> int:
-    manifest = dataio.read_manifest(args.manifest)
-    cv_samples = manifest.load_samples(split="cv")
+    cv_samples = _split_samples(args.manifest, "cv")
     # cross_validate's fold rule, applied before any output or run directory
     training.make_folds(len(cv_samples), args.folds, args.seed)
-    mconfig, tconfig, gloss_vocab, text_vocab = _build_pipeline(args, cv_samples)
-    _print_effective_config(mconfig, tconfig)
-    encoded = training.encode_samples(cv_samples, gloss_vocab, text_vocab)
-
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    tconfig = replace(tconfig, checkpoint_dir=str(out))
-
-    def factory(fold_index: int) -> GlotModel:
-        return GlotModel(mconfig, gloss_vocab=gloss_vocab,
-                         text_vocab=text_vocab, seed=args.seed + fold_index)
-
-    reports, best = training.cross_validate(encoded, tconfig, factory,
-                                            k=args.folds)
+    make_model, tconfig, encoded, out = _build_pipeline(args, cv_samples)
+    reports, best = training.cross_validate(
+        encoded, tconfig, lambda fold: make_model(args.seed + fold),
+        k=args.folds)
     for r in reports:
         r.write_log(out / f"fold{r.fold_index}_log.txt")
         print(f"fold={r.fold_index} best_bleu4={r.best_bleu4:.6f}")
@@ -208,10 +196,7 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     if model.gloss_vocab is None or model.text_vocab is None:
         raise UsageError("checkpoint carries no vocabularies; cannot evaluate")
-    manifest = dataio.read_manifest(args.manifest)
-    samples = manifest.load_samples(split=args.split)
-    if not samples:
-        raise UsageError(f"manifest has no samples in split {args.split!r}")
+    samples = _split_samples(args.manifest, args.split)
     if samples[0].features.shape[1] != model.config.feat_dim:
         raise UsageError("feature width does not match the checkpoint config")
     encoded = training.encode_samples(samples, model.gloss_vocab,

@@ -3,13 +3,15 @@ seeded synthetic sign->gloss->text corpus generator.
 
 Feature file layout (little-endian): magic ``GLOTFEAT``, version u32,
 frame count u32, feature width u32, then F*width float64 values row-major.
-Manifests are tab-separated UTF-8, one sample per line
-(id, feature path, gloss string, text string, split tag); ``#`` lines are
-comments. Paths are resolved relative to the manifest's directory.
+Manifests are tab-separated UTF-8, one sample per line (id, feature path,
+gloss string, text string, split tag); ``#`` lines are comments and a
+leading byte-order mark is skipped. Paths are resolved relative to the
+manifest's directory.
 """
 
 from __future__ import annotations
 
+import codecs
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -164,9 +166,10 @@ def write_manifest(path: Path | str, entries: list[ManifestEntry]) -> None:
 
 
 def read_utf8(path: Path | str) -> str:
-    """The text of a UTF-8 file; FormatError, naming the file and line,
-    if it holds a byte sequence that is not UTF-8."""
-    blob = Path(path).read_bytes()
+    """The text of a UTF-8 file, less one leading byte-order mark;
+    FormatError, naming the file and line, if it holds a byte sequence
+    that is not UTF-8."""
+    blob = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return blob.decode("utf-8")
     except UnicodeDecodeError as e:

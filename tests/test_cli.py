@@ -100,7 +100,8 @@ def test_effective_config_set1(tmp_path, capsys):
     assert "schedule=plateau" in out
 
 
-def test_effective_config_values_without_overrides(tmp_path, capsys):
+def test_effective_config_values_without_overrides(tmp_path, capsys,
+                                                   monkeypatch):
     # verify the preset numbers are reported verbatim; intercept before the
     # (expensive) training loop starts
     run(capsys, ["synth", "--samples", "6", "--out", str(tmp_path / "d")])
@@ -110,23 +111,25 @@ def test_effective_config_values_without_overrides(tmp_path, capsys):
     def boom(*a, **k):
         raise numcore.NonFiniteError("stop after config print")
 
-    orig = training.train
-    training.train = boom
-    try:
+    monkeypatch.setattr(training, "train", boom)
+    monkeypatch.setattr(training, "cross_validate", boom)
+
+    def config_line(command, hparams):
         code, out, _ = run(capsys, [
-            "train", "--manifest", str(tmp_path / "d" / "manifest.tsv"),
-            "--hparams", "set1", "--out", str(tmp_path / "run")])
+            command, "--manifest", str(tmp_path / "d" / "manifest.tsv"),
+            "--hparams", hparams, "--out", str(tmp_path / "run")])
         assert code == 3
-        assert "d_model=512" in out and "ff_size=2048" in out
-        assert "dropout=0.1" in out and "n_heads=8" in out
-        code, out, _ = run(capsys, [
-            "train", "--manifest", str(tmp_path / "d" / "manifest.tsv"),
-            "--hparams", "set2", "--out", str(tmp_path / "run")])
-        assert code == 3
-        assert "d_model=256" in out and "ff_size=256" in out
-        assert "dropout=0.0" in out and "lr_initial=0.001" in out
-    finally:
-        training.train = orig
+        [line] = out.splitlines()
+        return line
+
+    out = config_line("train", "set1")
+    assert "d_model=512" in out and "ff_size=2048" in out
+    assert "dropout=0.1" in out and "n_heads=8" in out
+    assert config_line("crossval", "set1") == out
+    out = config_line("train", "set2")
+    assert "d_model=256" in out and "ff_size=256" in out
+    assert "dropout=0.0" in out and "lr_initial=0.001" in out
+    assert config_line("crossval", "set2") == out
 
 
 def test_train_same_seed_identical_checkpoints(tmp_path, capsys):
@@ -180,9 +183,11 @@ def test_eval_schema_and_empty_split(tmp_path, capsys):
         e.split = "cv"
     empty = tmp_path / "d" / "allcv.tsv"
     dataio.write_manifest(empty, man.entries)
-    code, _, err = run(capsys, ["eval", "--manifest", str(empty),
-                                "--checkpoint", ckpt, "--split", "test"])
-    assert code == 2
+    code, out, err = run(capsys, ["eval", "--manifest", str(empty),
+                                  "--checkpoint", ckpt, "--split", "test"])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "error: manifest has no samples in split 'test'"]
 
 
 def test_eval_checkpoint_mismatch(tmp_path, capsys):
@@ -285,7 +290,7 @@ def test_nonfinite_forward_op_exits_3(tmp_path, capsys):
     assert msg.startswith("divergence: ") and "produced non-finite" in msg
 
 
-@pytest.mark.parametrize("flag, value, expected", [
+NONPOSITIVE_FLAGS = [
     ("--epochs", "0", "epochs must be positive"),
     ("--epochs", "-1", "epochs must be positive"),
     ("--batch-size", "0", "batch_size must be positive"),
@@ -296,17 +301,39 @@ def test_nonfinite_forward_op_exits_3(tmp_path, capsys):
     ("--heads", "0", "n_heads must be positive"),
     ("--heads", "-2", "n_heads must be positive"),
     ("--ff-size", "0", "ff_size must be positive"),
-])
-def test_train_nonpositive_flag_exits_2(tmp_path, capsys, flag, value,
-                                        expected):
+]
+
+
+# a train case's id is its flag, value and message; crossval's adds a prefix
+@pytest.mark.parametrize("command, flag, value, expected", [
+    pytest.param(command, *case,
+                 id="-".join(case if command == "train" else (command, *case)))
+    for command in ("train", "crossval") for case in NONPOSITIVE_FLAGS])
+def test_train_nonpositive_flag_exits_2(tmp_path, capsys, command, flag,
+                                        value, expected):
     run(capsys, ["synth", "--samples", "6", "--out", str(tmp_path / "d")])
-    code, _, err = run(capsys, [
-        "train", "--manifest", str(tmp_path / "d" / "manifest.tsv"),
+    code, out, err = run(capsys, [
+        command, "--manifest", str(tmp_path / "d" / "manifest.tsv"),
         "--d-model", "8", "--ff-size", "8", "--heads", "2",
         flag, value, "--out", str(tmp_path / "run")])
-    assert code == 2
+    assert code == 2 and out == ""
     [msg] = err.splitlines()
     assert msg.startswith("error: ") and expected in msg
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "crossval"])
+def test_empty_cv_split_exits_2_before_any_output(tmp_path, capsys, command):
+    man = dataio.synth_generate(0, 6, 3, 5, 0.0, tmp_path / "d")
+    for e in man.entries:
+        e.split = "test"
+    manifest = tmp_path / "d" / "alltest.tsv"
+    dataio.write_manifest(manifest, man.entries)
+    code, out, err = run(capsys, [command, "--manifest", str(manifest),
+                                  "--out", str(tmp_path / "run")])
+    assert code == 2 and out == ""
+    assert err.splitlines() == ["error: manifest has no samples in split 'cv'"]
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("folds", ["0", "1", "-2"])
@@ -443,6 +470,36 @@ def test_non_utf8_config_file_exits_2(tmp_path, capsys):
                                   "--out", str(tmp_path / "run")])
     assert code == 2 and out == ""
     assert err.splitlines() == [f"error: {cfg}:1: not UTF-8 text"]
+
+
+def test_bom_manifest_and_config_file_read_like_bomless_copies(tmp_path):
+    dataio.synth_generate(0, 6, 3, 5, 0.0, tmp_path / "d")
+    manifest = tmp_path / "d" / "manifest.tsv"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# run settings\nepochs=2\nhparams=set1\n")
+    for plain in (manifest, cfg):
+        bom = plain.with_name("bom-" + plain.name)
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    keys = set(cli.COMMANDS["train"][2])
+    assert cli._load_config_file(str(tmp_path / "bom-run.cfg"), keys) == \
+        cli._load_config_file(str(cfg), keys) == \
+        {"epochs": (2, "2"), "hparams": (3, "set1")}
+    bom_manifest = dataio.read_manifest(tmp_path / "d" / "bom-manifest.tsv")
+    assert bom_manifest.entries == dataio.read_manifest(manifest).entries
+    assert len(bom_manifest.entries) == 6
+
+
+def test_bom_then_non_utf8_manifest_names_its_line(tmp_path, capsys):
+    run(capsys, ["synth", "--samples", "6", "--out", str(tmp_path / "d")])
+    manifest = tmp_path / "d" / "manifest.tsv"
+    lines = manifest.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b"sign", b"s\xffgn", 1)
+    manifest.write_bytes(b"\xef\xbb\xbf" + b"".join(lines))
+    code, out, err = run(capsys, ["train", "--manifest", str(manifest),
+                                  "--out", str(tmp_path / "run")])
+    assert code == 2 and out == ""
+    assert err.splitlines() == [f"error: {manifest}:3: not UTF-8 text"]
+    assert not (tmp_path / "run").exists()
 
 
 def test_config_file_values_inside_choices_accepted(tmp_path, capsys):
