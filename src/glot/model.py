@@ -23,6 +23,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -191,20 +192,50 @@ def positional_encoding(length: int, width: int) -> np.ndarray:
     return table
 
 
+class StepWeights(NamedTuple):
+    """The arrays of one decoder stage that a cached step reads, fetched
+    once per stage. The self-attention's query, key and value weights
+    stand side by side as [wq|wk|wv], and the cross-attention's key and
+    value weights as [wk|wv], so one matmul projects each: on float64
+    BLAS the column blocks of x @ [A|B] equal x @ A and x @ B to the bit.
+    Each norm is its (gain, bias)."""
+    embed: np.ndarray
+    self_qkv: np.ndarray
+    self_wo: np.ndarray
+    self_norm: tuple[np.ndarray, np.ndarray]
+    cross_wq: np.ndarray
+    cross_kv: np.ndarray
+    cross_wo: np.ndarray
+    cross_norm: tuple[np.ndarray, np.ndarray]
+    ff_w1: np.ndarray
+    ff_b1: np.ndarray
+    ff_w2: np.ndarray
+    ff_b2: np.ndarray
+    ff_norm: tuple[np.ndarray, np.ndarray]
+    out_w: np.ndarray
+    out_b: np.ndarray
+
+
 class DecoderCache:
     """Decoder state carried across the steps of one greedy stage.
 
-    It keeps the decoder layer's self-attention keys and values of every
-    position decoded so far, and the cross-attention keys and values of
-    the stage's memory, projected once, on the stage's first step; both
-    are None before it. All are kept split into heads as the attention
-    kernel takes them: keys as (H, d/H, rows), values as (H, rows, d/H).
-    They are plain arrays, so a cached step records no gradient: the
-    cache is for inference.
+    A cache serves one stage over one memory. Its first step records the
+    stage and the memory object, fetches the stage's StepWeights and
+    projects the memory's cross-attention keys and values once; a later
+    step with another stage or another memory raises ContractError before
+    it does any work. The self-attention keys and values of every position
+    decoded so far grow by one step at a time. Keys and values are kept
+    split into heads as the attention kernel takes them: keys as
+    (H, d/H, rows), values as (H, rows, d/H); all are None before the
+    first step. They are plain arrays, so a cached step records no
+    gradient: the cache is for inference.
     """
 
     def __init__(self):
         self.start = 0      # positions already decoded
+        self.stage: str | None = None
+        self.memory: Tensor | None = None
+        self.weights: StepWeights | None = None
         self.self_kv: tuple[np.ndarray, np.ndarray] | None = None
         self.cross_kv: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -220,12 +251,30 @@ class DecoderCache:
         return kt, vh
 
 
-def _affine(x: np.ndarray, w: Tensor, b: Tensor | None = None) -> np.ndarray:
-    """nc.matmul's arithmetic on arrays, finite-checked under its name."""
-    out = x @ w.data
+# One-row forward arithmetic of the cached decoder step: each is the
+# forward kernel of a numcore op on plain arrays, its output finite-checked
+# under that op's name.
+
+def _linear(x: np.ndarray, w: np.ndarray,
+            b: np.ndarray | None = None) -> np.ndarray:
+    out = x @ w
     if b is not None:
-        out += b.data
+        out += b
     nc._check_finite(out, "matmul")
+    return out
+
+
+def _attend_row(q: np.ndarray, kt: np.ndarray, vh: np.ndarray,
+                n_heads: int) -> np.ndarray:
+    heads, _ = nc._attend_heads(nc._split_heads(q, n_heads), kt, vh, None)
+    nc._check_finite(heads, "attention")
+    return heads
+
+
+def _norm_row(x: np.ndarray, norm: tuple[np.ndarray, np.ndarray]
+              ) -> np.ndarray:
+    out, _, _ = nc._norm_rows(x, *norm)
+    nc._check_finite(out, "layer_norm")
     return out
 
 
@@ -425,7 +474,8 @@ class GlotModel:
         arrays, by the forward kernels of the ops above; its key and value
         join the cache, and each kernel's output is finite-checked under the
         op's name. The 1 x vocab logits come back as a Tensor that records
-        nothing. A cache holds one sequence, so it takes no blocks.
+        nothing. A cache holds one sequence of one stage over one memory
+        (DecoderCache), so it takes no blocks.
         """
         if stage not in ("gloss", "text"):
             raise nc.ConfigError(f"unknown decoder stage {stage!r}")
@@ -440,6 +490,12 @@ class GlotModel:
             if self.training:
                 raise nc.ContractError("a cached decoder step applies no "
                                        "dropout; it runs in eval mode only")
+            if cache.stage is not None and (stage != cache.stage
+                                            or memory is not cache.memory):
+                raise nc.ContractError(
+                    f"a decoder cache serves one stage over one memory: "
+                    f"this one serves the {cache.stage} stage over the "
+                    f"memory of its first step")
             longest = cache.start + 1
             if longest > limit:
                 raise DataError(f"target length {longest} exceeds limit")
@@ -465,48 +521,55 @@ class GlotModel:
         h = self._norm(pre + "ff_norm", h, self._dropout(ff))
         return nc.matmul(h, p[f"out_{stage}.w"], p[f"out_{stage}.b"])
 
+    def _stage_weights(self, stage: str) -> StepWeights:
+        """The arrays a cached step of this stage reads."""
+        p, pre = self.params, f"dec_{stage}0."
+
+        def arr(*names: str) -> np.ndarray:
+            """The named parameters' arrays, side by side."""
+            cols = [p[pre + n].data for n in names]
+            return cols[0] if len(cols) == 1 else np.concatenate(cols, axis=1)
+
+        return StepWeights(
+            p[f"embed_{stage}"].data,
+            arr("self.wq", "self.wk", "self.wv"), arr("self.wo"),
+            (arr("self_norm_g"), arr("self_norm_b")),
+            arr("cross.wq"), arr("cross.wk", "cross.wv"), arr("cross.wo"),
+            (arr("cross_norm_g"), arr("cross_norm_b")),
+            arr("ff.w1"), arr("ff.b1"), arr("ff.w2"), arr("ff.b2"),
+            (arr("ff_norm_g"), arr("ff_norm_b")),
+            p[f"out_{stage}.w"].data, p[f"out_{stage}.b"].data)
+
     def _decoder_step(self, memory: Tensor, token: int, stage: str,
                       cache: DecoderCache) -> Tensor:
         """decoder_forward with a cache for one token: the ops' forward
         arithmetic on its one row, in the taped path's order, each output
         finite-checked. The row may see every cached key: it needs no mask."""
-        p, H, check = self.params, self.config.n_heads, nc._check_finite
-
-        def attend(prefix: str, x: np.ndarray, kt: np.ndarray,
-                   vh: np.ndarray) -> np.ndarray:
-            q = nc._split_heads(_affine(x, p[prefix + "wq"]), H)
-            heads, _ = nc._attend_heads(q, kt, vh, None)
-            check(heads, "attention")
-            return _affine(heads, p[prefix + "wo"])
-
-        def norm(prefix: str, x: np.ndarray) -> np.ndarray:
-            out, _, _ = nc._norm_rows(x, p[prefix + "_g"].data,
-                                      p[prefix + "_b"].data)
-            check(out, "layer_norm")
-            return out
-
-        h = p[f"embed_{stage}"].data[token:token + 1]
+        H, d = self.config.n_heads, self.config.d_model
+        if cache.weights is None:
+            w = self._stage_weights(stage)
+            kv = _linear(memory.data, w.cross_kv)
+            cache.stage, cache.memory, cache.weights = stage, memory, w
+            cache.cross_kv = (nc._split_heads(kv[:, :d], H, True),
+                              nc._split_heads(kv[:, d:], H))
+        w, t, check = cache.weights, cache.start, nc._check_finite
+        h = w.embed[token:token + 1]
         check(h, "gather_rows")
-        h = h + self._sinusoids(cache.start + 1)[cache.start:]
+        h = h + self._sinusoids(t + 1)[t:]
         check(h, "add")
-        pre = f"dec_{stage}0."
-        kt = nc._split_heads(_affine(h, p[pre + "self.wk"]), H, True)
-        vh = nc._split_heads(_affine(h, p[pre + "self.wv"]), H)
-        kv = cache.extend(kt, vh)
-        if cache.cross_kv is None:
-            k, v = (_affine(memory.data, p[f"{pre}cross.w{c}"]) for c in "kv")
-            cache.cross_kv = (nc._split_heads(k, H, True),
-                              nc._split_heads(v, H))
-        h = norm(pre + "self_norm", h + attend(pre + "self.", h, *kv))
-        h = norm(pre + "cross_norm",
-                 h + attend(pre + "cross.", h, *cache.cross_kv))
-        ff = _affine(h, p[pre + "ff.w1"], p[pre + "ff.b1"])
+        qkv = _linear(h, w.self_qkv)
+        kt, vh = cache.extend(nc._split_heads(qkv[:, d:2 * d], H, True),
+                              nc._split_heads(qkv[:, 2 * d:], H))
+        attn = _linear(_attend_row(qkv[:, :d], kt, vh, H), w.self_wo)
+        h = _norm_row(h + attn, w.self_norm)
+        attn = _attend_row(_linear(h, w.cross_wq), *cache.cross_kv, H)
+        h = _norm_row(h + _linear(attn, w.cross_wo), w.cross_norm)
+        ff = _linear(h, w.ff_w1, w.ff_b1)
         np.maximum(ff, 0.0, out=ff)
         check(ff, "relu")
-        h = norm(pre + "ff_norm",
-                 h + _affine(ff, p[pre + "ff.w2"], p[pre + "ff.b2"]))
+        h = _norm_row(h + _linear(ff, w.ff_w2, w.ff_b2), w.ff_norm)
         cache.start += 1
-        return Tensor(_affine(h, p[f"out_{stage}.w"], p[f"out_{stage}.b"]))
+        return Tensor(_linear(h, w.out_w, w.out_b))
 
     def _gloss_memory(self, memory: Tensor, lengths: list[int],
                       gloss_ids: list[list[int]]) -> Tensor:
@@ -571,9 +634,20 @@ class GlotModel:
 
     def greedy_decode(self, frames: np.ndarray,
                       max_len: int | None = None) -> GreedyResult:
-        """Deterministic argmax decoding, gloss stage feeding the text stage."""
+        """Deterministic argmax decoding, gloss stage feeding the text stage.
+
+        Each stage decodes at most max_len tokens (None means
+        max_target_len); a stage that reaches it unended is truncated.
+        max_len is an int in [0, max_target_len + 2], the longest a cached
+        stage may run, or ContractError is raised before anything is
+        encoded."""
+        limit = self.config.max_target_len + 2
         if max_len is None:
             max_len = self.config.max_target_len
+        if (isinstance(max_len, bool) or not isinstance(max_len, int)
+                or not 0 <= max_len <= limit):
+            raise nc.ContractError(f"greedy_decode: max_len must be an int "
+                                   f"in [0, {limit}], got {max_len!r}")
         was_training = self.training
         self.eval()
         try:
@@ -594,6 +668,20 @@ class GlotModel:
 # checkpoint container
 
 def save_checkpoint(model: GlotModel, path: Path | str) -> None:
+    """Write the model to path through a temporary file in its directory
+    that replaces path only once it is whole: a save that fails leaves any
+    previous file at path as it was, and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        _write_checkpoint(model, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_checkpoint(model: GlotModel, path: Path) -> None:
     header = {
         "config": asdict(model.config),
         "gloss_vocab": model.gloss_vocab.tokens if model.gloss_vocab else None,

@@ -19,7 +19,6 @@ take two operands of one shape and raise ``ShapeError`` otherwise.
 from __future__ import annotations
 
 import contextvars
-import functools
 import itertools
 import math
 import numbers
@@ -447,32 +446,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
                    (q, k, v), bw)
 
 
-@functools.lru_cache(maxsize=256)
-def offset_table(length: int, offsets: tuple[int, ...]
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(length, K) table of the key rows p - offsets[j] of each query row
-    p, and the mask of its valid slots (p - offsets[j] >= 0); invalid
-    slots hold row 0. Cached per (length, offsets) and read-only."""
-    idx = np.arange(length)[:, None] - np.asarray(offsets, dtype=np.int64)
-    valid = idx >= 0
-    idx[~valid] = 0
-    idx.setflags(write=False)
-    valid.setflags(write=False)
-    return idx, valid
-
-
 def offset_attention(q: Tensor, k: Tensor, v: Tensor,
                      offsets: Sequence[int]) -> Tensor:
     """Single-head scaled dot-product attention over fixed key distances.
 
     q, k and v are (L, d); query row p attends to the rows p - delta of k
     and v for each delta in offsets with delta <= p. The offsets are
-    distinct integers. The K = len(offsets) keys and values of every row
-    are gathered into (L, K, d) arrays, so time grows as L*K rather than
-    L*L. The tape keeps only the (L, K) weights: the backward pass gathers
-    the keys and values again from the op's inputs. Scores are scaled by
-    1/sqrt(d) and softmax-normalized over a row's valid slots only. The
-    result equals attention(q, k, v, mask) with mask[p, p - delta] true.
+    distinct integers. Each distance is one shifted block of rows: its
+    scores are the row-wise dot products of q[delta:] with k[:L - delta],
+    row j of a (K, L) weight array (K = len(offsets)), and the output and
+    every gradient add K shifted products, so time grows as L*K rather
+    than L*L and nothing larger than the weights is built. The tape keeps
+    only those weights. Scores are scaled by 1/sqrt(d) and
+    softmax-normalized over a row's valid distances only, so the weight
+    of a distance beyond its row is exactly 0. The result equals
+    attention(q, k, v, mask) with mask[p, p - delta] true.
     """
     if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
         raise ShapeError(f"offset_attention: q {q.shape}, k {k.shape}, "
@@ -486,32 +474,47 @@ def offset_attention(q: Tensor, k: Tensor, v: Tensor,
         raise ContractError(f"offset_attention: offsets {offsets} must be "
                             f"distinct integers, include 0 and lie in "
                             f"[0, {L})")
-    idx, valid = offset_table(L, offsets)
+    qd, kd, vd = q.data, k.data, v.data
+    alpha = np.full((len(offsets), L), -np.inf)
+    for j, delta in enumerate(offsets):
+        np.einsum("ld,ld->l", qd[delta:], kd[:L - delta],
+                  out=alpha[j, delta:])
     c = 1.0 / math.sqrt(d)
-    kg, vg = np.take(k.data, idx, axis=0), np.take(v.data, idx, axis=0)
-    alpha = np.einsum("lkd,ld->lk", kg, q.data)
     alpha *= c
-    np.copyto(alpha, -np.inf, where=~valid)
-    alpha -= alpha.max(axis=1, keepdims=True)
+    alpha -= np.maximum.reduce(alpha, axis=0)
     np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=1, keepdims=True)
-    out = (alpha[:, None, :] @ vg)[:, 0]
-    del kg, vg
+    alpha /= np.add.reduce(alpha, axis=0)
+    out = _shifted_sum(alpha, vd, offsets)
 
     def bw(g):
-        ds = np.einsum("lkd,ld->lk", np.take(v.data, idx, axis=0), g)
-        ds -= (ds * alpha).sum(axis=1, keepdims=True)
+        ds = np.zeros_like(alpha)
+        for j, delta in enumerate(offsets):
+            np.einsum("ld,ld->l", g[delta:], vd[:L - delta],
+                      out=ds[j, delta:])
+        ds -= np.add.reduce(ds * alpha, axis=0)
         ds *= alpha
         ds *= c
-        dq = (ds[:, None, :] @ np.take(k.data, idx, axis=0))[:, 0]
-        dk, dv = np.zeros_like(k.data), np.zeros_like(v.data)
-        # Scatter-back of the gather: slot j of row p came from row p - delta.
-        for j, delta in enumerate(offsets):
-            dk[:L - delta] += ds[delta:, j, None] * q.data[delta:]
-            dv[:L - delta] += alpha[delta:, j, None] * g[delta:]
-        return dq, dk, dv
+        return (_shifted_sum(ds, kd, offsets),
+                _shifted_sum(ds, qd, offsets, scatter=True),
+                _shifted_sum(alpha, g, offsets, scatter=True))
 
     return _record(out, "offset_attention", (q, k, v), bw)
+
+
+def _shifted_sum(w: np.ndarray, x: np.ndarray, offsets: tuple[int, ...],
+                 scatter: bool = False) -> np.ndarray:
+    """The sum over j of x's rows shifted by delta = offsets[j] and
+    weighted by w[j] (K, L): row p adds w[j, p] * x[p - delta], or, to
+    scatter, row p - delta adds w[j, p] * x[p]. Weights of p < delta are
+    not read."""
+    L = x.shape[0]
+    out = np.zeros(x.shape)
+    for j, delta in enumerate(offsets):
+        if scatter:
+            out[:L - delta] += w[j, delta:, None] * x[delta:]
+        else:
+            out[delta:] += w[j, delta:, None] * x[:L - delta]
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,14 +19,14 @@ from .errors import GlotError
 from .numcore import ContractError, Tensor
 
 
-# Shortest length at which lssa_layer gathers the log-sparse keys instead
-# of masking a dense L x L score matrix. Below it, the masked-dense op's
-# few large BLAS calls beat the gathered op's per-slot work. Forward plus
-# backward of 5 stacked layers at d_b = 8, the gathered backward pass
-# gathering its keys and values again, one BLAS thread on a 2-vCPU Xeon:
-# gathered/dense time is about 1.4 at L = 32, 1.0 at L = 96, 0.7 at
-# L = 128 and 0.36 at L = 192.
-GATHER_MIN_LENGTH = 128
+# Shortest length at which lssa_layer runs numcore.offset_attention, one
+# shifted row block per key distance, instead of masking a dense L x L
+# score matrix. Below it, the masked-dense op's few large BLAS calls beat
+# the offset op's per-distance loop of small array calls. Forward plus
+# backward of 5 stacked layers at d_b = 8, one BLAS thread on a 2-vCPU
+# Xeon, two runs: offset/dense time is about 2.0 at L = 32, 1.6 at L = 64,
+# 1.3 at L = 96, 0.8-0.9 at L = 128 and 0.4 at L = 192.
+OFFSET_MIN_LENGTH = 128
 
 
 class DomainError(GlotError, ValueError):
@@ -108,14 +108,15 @@ def lssa_layer(x: Tensor, params: LssaParams) -> Tensor:
 
     Scores come from learned Q/K projections scaled by sqrt(d_b); the raw
     input rows act as values, so the output row p is the softmax-weighted
-    mean of x over its index set. From GATHER_MIN_LENGTH on, the gathered
-    op evaluates only the O(L log L) allowed pairs; below it, masked-dense
-    attention under build_mask(L) scores the same pairs.
+    mean of x over its index set. From OFFSET_MIN_LENGTH on,
+    offset_attention scores only the O(L log L) allowed pairs, one shifted
+    row block per key distance in log_sparse_offsets(L); below it,
+    masked-dense attention under build_mask(L) scores the same pairs.
     """
     L = x.shape[0]
     q = nc.matmul(x, params.w_q)
     k = nc.matmul(x, params.w_k)
-    if L >= GATHER_MIN_LENGTH:
+    if L >= OFFSET_MIN_LENGTH:
         return nc.offset_attention(q, k, x, log_sparse_offsets(L))
     return nc.attention(q, k, x, build_mask(L))
 

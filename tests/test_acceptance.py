@@ -28,6 +28,15 @@ def test_criterion_1_index_set_oracle():
     _passed(1, f"log index sets match brute force for p in [1,4096] in {dt:.2f}s")
 
 
+def _taped_weights(backward) -> np.ndarray:
+    """The softmax weights an attention op's tape entry keeps: alpha in
+    the closure of offset_attention's backward pass, or the last of the
+    arrays attention saves for its gradients."""
+    cells = dict(zip(backward.__code__.co_freevars,
+                     (c.cell_contents for c in backward.__closure__)))
+    return cells["alpha"] if "alpha" in cells else cells["saved"][-1]
+
+
 def test_criterion_2_complexity_counts():
     rng = np.random.default_rng(0)
     d = 8
@@ -38,19 +47,20 @@ def test_criterion_2_complexity_counts():
         assert expected_sparse <= L * (math.floor(math.log2(L)) + 2)
         assert sa.count_attention_pairs(L, "dense") == L * L
 
-        # What the kernels score: masked-dense attention the pairs of
-        # build_mask, the gathered op the valid slots of its offset table.
+        # What the kernels score: the nonzero softmax weights a layer
+        # keeps on the tape, of masked-dense attention under build_mask
+        # below the crossover and of the offset op from it on.
         assert int(sa.build_mask(L).sum()) == expected_sparse
-        _, valid = nc.offset_table(L, sa.log_sparse_offsets(L))
-        assert int(valid.sum()) == expected_sparse
         x = Tensor(rng.normal(size=(L, d)), requires_grad=True)
         params = sa.LssaParams(Tensor(rng.normal(size=(d, d)) / 3),
                                Tensor(rng.normal(size=(d, d)) / 3))
         with nc.Tape() as tape:
             sa.lssa_layer(x, params)
-        kernel = tape._entries[-1][2].__qualname__.split(".")[0]
-        assert kernel == ("offset_attention" if L >= sa.GATHER_MIN_LENGTH
+        backward = tape._entries[-1][2]
+        kernel = backward.__qualname__.split(".")[0]
+        assert kernel == ("offset_attention" if L >= sa.OFFSET_MIN_LENGTH
                           else "attention"), L
+        assert np.count_nonzero(_taped_weights(backward)) == expected_sparse
     assert sa.count_attention_pairs(8, "logsparse") == 25
     assert sa.count_attention_pairs(8, "dense") == 64
     assert sa.count_attention_pairs(8, "causal_dense") == 36

@@ -1,3 +1,5 @@
+import errno
+import hashlib
 import json
 import struct
 import tracemalloc
@@ -5,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import glot.model
 from glot import dataio, numcore as nc, sparse_attention as sa, training
 from glot.dataio import BOS, EOS, DataError
 from glot.model import (CheckpointError, DecoderCache, GlotConfig, GlotModel,
@@ -278,7 +281,7 @@ def test_decoder_gradients():
 
 def test_encoder_gradients_above_gather_crossover():
     # at this length the LSSA layers run the gathered log-sparse op
-    F = sa.GATHER_MIN_LENGTH + 5
+    F = sa.OFFSET_MIN_LENGTH + 5
     m = tiny_model(max_frames=F, n_lssa_layers=2)
     rng = np.random.default_rng(14)
     x = Tensor(rng.normal(size=(F, 8)), requires_grad=True)
@@ -399,6 +402,29 @@ def test_greedy_decode_zero_budget():
     assert res.gloss_truncated and res.text_truncated
 
 
+@pytest.mark.parametrize("max_len", [-3, -1, 15, 17, 2.0, True, "4",
+                                     np.int64(3)])
+def test_greedy_decode_rejects_max_len_outside_its_range(monkeypatch,
+                                                          max_len):
+    # The tiny preset's max_target_len is 12, so a cached stage may run at
+    # most 14 steps. Anything but an int in [0, 14] is refused before the
+    # clip is encoded.
+    m = tiny_model()
+    monkeypatch.setattr(m, "encode", None)
+    with pytest.raises(nc.ContractError,
+                       match=r"max_len must be an int in \[0, 14\]"):
+        m.greedy_decode(np.zeros((2, 5)), max_len=max_len)
+
+
+def test_greedy_decode_runs_to_the_longest_budget():
+    m = tiny_model()
+    res = m.greedy_decode(np.random.default_rng(32).normal(size=(4, 5)),
+                          max_len=14)
+    for ids, truncated in ((res.gloss_ids, res.gloss_truncated),
+                           (res.text_ids, res.text_truncated)):
+        assert len(ids) <= 14 and truncated == (len(ids) == 14)
+
+
 def test_encoder_kinds_share_pipeline():
     rng = np.random.default_rng(17)
     frames = rng.normal(size=(5, 5))
@@ -445,6 +471,63 @@ def test_checkpoint_roundtrip_bit_exact(tmp_path):
     for name in m.params:
         assert np.array_equal(m.params[name].data, m2.params[name].data), name
     assert m2.config == m.config
+
+
+class _FullDisk:
+    """A binary file whose writes fail with ENOSPC once budget bytes are
+    written; the write that crosses it writes its first part."""
+
+    def __init__(self, fh, budget: int):
+        self.fh, self.room = fh, budget
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+        return False
+
+    def write(self, data: bytes) -> int:
+        if len(data) > self.room:
+            self.fh.write(data[:self.room])
+            self.room = 0
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.room -= len(data)
+        return self.fh.write(data)
+
+
+def test_failed_save_keeps_the_previous_checkpoint(tmp_path, monkeypatch):
+    # A save that fails after 4 KiB leaves the checkpoint it would have
+    # replaced byte-identical and loadable, and no temporary file behind.
+    path = tmp_path / "best.ckpt"
+    save_checkpoint(tiny_model(), path)
+    before = path.read_bytes()
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _FullDisk(fh, 4096) if "w" in mode else fh
+
+    monkeypatch.setattr(glot.model, "open", full_disk_open, raising=False)
+    with pytest.raises(OSError, match="No space left"):
+        save_checkpoint(GlotModel(GlotConfig.tiny(max_frames=8, feat_dim=5),
+                                  seed=1), path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+    assert np.array_equal(load_checkpoint(path).params["out_text.w"].data,
+                          tiny_model().params["out_text.w"].data)
+
+
+def test_clean_save_bytes_are_pinned(tmp_path):
+    # The file a save leaves is the checkpoint format's bytes, as a save
+    # straight to the target wrote them, and nothing else is left behind.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(tiny_model(), path)
+    blob = path.read_bytes()
+    assert len(blob) == 17842
+    assert hashlib.sha256(blob).hexdigest() == (
+        "853b0da6563f90e6d5c1e4c81d2c28f3fd319e397618e8ffee021ca6c5bbf4ea")
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 
 
 @pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
@@ -677,8 +760,7 @@ def test_cached_step_takes_exactly_one_token():
 
 
 STEP_CHECKS = ["gather_rows", "add",                    # embedding + PE
-               "matmul", "matmul",                      # self K, V rows
-               "matmul", "attention", "matmul", "layer_norm",
+               "matmul", "attention", "matmul", "layer_norm",  # self q|k|v
                "matmul", "attention", "matmul", "layer_norm",  # cross
                "matmul", "relu", "matmul", "layer_norm",   # feed-forward
                "matmul"]                                   # output logits
@@ -690,8 +772,8 @@ def test_cached_decoder_step_records_nothing(monkeypatch, kind):
     # on arrays: inside an open tape it appends nothing, it checks each
     # kernel output under the name of the op the taped path runs there,
     # in that order, and only a stage's first step projects the memory's
-    # cross K and V. No step builds a causal mask: its single row may see
-    # every cached key.
+    # cross k|v, with one matmul ahead of the rest. No step builds a causal
+    # mask: its single row may see every cached key.
     m = tiny_model(encoder_kind=kind)
     checked = []
     check = nc._check_finite
@@ -712,11 +794,53 @@ def test_cached_decoder_step_records_nothing(monkeypatch, kind):
             logits = m.decoder_forward(memory, [token], "gloss", cache)
             expected = list(STEP_CHECKS)
             if t == 0:
-                expected[4:4] = ["matmul", "matmul"]
+                expected.insert(0, "matmul")
             assert checked == expected, t
             assert len(tape) == recorded and not logits.requires_grad
     assert cache.self_kv[0].shape == (2, 4, 3)
     assert cache.cross_kv[0].shape == (2, 4, 6)
+
+
+@pytest.mark.parametrize("d", [16, 256])
+@pytest.mark.parametrize("rows", [1, 40, 750])
+def test_stacked_weights_give_bit_equal_column_blocks(d, rows):
+    # A cached step projects its row's self q|k|v against [wq|wk|wv], and
+    # the memory's cross k|v against [wk|wv], each with one matmul. Its
+    # logits equal the taped path's, which projects each separately, only
+    # because each column block of the stacked product is bit-equal to the
+    # separate product, for one row and for a memory-sized block.
+    rng = np.random.default_rng(d * rows)
+    for _ in range(5):
+        x = rng.normal(size=(rows, d))
+        ws = [rng.uniform(-1, 1, size=(d, d)) / np.sqrt(d) for _ in range(3)]
+        for stacked in (ws, ws[1:]):
+            both = x @ np.concatenate(stacked, axis=1)
+            for i, w in enumerate(stacked):
+                assert np.array_equal(both[:, i * d:(i + 1) * d], x @ w)
+
+
+@pytest.mark.parametrize("misuse", ["other-stage", "other-memory"])
+def test_decoder_cache_serves_one_stage_over_one_memory(monkeypatch, misuse):
+    # A cache's first step binds it to its stage and its memory object. A
+    # step with the other stage, or with another memory (an equal copy
+    # too), raises ContractError before it checks or computes anything,
+    # and leaves the cache as it was; the cache still serves its own.
+    m = tiny_model()
+    memory = m.encode([np.random.default_rng(31).normal(size=(6, 5))])
+    cache = DecoderCache()
+    m.decoder_forward(memory, [BOS], "gloss", cache)
+    state = (cache.start, cache.self_kv, cache.cross_kv, cache.weights)
+    stage, mem = (("text", memory) if misuse == "other-stage"
+                  else ("gloss", Tensor(memory.data.copy())))
+    checked = []
+    monkeypatch.setattr(nc, "_check_finite",
+                        lambda arr, op: checked.append(op))
+    with pytest.raises(nc.ContractError, match="one stage over one memory"):
+        m.decoder_forward(mem, [5], stage, cache)
+    assert checked == []
+    assert (cache.start, cache.self_kv, cache.cross_kv, cache.weights) == state
+    m.decoder_forward(memory, [5], "gloss", cache)
+    assert cache.start == 2 and checked
 
 
 def test_cached_step_reports_the_op_that_overflows():

@@ -184,17 +184,6 @@ def test_log_sparse_offsets():
         sa.log_sparse_offsets(0)
 
 
-def test_log_sparse_table_matches_oracle():
-    for L in range(1, 130):
-        idx, valid = nc.offset_table(L, sa.log_sparse_offsets(L))
-        assert idx.shape == valid.shape == (L, len(sa.log_sparse_offsets(L)))
-        for p in range(1, L + 1):
-            keys = sorted(int(i) + 1 for i in idx[p - 1][valid[p - 1]])
-            assert tuple(keys) == sa.log_index_set(p), (L, p)
-        assert nc.offset_table(L, sa.log_sparse_offsets(L))[0] is idx
-        assert not idx.flags.writeable and not valid.flags.writeable
-
-
 def test_count_attention_pairs_closed_form_matches_loop():
     for L in list(range(1, 301)) + [2048]:
         loop = sum(len(sa.log_index_set(p)) for p in range(1, L + 1))
@@ -227,7 +216,7 @@ def _layer_and_masked_dense(x0, params):
 
 def test_lssa_layer_gathers_above_crossover():
     rng = np.random.default_rng(8)
-    L, d = sa.GATHER_MIN_LENGTH + 9, 4
+    L, d = sa.OFFSET_MIN_LENGTH + 9, 4
     x0, params = rng.normal(size=(L, d)), _random_params(rng, d)
     (out, grads, ops), (ref, ref_grads, _) = _layer_and_masked_dense(x0,
                                                                      params)
@@ -239,7 +228,7 @@ def test_lssa_layer_gathers_above_crossover():
 
 def test_lssa_layer_below_crossover_is_masked_dense():
     rng = np.random.default_rng(9)
-    L, d = sa.GATHER_MIN_LENGTH - 1, 4
+    L, d = sa.OFFSET_MIN_LENGTH - 1, 4
     x0, params = rng.normal(size=(L, d)), _random_params(rng, d)
     (out, grads, ops), (ref, ref_grads, _) = _layer_and_masked_dense(x0,
                                                                      params)
@@ -258,7 +247,7 @@ def test_stacked_lssa_rejects_a_foreign_mask():
     rng = np.random.default_rng(10)
     d = 4
     params = _random_params(rng, d)
-    for L in (sa.GATHER_MIN_LENGTH - 1, sa.GATHER_MIN_LENGTH + 1):
+    for L in (sa.OFFSET_MIN_LENGTH - 1, sa.OFFSET_MIN_LENGTH + 1):
         x = Tensor(rng.normal(size=(L, d)), requires_grad=True)
         flipped = sa.build_mask(L).copy()
         flipped[-1, 0] = not flipped[-1, 0]
