@@ -145,6 +145,21 @@ def _print_effective_config(mconfig: GlotConfig, tconfig) -> None:
           f"lr_factor={training.LR_FACTOR:g} schedule={tconfig.schedule}")
 
 
+def _log_appender(log_path):
+    """training.train's per-epoch hook for a run's log file log_path(report):
+    each epoch's line is written as the epoch ends, the summary line after
+    the last, so a run that stops early keeps the epochs it finished. The
+    first epoch truncates the file; a whole run writes report.log_text()."""
+    def on_epoch(report, last: bool) -> None:
+        lines = [report.epochs[-1].line()]
+        if last:
+            lines.append(report.summary_line())
+        mode = "w" if len(report.epochs) == 1 else "a"
+        with open(log_path(report), mode, encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    return on_epoch
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -168,8 +183,9 @@ def cmd_train(args) -> int:
     make_model, tconfig, encoded, out = _build_pipeline(args, cv_samples)
     val_set = [encoded[i] for i in order[:n_val]]
     train_set = [encoded[i] for i in order[n_val:]]
-    report = training.train(make_model(args.seed), train_set, val_set, tconfig)
-    report.write_log(out / "train_log.txt")
+    report = training.train(
+        make_model(args.seed), train_set, val_set, tconfig,
+        on_epoch=_log_appender(lambda r: out / "train_log.txt"))
     print(f"best epoch {report.best_epoch} "
           f"val bleu4={report.best_bleu4:.6f} "
           f"checkpoint={report.checkpoint_path}")
@@ -183,9 +199,9 @@ def cmd_crossval(args) -> int:
     make_model, tconfig, encoded, out = _build_pipeline(args, cv_samples)
     reports, best = training.cross_validate(
         encoded, tconfig, lambda fold: make_model(args.seed + fold),
-        k=args.folds)
+        k=args.folds, on_epoch=_log_appender(
+            lambda r: out / f"fold{r.fold_index}_log.txt"))
     for r in reports:
-        r.write_log(out / f"fold{r.fold_index}_log.txt")
         print(f"fold={r.fold_index} best_bleu4={r.best_bleu4:.6f}")
     print(f"best fold={best.fold_index} bleu4={best.best_bleu4:.6f} "
           f"checkpoint={best.checkpoint_path}")

@@ -446,26 +446,32 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
                    (q, k, v), bw)
 
 
-def offset_attention(q: Tensor, k: Tensor, v: Tensor,
+def offset_attention(x: Tensor, w_q: Tensor, w_k: Tensor,
                      offsets: Sequence[int]) -> Tensor:
-    """Single-head scaled dot-product attention over fixed key distances.
+    """Single-head scaled dot-product attention of the rows of x over
+    fixed key distances, with queries x @ w_q, keys x @ w_k and values x.
 
-    q, k and v are (L, d); query row p attends to the rows p - delta of k
-    and v for each delta in offsets with delta <= p. The offsets are
+    x is (L, d) and w_q, w_k are (d, e); query row p attends to the rows
+    p - delta for each delta in offsets with delta <= p. The offsets are
     distinct integers. Each distance is one shifted block of rows: its
     scores are the row-wise dot products of q[delta:] with k[:L - delta],
     row j of a (K, L) weight array (K = len(offsets)), and the output and
     every gradient add K shifted products, so time grows as L*K rather
     than L*L and nothing larger than the weights is built. The tape keeps
-    only those weights. Scores are scaled by 1/sqrt(d) and
+    only x, w_q, w_k and the (K, L) softmax weights; backward projects q
+    and k again. Scores are scaled by 1/sqrt(e) and
     softmax-normalized over a row's valid distances only, so the weight
     of a distance beyond its row is exactly 0. The result equals
-    attention(q, k, v, mask) with mask[p, p - delta] true.
+    attention(matmul(x, w_q), matmul(x, w_k), x, mask) with
+    mask[p, p - delta] true. The projections are finite-checked as matmul,
+    and dx adds its terms in the order the backward pass of those three
+    ops would: the values' term, then the keys', then the queries'.
     """
-    if q.data.ndim != 2 or k.shape != q.shape or v.shape != q.shape:
-        raise ShapeError(f"offset_attention: q {q.shape}, k {k.shape}, "
-                         f"v {v.shape}")
-    L, d = q.shape
+    if (x.data.ndim != 2 or w_q.data.ndim != 2 or w_k.shape != w_q.shape
+            or w_q.shape[0] != x.shape[1]):
+        raise ShapeError(f"offset_attention: x {x.shape}, w_q {w_q.shape}, "
+                         f"w_k {w_k.shape}")
+    L = x.shape[0]
     offsets = tuple(offsets)
     if (not all(isinstance(o, numbers.Integral) and not isinstance(o, bool)
                 for o in offsets)
@@ -474,31 +480,36 @@ def offset_attention(q: Tensor, k: Tensor, v: Tensor,
         raise ContractError(f"offset_attention: offsets {offsets} must be "
                             f"distinct integers, include 0 and lie in "
                             f"[0, {L})")
-    qd, kd, vd = q.data, k.data, v.data
+    xd, wq, wk = x.data, w_q.data, w_k.data
+    qd = xd @ wq
+    _check_finite(qd, "matmul")
+    kd = xd @ wk
+    _check_finite(kd, "matmul")
     alpha = np.full((len(offsets), L), -np.inf)
     for j, delta in enumerate(offsets):
         np.einsum("ld,ld->l", qd[delta:], kd[:L - delta],
                   out=alpha[j, delta:])
-    c = 1.0 / math.sqrt(d)
+    c = 1.0 / math.sqrt(wq.shape[1])
     alpha *= c
     alpha -= np.maximum.reduce(alpha, axis=0)
     np.exp(alpha, out=alpha)
     alpha /= np.add.reduce(alpha, axis=0)
-    out = _shifted_sum(alpha, vd, offsets)
+    out = _shifted_sum(alpha, xd, offsets)
 
     def bw(g):
         ds = np.zeros_like(alpha)
         for j, delta in enumerate(offsets):
-            np.einsum("ld,ld->l", g[delta:], vd[:L - delta],
+            np.einsum("ld,ld->l", g[delta:], xd[:L - delta],
                       out=ds[j, delta:])
         ds -= np.add.reduce(ds * alpha, axis=0)
         ds *= alpha
         ds *= c
-        return (_shifted_sum(ds, kd, offsets),
-                _shifted_sum(ds, qd, offsets, scatter=True),
-                _shifted_sum(alpha, g, offsets, scatter=True))
+        dq = _shifted_sum(ds, xd @ wk, offsets)
+        dk = _shifted_sum(ds, xd @ wq, offsets, scatter=True)
+        dv = _shifted_sum(alpha, g, offsets, scatter=True)
+        return (dv + dk @ wk.T) + dq @ wq.T, xd.T @ dq, xd.T @ dk
 
-    return _record(out, "offset_attention", (q, k, v), bw)
+    return _record(out, "offset_attention", (x, w_q, w_k), bw)
 
 
 def _shifted_sum(w: np.ndarray, x: np.ndarray, offsets: tuple[int, ...],

@@ -23,9 +23,11 @@ from .numcore import ContractError, Tensor
 # shifted row block per key distance, instead of masking a dense L x L
 # score matrix. Below it, the masked-dense op's few large BLAS calls beat
 # the offset op's per-distance loop of small array calls. Forward plus
-# backward of 5 stacked layers at d_b = 8, one BLAS thread on a 2-vCPU
-# Xeon, two runs: offset/dense time is about 2.0 at L = 32, 1.6 at L = 64,
-# 1.3 at L = 96, 0.8-0.9 at L = 128 and 0.4 at L = 192.
+# backward of 5 stacked layers at d_b = 8 (the fused offset op against
+# two matmul projections and masked-dense attention), one BLAS thread on
+# a 2-vCPU Xeon, two runs: offset/dense time is about 2.0 at L = 32,
+# 1.4-1.5 at L = 64, 1.15-1.2 at L = 96, 0.6-0.75 at L = 128 and 0.35-0.4
+# at L = 192.
 OFFSET_MIN_LENGTH = 128
 
 
@@ -70,14 +72,15 @@ def build_mask(length: int) -> np.ndarray:
     """Boolean LxL matrix; row p marks log_index_set(p+1) (0-based storage):
     the diagonal plus every sub-diagonal at a power-of-two distance.
 
-    Built once per length and returned read-only, so callers share it.
+    Entry (p, c) depends only on the distance p - c, so the matrix is a
+    read-only Toeplitz view, strides (1, -1), of one vector of the 2L - 1
+    distances: built once per length in O(L) bytes and shared by callers.
     """
-    offsets = log_sparse_offsets(length)
-    mask = np.zeros((length, length), dtype=bool)
-    for delta in offsets:
-        mask |= np.eye(length, k=-delta, dtype=bool)
-    mask.setflags(write=False)
-    return mask
+    lags = np.zeros(2 * length - 1, dtype=bool)
+    lags[[length - 1 + delta for delta in log_sparse_offsets(length)]] = True
+    return np.lib.stride_tricks.as_strided(
+        lags[length - 1:], shape=(length, length), strides=(1, -1),
+        writeable=False)
 
 
 @functools.lru_cache(maxsize=256)
@@ -109,16 +112,17 @@ def lssa_layer(x: Tensor, params: LssaParams) -> Tensor:
     Scores come from learned Q/K projections scaled by sqrt(d_b); the raw
     input rows act as values, so the output row p is the softmax-weighted
     mean of x over its index set. From OFFSET_MIN_LENGTH on,
-    offset_attention scores only the O(L log L) allowed pairs, one shifted
-    row block per key distance in log_sparse_offsets(L); below it,
-    masked-dense attention under build_mask(L) scores the same pairs.
+    one offset_attention op projects q and k and scores only the
+    O(L log L) allowed pairs, one shifted row block per key distance in
+    log_sparse_offsets(L); below it, masked-dense attention under
+    build_mask(L) scores the same pairs of two matmul projections.
     """
     L = x.shape[0]
-    q = nc.matmul(x, params.w_q)
-    k = nc.matmul(x, params.w_k)
     if L >= OFFSET_MIN_LENGTH:
-        return nc.offset_attention(q, k, x, log_sparse_offsets(L))
-    return nc.attention(q, k, x, build_mask(L))
+        return nc.offset_attention(x, params.w_q, params.w_k,
+                                   log_sparse_offsets(L))
+    return nc.attention(nc.matmul(x, params.w_q), nc.matmul(x, params.w_k),
+                        x, build_mask(L))
 
 
 def stacked_lssa(x: Tensor, layer_params: list[LssaParams],

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -99,15 +100,13 @@ class FoldReport:
     best_bleu4: float = 0.0
     checkpoint_path: str | None = None
 
-    def log_text(self) -> str:
-        lines = [e.line() for e in self.epochs]
-        lines.append(f"summary fold={self.fold_index} "
-                     f"best_epoch={self.best_epoch} "
-                     f"best_bleu4={self.best_bleu4:.6f}")
-        return "\n".join(lines) + "\n"
+    def summary_line(self) -> str:
+        return (f"summary fold={self.fold_index} best_epoch={self.best_epoch} "
+                f"best_bleu4={self.best_bleu4:.6f}")
 
-    def write_log(self, path: Path | str) -> None:
-        Path(path).write_text(self.log_text(), encoding="utf-8")
+    def log_text(self) -> str:
+        lines = [e.line() for e in self.epochs] + [self.summary_line()]
+        return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -262,9 +261,15 @@ def evaluate_bleu(model: GlotModel, samples: list[EncodedSample],
 
 def train(model: GlotModel, train_set: list[EncodedSample],
           val_set: list[EncodedSample], cfg: TrainConfig,
-          fold_index: int = 1) -> FoldReport:
+          fold_index: int = 1,
+          on_epoch: Callable[[FoldReport, bool], None] | None = None
+          ) -> FoldReport:
     """Seeded epoch/batch training; keeps the checkpoint of the best
-    validation BLEU-4 epoch when a checkpoint_dir is configured."""
+    validation BLEU-4 epoch when a checkpoint_dir is configured.
+
+    on_epoch(report, last) runs as each epoch ends, after its record and
+    checkpoint: report.epochs[-1] is that epoch, and last says whether the
+    run ends with it."""
     if not train_set or not val_set:
         raise ContractError("train and validation sets must be non-empty")
     rng = np.random.default_rng(cfg.seed)
@@ -306,7 +311,10 @@ def train(model: GlotModel, train_set: list[EncodedSample],
                 save_checkpoint(model, ckpt_path)
                 report.checkpoint_path = str(ckpt_path)
         sched.on_epoch_end(bleu[4])
-        if cfg.stop_bleu1 is not None and bleu[1] >= cfg.stop_bleu1:
+        stop = cfg.stop_bleu1 is not None and bleu[1] >= cfg.stop_bleu1
+        if on_epoch is not None:
+            on_epoch(report, stop or epoch == cfg.epochs)
+        if stop:
             break
     return report
 
@@ -331,10 +339,12 @@ def make_folds(n: int, k: int, seed: int) -> list[np.ndarray]:
 
 
 def cross_validate(samples: list[EncodedSample], cfg: TrainConfig,
-                   model_factory, k: int = 5
+                   model_factory, k: int = 5,
+                   on_epoch: Callable[[FoldReport, bool], None] | None = None
                    ) -> tuple[list[FoldReport], FoldReport]:
-    """Train k folds; the best fold is the argmax of validation BLEU-4
-    (ties resolved toward the lowest fold index)."""
+    """Train k folds, each with train's on_epoch hook; the best fold is
+    the argmax of validation BLEU-4 (ties resolved toward the lowest fold
+    index)."""
     folds = make_folds(len(samples), k, cfg.seed)
     reports = []
     for i, val_idx in enumerate(folds, start=1):
@@ -343,7 +353,8 @@ def cross_validate(samples: list[EncodedSample], cfg: TrainConfig,
         train_set = [s for j, s in enumerate(samples) if not val_mask[j]]
         val_set = [samples[j] for j in val_idx]
         model = model_factory(i)
-        reports.append(train(model, train_set, val_set, cfg, fold_index=i))
+        reports.append(train(model, train_set, val_set, cfg, fold_index=i,
+                             on_epoch=on_epoch))
     best = max(reports, key=lambda r: (r.best_bleu4, -r.fold_index))
     return reports, best
 

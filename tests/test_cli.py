@@ -290,6 +290,51 @@ def test_nonfinite_forward_op_exits_3(tmp_path, capsys):
     assert msg.startswith("divergence: ") and "produced non-finite" in msg
 
 
+def _diverge_at_step(monkeypatch, n: int) -> None:
+    """Make the n-th Adam step of the process raise NonFiniteError, as an
+    update that overflows would."""
+    from glot import numcore, training
+    step, calls = training.Adam.step, []
+
+    def failing_step(self, lr):
+        calls.append(lr)
+        if len(calls) == n:
+            raise numcore.NonFiniteError("matmul produced non-finite values")
+        step(self, lr)
+
+    monkeypatch.setattr(training.Adam, "step", failing_step)
+
+
+@pytest.mark.parametrize("command", ["train", "crossval"])
+def test_divergence_keeps_the_finished_epochs_log_lines(tmp_path, capsys,
+                                                        monkeypatch, command):
+    # One step per epoch; a clean run first, then the same run diverging in
+    # epoch 3 of 5 (of the second fold, for crossval): the log keeps the
+    # clean run's lines of the epochs that ended, byte for byte, and every
+    # fold that ended keeps its whole log.
+    run(capsys, ["synth", "--samples", "10", "--out", str(tmp_path / "d")])
+    argv = [command, "--manifest", str(tmp_path / "d" / "manifest.tsv"),
+            "--epochs", "5", "--d-model", "8", "--ff-size", "8",
+            "--heads", "2", "--batch-size", "64"]
+    if command == "crossval":
+        argv += ["--folds", "2"]
+    logs = (["train_log.txt"] if command == "train"
+            else ["fold1_log.txt", "fold2_log.txt"])
+    code, _, _ = run(capsys, argv + ["--out", str(tmp_path / "clean")])
+    assert code == 0
+    clean = [(tmp_path / "clean" / name).read_text().splitlines(True)
+             for name in logs]
+    assert [len(lines) for lines in clean] == [6] * len(logs)
+    assert all(lines[-1].startswith("summary ") for lines in clean)
+    _diverge_at_step(monkeypatch, 3 if command == "train" else 8)
+    code, _, err = run(capsys, argv + ["--out", str(tmp_path / "cut")])
+    assert code == 3 and err.startswith("divergence: ")
+    cut = [(tmp_path / "cut" / name).read_text().splitlines(True)
+           for name in logs]
+    assert cut[-1] == clean[-1][:2]
+    assert cut[:-1] == clean[:-1]
+
+
 NONPOSITIVE_FLAGS = [
     ("--epochs", "0", "epochs must be positive"),
     ("--epochs", "-1", "epochs must be positive"),

@@ -156,30 +156,44 @@ def test_attention_contract_errors():
 def test_offset_attention_matches_masked_dense(L):
     rng = np.random.default_rng(L)
     d = 8
-    q0, k0, v0, w = (rng.normal(size=(L, d)) for _ in range(4))
+    x0, w = rng.normal(size=(L, d)), rng.normal(size=(L, d))
+    wq0, wk0 = rng.normal(size=(d, d)), rng.normal(size=(d, d))
     results = []
-    for op in (lambda q, k, v: nc.attention(q, k, v, sa.build_mask(L)),
-               lambda q, k, v: nc.offset_attention(
-                   q, k, v, sa.log_sparse_offsets(L))):
-        q, k, v = (Tensor(a, requires_grad=True) for a in (q0, k0, v0))
+    for op in (lambda x, wq, wk: nc.attention(
+                   nc.matmul(x, wq), nc.matmul(x, wk), x, sa.build_mask(L)),
+               lambda x, wq, wk: nc.offset_attention(
+                   x, wq, wk, sa.log_sparse_offsets(L))):
+        x, wq, wk = (Tensor(a, requires_grad=True) for a in (x0, wq0, wk0))
         with Tape() as tape:
-            out = op(q, k, v)
+            out = op(x, wq, wk)
             loss = nc.tsum(nc.mul(out, Tensor(w)))
         tape.backward(loss)
-        results.append((out.data, q.grad, k.grad, v.grad))
+        results.append((out.data, x.grad, wq.grad, wk.grad))
     for got, ref in zip(*reversed(results)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert got.flags.c_contiguous
 
 
 def test_offset_attention_contract_errors():
-    x = Tensor(np.zeros((4, 2)))
+    x, w = Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2)))
+    with pytest.raises(nc.ShapeError):  # w_q's rows do not match x's width
+        nc.offset_attention(x, Tensor(np.zeros((3, 2))), w, (0, 1))
+    with pytest.raises(nc.ShapeError):  # w_k's shape differs from w_q's
+        nc.offset_attention(x, w, Tensor(np.zeros((2, 3))), (0, 1))
     with pytest.raises(nc.ShapeError):
-        nc.offset_attention(x, x, Tensor(np.zeros((3, 2))), (0, 1))
+        nc.offset_attention(Tensor(np.zeros(4)), w, w, (0, 1))
     with pytest.raises(nc.ContractError):  # row 0 would have no key
-        nc.offset_attention(x, x, x, (1, 2))
+        nc.offset_attention(x, w, w, (1, 2))
     with pytest.raises(nc.ContractError):
-        nc.offset_attention(x, x, x, (0, 4))
+        nc.offset_attention(x, w, w, (0, 4))
+
+
+def test_offset_attention_projections_are_finite_checked_as_matmul():
+    x = Tensor(np.full((4, 2), 1e200))
+    with np.errstate(over="ignore"), pytest.raises(
+            nc.NonFiniteError, match="^matmul produced"):
+        nc.offset_attention(x, Tensor(np.full((2, 2), 1e200)),
+                            Tensor(np.ones((2, 2))), (0, 1))
 
 
 @pytest.mark.parametrize("offsets", [(0, 1, 1), (0, 1.7), (0, 1.0),
@@ -188,30 +202,36 @@ def test_offset_attention_rejects_repeated_and_non_integer_offsets(offsets):
     # A repeated offset would count its key twice in the softmax, and a
     # float one would run truncated; a bool is not an integer here.
     x = Tensor(np.ones((4, 2)), requires_grad=True)
+    w = Tensor(np.ones((2, 2)), requires_grad=True)
     with Tape() as tape, pytest.raises(nc.ContractError, match="distinct"):
-        nc.offset_attention(x, x, x, offsets)
+        nc.offset_attention(x, w, w, offsets)
     assert len(tape) == 0
 
 
 def test_offset_attention_tape_holds_no_gather():
-    # After the forward pass the tape keeps the output and the (K, L)
-    # weights (about 0.11 MB here), nothing of the size of an (L, K, d)
-    # key or value gather, 518,144 bytes at L = 736, K = 11, d = 8.
-    L, d = 736, 8
-    offsets = sa.log_sparse_offsets(L)
+    # After a forward pass of 3 stacked layers at L = 736, the tape keeps
+    # per layer its (L, d) output and its (K, L) softmax weights (K = 11)
+    # and nothing of the size of an (L, d) query or key projection, let
+    # alone of an (L, K, d) key or value gather: the bound allows each
+    # layer less than one (L, d) array beyond the output and the weights.
+    L, d, depth = 736, 8, 3
+    K = len(sa.log_sparse_offsets(L))
     rng = np.random.default_rng(0)
-    q, k, v = (Tensor(rng.normal(size=(L, d)), requires_grad=True)
-               for _ in range(3))
+    x = Tensor(rng.normal(size=(L, d)), requires_grad=True)
+    layers = [sa.LssaParams(*(Tensor(rng.normal(size=(d, d)) / 3,
+                                     requires_grad=True) for _ in range(2)))
+              for _ in range(depth)]
+    mask = sa.build_mask(L)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         with Tape() as tape:
-            out = nc.offset_attention(q, k, v, offsets)
+            out = sa.stacked_lssa(x, layers, mask)
         held = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
-    assert len(tape) == 1 and out.shape == (L, d)
-    assert held < L * len(offsets) * d * 8, held
+    assert len(tape) == depth and out.shape == (L, d)
+    assert held < depth * (L * d + K * L + L * d) * 8, held
 
 
 def test_layer_norm_constant_vector_is_zero():
@@ -532,20 +552,23 @@ OFFSET_ATTENTION_CASES = [f"offset_attention_{wrt}_L{L}"
 
 
 def offset_attention_case(opname, rng):
-    """(f, point) checking one offset_attention input's gradient over the
-    log-sparse offsets of the length; the other two inputs are fixed."""
+    """(f, point) checking the gradient of one offset_attention input over
+    the log-sparse offsets of the length, named by its role: q the query
+    weights w_q, k the key weights w_k, v the rows x, which are the values
+    and feed both projections; the other two inputs are fixed."""
     wrt, length = opname.split("_")[2:]
     L, d = int(length[1:]), 3
     offsets = sa.log_sparse_offsets(L)
-    fixed = {n: Tensor(rng.normal(size=(L, d))) for n in ("q", "k", "v")}
+    shapes = {"v": (L, d), "q": (d, d), "k": (d, d)}
+    fixed = {n: Tensor(rng.normal(size=shape)) for n, shape in shapes.items()}
     w = Tensor(rng.normal(size=(L, d)))
 
     def f(x):
         args = dict(fixed, **{wrt: x})
-        out = nc.offset_attention(args["q"], args["k"], args["v"], offsets)
+        out = nc.offset_attention(args["v"], args["q"], args["k"], offsets)
         return nc.tsum(nc.mul(out, w))
 
-    return f, Tensor(rng.normal(size=(L, d)))
+    return f, Tensor(rng.normal(size=shapes[wrt]))
 
 
 FUSED_CASES = ["matmul_bias_a", "matmul_bias_b", "matmul_bias_vec",

@@ -163,16 +163,27 @@ def test_lssa_gradients():
 
 
 def test_build_mask_is_shared_read_only_and_matches_oracle():
-    for L in range(1, 65):
+    # Every length's mask marks the index sets and is the OR of its
+    # sub-diagonals, read-only and cached; it spans one vector of the
+    # 2L - 1 distances, not L x L bytes.
+    for L in range(1, 301):
         oracle = np.zeros((L, L), dtype=bool)
         for p in range(1, L + 1):
             oracle[p - 1, [q - 1 for q in sa.log_index_set(p)]] = True
+        diagonals = np.zeros((L, L), dtype=bool)
+        for delta in sa.log_sparse_offsets(L):
+            diagonals |= np.eye(L, k=-delta, dtype=bool)
         mask = sa.build_mask(L)
+        assert mask.shape == (L, L) and mask.dtype == bool
         assert np.array_equal(mask, oracle), L
+        assert np.array_equal(mask, diagonals), L
         assert sa.build_mask(L) is mask
         assert not mask.flags.writeable
         with pytest.raises(ValueError):
             mask[0, 0] = False
+    L = 736
+    low, high = np.lib.array_utils.byte_bounds(sa.build_mask(L))
+    assert high - low <= 2 * L - 1
 
 
 def test_log_sparse_offsets():
@@ -220,7 +231,7 @@ def test_lssa_layer_gathers_above_crossover():
     x0, params = rng.normal(size=(L, d)), _random_params(rng, d)
     (out, grads, ops), (ref, ref_grads, _) = _layer_and_masked_dense(x0,
                                                                      params)
-    assert ops == ["matmul", "matmul", "offset_attention"]
+    assert ops == ["offset_attention"]
     assert nc.rel_err(out, ref) <= 1e-12
     for g, r in zip(grads, ref_grads):
         assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))

@@ -1,10 +1,11 @@
+import hashlib
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from glot import dataio, numcore as nc, training
-from glot.model import GlotConfig, GlotModel
+from glot.model import GlotConfig, GlotModel, save_checkpoint
 from glot.numcore import Tape, Tensor
 
 
@@ -203,9 +204,7 @@ def test_train_deterministic_and_logged(tmp_path):
     for name in m1.params:
         assert np.array_equal(m1.params[name].data, m2.params[name].data)
     assert rep1.checkpoint_path is not None
-    log = tmp_path / "log.txt"
-    rep1.write_log(log)
-    lines = log.read_text().splitlines()
+    lines = rep1.log_text().splitlines()
     assert len(lines) == 3  # 2 epochs + summary
     assert lines[0].startswith("epoch=1 train_loss=")
     for key in ("bleu1=", "bleu2=", "bleu3=", "bleu4=", "lr="):
@@ -431,3 +430,27 @@ def test_decoder_and_loss_record_once_per_batch():
             entries.append(len(tape))
         assert entries[1] - entries[0] == stack + 2 * slices + 2 + (stack > 0)
         assert entries[2] - entries[1] == stack + slices
+
+
+def test_long_clip_training_run_is_pinned(tmp_path):
+    # Two clips of 130 and 200 frames run the LSSA offset op in 3 layers,
+    # so any reordering of that op's float sums, forward or backward,
+    # changes these bytes. The three ops that the fused offset op replaced
+    # (two matmul projections, then attention over them) gave this digest.
+    rng = np.random.default_rng(5)
+    pairs = [(130, ["a", "b", "c"], ["x", "y"]),
+             (200, ["b", "c"], ["y", "z", "x"])]
+    gv = dataio.build_vocab([g for _, g, _ in pairs])
+    tv = dataio.build_vocab([t for _, _, t in pairs])
+    samples = [training.EncodedSample(
+        id=f"s{i}", features=rng.normal(size=(F, 5)), gloss_ids=gv.encode(g),
+        text_ids=tv.encode(t), gloss_tokens=g, text_tokens=t)
+        for i, (F, g, t) in enumerate(pairs)]
+    cfg = GlotConfig.tiny(feat_dim=5, max_frames=200, n_lssa_layers=3,
+                          gloss_vocab_size=len(gv), text_vocab_size=len(tv))
+    model = GlotModel(cfg, gloss_vocab=gv, text_vocab=tv, seed=2)
+    tcfg = training.TrainConfig.set2(epochs=2, batch_size=2, seed=3)
+    training.train(model, samples, samples[:1], tcfg)
+    save_checkpoint(model, tmp_path / "last.ckpt")
+    assert hashlib.sha256((tmp_path / "last.ckpt").read_bytes()).hexdigest() \
+        == "f5893d8ce8313fae703797e69d616385914a1792d9f6ca5fdb25a44979bf13b3"
