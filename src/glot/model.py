@@ -251,31 +251,13 @@ class DecoderCache:
         return kt, vh
 
 
-# One-row forward arithmetic of the cached decoder step: each is the
-# forward kernel of a numcore op on plain arrays, its output finite-checked
-# under that op's name.
-
-def _linear(x: np.ndarray, w: np.ndarray,
-            b: np.ndarray | None = None) -> np.ndarray:
-    out = x @ w
-    if b is not None:
-        out += b
-    nc._check_finite(out, "matmul")
-    return out
-
-
-def _attend_row(q: np.ndarray, kt: np.ndarray, vh: np.ndarray,
-                n_heads: int) -> np.ndarray:
-    heads, _ = nc._attend_heads(nc._split_heads(q, n_heads), kt, vh, None)
-    nc._check_finite(heads, "attention")
-    return heads
-
-
-def _norm_row(x: np.ndarray, norm: tuple[np.ndarray, np.ndarray]
-              ) -> np.ndarray:
-    out, _, _ = nc._norm_rows(x, *norm)
-    nc._check_finite(out, "layer_norm")
-    return out
+# The op whose forward kernel makes each output of a cached decoder step,
+# in the step's order: the names its finite check reports.
+STEP_CHECKS = ("gather_rows", "add",                          # embedding + PE
+               "matmul", "attention", "matmul", "layer_norm",  # self q|k|v
+               "matmul", "attention", "matmul", "layer_norm",  # cross
+               "matmul", "relu", "matmul", "layer_norm",       # feed-forward
+               "matmul")                                       # output logits
 
 
 @dataclass
@@ -472,10 +454,10 @@ class GlotModel:
         is one id (any other count raises ContractError), the position after
         the cache.start already decoded. Its row alone is computed, on plain
         arrays, by the forward kernels of the ops above; its key and value
-        join the cache, and each kernel's output is finite-checked under the
-        op's name. The 1 x vocab logits come back as a Tensor that records
-        nothing. A cache holds one sequence of one stage over one memory
-        (DecoderCache), so it takes no blocks.
+        join the cache, and one check of all the kernels' outputs names the
+        first non-finite one by its op. The 1 x vocab logits come back as a
+        Tensor that records nothing. A cache holds one sequence of one stage
+        over one memory (DecoderCache), so it takes no blocks.
         """
         if stage not in ("gloss", "text"):
             raise nc.ConfigError(f"unknown decoder stage {stage!r}")
@@ -543,33 +525,58 @@ class GlotModel:
     def _decoder_step(self, memory: Tensor, token: int, stage: str,
                       cache: DecoderCache) -> Tensor:
         """decoder_forward with a cache for one token: the ops' forward
-        arithmetic on its one row, in the taped path's order, each output
-        finite-checked. The row may see every cached key: it needs no mask."""
+        arithmetic on its one row, in the taped path's order. The row may
+        see every cached key: it needs no mask.
+
+        The step keeps each kernel output and checks them all, named by
+        STEP_CHECKS, with one reduction once the logits are out, or as soon
+        as a layer norm raises for an overflowing variance; either way the
+        first non-finite output in op order is named, as a check after each
+        op would name it. A failed step leaves the cache's keys and values
+        as they were."""
         H, d = self.config.n_heads, self.config.d_model
         if cache.weights is None:
             w = self._stage_weights(stage)
-            kv = _linear(memory.data, w.cross_kv)
+            kv = memory.data @ w.cross_kv
+            nc._check_finite(kv, "matmul")
             cache.stage, cache.memory, cache.weights = stage, memory, w
             cache.cross_kv = (nc._split_heads(kv[:, :d], H, True),
                               nc._split_heads(kv[:, d:], H))
-        w, t, check = cache.weights, cache.start, nc._check_finite
-        h = w.embed[token:token + 1]
-        check(h, "gather_rows")
-        h = h + self._sinusoids(t + 1)[t:]
-        check(h, "add")
-        qkv = _linear(h, w.self_qkv)
-        kt, vh = cache.extend(nc._split_heads(qkv[:, d:2 * d], H, True),
-                              nc._split_heads(qkv[:, 2 * d:], H))
-        attn = _linear(_attend_row(qkv[:, :d], kt, vh, H), w.self_wo)
-        h = _norm_row(h + attn, w.self_norm)
-        attn = _attend_row(_linear(h, w.cross_wq), *cache.cross_kv, H)
-        h = _norm_row(h + _linear(attn, w.cross_wo), w.cross_norm)
-        ff = _linear(h, w.ff_w1, w.ff_b1)
-        np.maximum(ff, 0.0, out=ff)
-        check(ff, "relu")
-        h = _norm_row(h + _linear(ff, w.ff_w2, w.ff_b2), w.ff_norm)
+        w, t, self_kv = cache.weights, cache.start, cache.self_kv
+        outs: list[np.ndarray] = []
+        keep = outs.append
+        try:
+            keep(h := w.embed[token:token + 1])
+            keep(h := h + self._sinusoids(t + 1)[t:])
+            keep(qkv := h @ w.self_qkv)
+            kt, vh = cache.extend(nc._split_heads(qkv[:, d:2 * d], H, True),
+                                  nc._split_heads(qkv[:, 2 * d:], H))
+            keep(attn := nc._attend_heads(nc._split_heads(qkv[:, :d], H),
+                                          kt, vh, None)[0])
+            keep(attn := attn @ w.self_wo)
+            keep(h := nc._norm_rows(h + attn, *w.self_norm)[0])
+            keep(q := h @ w.cross_wq)
+            keep(attn := nc._attend_heads(nc._split_heads(q, H),
+                                          *cache.cross_kv, None)[0])
+            keep(attn := attn @ w.cross_wo)
+            keep(h := nc._norm_rows(h + attn, *w.cross_norm)[0])
+            keep(ff := h @ w.ff_w1 + w.ff_b1)
+            # not in place: the kept matmul output must stay as it was
+            keep(ff := np.maximum(ff, 0.0))
+            keep(ff := ff @ w.ff_w2 + w.ff_b2)
+            keep(h := nc._norm_rows(h + ff, *w.ff_norm)[0])
+            keep(logits := h @ w.out_w + w.out_b)
+            nc._check_finite_all(outs, STEP_CHECKS)
+        except BaseException as err:
+            cache.self_kv = self_kv
+            if isinstance(err, nc.NonFiniteError) and len(outs) < len(
+                    STEP_CHECKS):
+                # A layer norm raised: an earlier non-finite output, if
+                # any, is what the step reports.
+                nc._check_finite_all(outs, STEP_CHECKS)
+            raise
         cache.start += 1
-        return Tensor(_linear(h, w.out_w, w.out_b))
+        return Tensor(logits)
 
     def _gloss_memory(self, memory: Tensor, lengths: list[int],
                       gloss_ids: list[list[int]]) -> Tensor:

@@ -134,6 +134,19 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"{op} produced non-finite values")
 
 
+def _check_finite_all(arrs: Sequence[np.ndarray], ops: Sequence[str]
+                      ) -> None:
+    # _check_finite of each array under its op's name, with one reduction
+    # over all of them on the common path. The arrays differ in their last
+    # axis only (a cached decoder step's one-row outputs), so they join
+    # along it without a flattening copy each. Only a non-finite sum pays
+    # for the per-array checks, which raise for the first non-finite array
+    # in order; zip stops at the shorter sequence, so arrs may be a prefix.
+    if not math.isfinite(np.add.reduce(np.concatenate(arrs, axis=-1), None)):
+        for arr, op in zip(arrs, ops):
+            _check_finite(arr, op)
+
+
 def _record(data: np.ndarray, op: str, inputs: Sequence[Tensor],
             backward_fn: Callable) -> Tensor:
     _check_finite(data, op)

@@ -766,35 +766,49 @@ STEP_CHECKS = ["gather_rows", "add",                    # embedding + PE
                "matmul"]                                   # output logits
 
 
+def spy_on_checks(monkeypatch, checked):
+    """Record each finite check's op names in checked, one entry per call:
+    ("each", op) for _check_finite, ("all", ops) for _check_finite_all."""
+    check, check_all = nc._check_finite, nc._check_finite_all
+
+    def spy(arr, op):
+        checked.append(("each", op))
+        check(arr, op)
+
+    def spy_all(arrs, ops):
+        assert len(arrs) <= len(ops)
+        assert all(a.ndim == 2 and a.shape[0] == 1 for a in arrs)
+        checked.append(("all", tuple(ops)[:len(arrs)]))
+        check_all(arrs, ops)
+
+    monkeypatch.setattr(nc, "_check_finite", spy)
+    monkeypatch.setattr(nc, "_check_finite_all", spy_all)
+
+
 @pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
 def test_cached_decoder_step_records_nothing(monkeypatch, kind):
     # A cached step of a one-layer decoder runs the ops' forward kernels
-    # on arrays: inside an open tape it appends nothing, it checks each
-    # kernel output under the name of the op the taped path runs there,
-    # in that order, and only a stage's first step projects the memory's
-    # cross k|v, with one matmul ahead of the rest. No step builds a causal
-    # mask: its single row may see every cached key.
+    # on arrays: inside an open tape it appends nothing, it hands every
+    # kernel output to one check under the name of the op the taped path
+    # runs there, in that order, and only a stage's first step projects
+    # the memory's cross k|v, checked alone as one matmul ahead of the
+    # rest. No step builds a causal mask: its single row may see every
+    # cached key.
     m = tiny_model(encoder_kind=kind)
     checked = []
-    check = nc._check_finite
-
-    def spy(arr, op):
-        checked.append(op)
-        check(arr, op)
-
     cache = DecoderCache()
     with nc.Tape() as tape:
         memory = m.encode([np.random.default_rng(20).normal(size=(6, 5))])
         recorded = len(tape)
         assert memory.requires_grad and recorded > 0
-        monkeypatch.setattr(nc, "_check_finite", spy)
+        spy_on_checks(monkeypatch, checked)
         monkeypatch.setattr(sa, "causal_mask", None)
         for t, token in enumerate([BOS, 5, 6]):
             checked.clear()
             logits = m.decoder_forward(memory, [token], "gloss", cache)
-            expected = list(STEP_CHECKS)
+            expected = [("all", tuple(STEP_CHECKS))]
             if t == 0:
-                expected.insert(0, "matmul")
+                expected.insert(0, ("each", "matmul"))
             assert checked == expected, t
             assert len(tape) == recorded and not logits.requires_grad
     assert cache.self_kv[0].shape == (2, 4, 3)
@@ -833,14 +847,13 @@ def test_decoder_cache_serves_one_stage_over_one_memory(monkeypatch, misuse):
     stage, mem = (("text", memory) if misuse == "other-stage"
                   else ("gloss", Tensor(memory.data.copy())))
     checked = []
-    monkeypatch.setattr(nc, "_check_finite",
-                        lambda arr, op: checked.append(op))
+    spy_on_checks(monkeypatch, checked)
     with pytest.raises(nc.ContractError, match="one stage over one memory"):
         m.decoder_forward(mem, [5], stage, cache)
     assert checked == []
     assert (cache.start, cache.self_kv, cache.cross_kv, cache.weights) == state
     m.decoder_forward(memory, [5], "gloss", cache)
-    assert cache.start == 2 and checked
+    assert cache.start == 2 and checked == [("all", tuple(STEP_CHECKS))]
 
 
 def test_cached_step_reports_the_op_that_overflows():
@@ -856,6 +869,121 @@ def test_cached_step_reports_the_op_that_overflows():
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             nc.NonFiniteError, match="^matmul produced non-finite values$"):
         m.decoder_forward(memory, [BOS], "gloss", DecoderCache())
+
+
+def test_cached_step_names_an_ff_matmul_that_overflows_to_minus_inf():
+    # As above with the weight's sign flipped: the relu maps the -Inf to
+    # 0, and the matmul output the step checks is still its own.
+    m = tiny_model()
+    memory = m.encode([np.random.default_rng(23).normal(size=(6, 5))])
+    m.params["dec_gloss0.ff.w1"].data[0, 0] = -np.finfo(np.float64).max
+    m.params["dec_gloss0.cross_norm_b"].data[0] = 4.0
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            nc.NonFiniteError, match="^matmul produced non-finite values$"):
+        m.decoder_forward(memory, [BOS], "gloss", DecoderCache())
+
+
+def test_failed_step_leaves_the_cache_as_it_was():
+    # The FF overflow above, injected before the third step: that step has
+    # appended its key and value when its check fails, or when numpy raises
+    # for the overflow itself, and takes them back. Stepped again once the
+    # weights are restored, it decodes the third position to the bit of an
+    # untroubled cache.
+    m = tiny_model()
+    memory = m.encode([np.random.default_rng(23).normal(size=(6, 5))])
+    ids, clean, cache = [BOS, 5, 6], DecoderCache(), DecoderCache()
+    want = [m.decoder_forward(memory, [t], "gloss", clean).data for t in ids]
+    for t in ids[:2]:
+        m.decoder_forward(memory, [t], "gloss", cache)
+    start, self_kv = cache.start, cache.self_kv
+    w1 = m.params["dec_gloss0.ff.w1"].data
+    bias = m.params["dec_gloss0.cross_norm_b"].data
+    saved = w1[0, 0], bias[0]
+    w1[0, 0], bias[0] = np.finfo(np.float64).max, 4.0
+    for err, mode in ((nc.NonFiniteError, "ignore"),
+                      (FloatingPointError, "raise")):
+        with np.errstate(over=mode, invalid=mode), pytest.raises(err):
+            m.decoder_forward(memory, [ids[2]], "gloss", cache)
+        assert cache.start is start and cache.self_kv is self_kv
+    w1[0, 0], bias[0] = saved
+    assert np.array_equal(
+        m.decoder_forward(memory, [ids[2]], "gloss", cache).data, want[2])
+    assert cache.start == 3
+
+
+def test_cached_step_names_a_nan_embedding_row():
+    m = tiny_model()
+    memory = m.encode([np.random.default_rng(24).normal(size=(6, 5))])
+    m.params["embed_gloss"].data[BOS] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(
+            nc.NonFiniteError, match="^gather_rows produced non-finite values$"):
+        m.decoder_forward(memory, [BOS], "gloss", DecoderCache())
+
+
+def test_cached_step_names_overflowing_self_attention_scores():
+    # q = k = 1e160 h: finite projections whose dot products overflow, so
+    # the softmax of the row's one score is NaN
+    m = tiny_model()
+    memory = m.encode([np.random.default_rng(25).normal(size=(6, 5))])
+    d = m.config.d_model
+    for name in ("self.wq", "self.wk"):
+        m.params[f"dec_gloss0.{name}"].data[:] = 1e160 * np.eye(d)
+    with np.errstate(all="ignore"), pytest.raises(
+            nc.NonFiniteError, match="^attention produced non-finite values$"):
+        m.decoder_forward(memory, [BOS], "gloss", DecoderCache())
+
+
+def test_cached_step_names_the_projection_before_a_failing_norm(monkeypatch):
+    # The self output projection overflows, so the self_norm variance that
+    # follows is non-finite too and that norm raises first; the step still
+    # names the earlier op whose output was non-finite.
+    m = tiny_model()
+    memory = m.encode([np.random.default_rng(26).normal(size=(6, 5))])
+    m.params["dec_gloss0.self.wo"].data[:] = np.finfo(np.float64).max
+    norm, raised = nc._norm_rows, []
+
+    def spy(xs, gain, bias):
+        try:
+            return norm(xs, gain, bias)
+        except nc.NonFiniteError as err:
+            raised.append(str(err))
+            raise
+
+    monkeypatch.setattr(nc, "_norm_rows", spy)
+    with np.errstate(all="ignore"), pytest.raises(
+            nc.NonFiniteError, match="^matmul produced non-finite values$"):
+        m.decoder_forward(memory, [BOS], "gloss", DecoderCache())
+    assert raised == ["layer_norm produced non-finite values"]
+
+
+def test_cached_steps_are_pinned_to_the_bit():
+    # One sha256 over the greedy ids and every cached step's logits bytes,
+    # stepping each stage to the length limit on the argmax token: both
+    # encoder kinds, three seeds, memories of 1, 7 and 40 frames. Any change
+    # to the step's arithmetic or to its order shows here.
+    digest = hashlib.sha256()
+    for kind in ("glot", "dense_baseline"):
+        for seed in (0, 1, 2):
+            m = GlotModel(GlotConfig.tiny(max_frames=40, encoder_kind=kind),
+                          seed=seed)
+            m.eval()
+            limit = m.config.max_target_len + 2
+            for n in (1, 7, 40):
+                frames = np.random.default_rng([seed, n]).normal(size=(n, 5))
+                got = m.greedy_decode(frames, max_len=limit)
+                digest.update(json.dumps([got.gloss_ids,
+                                          got.text_ids]).encode())
+                memory = m.encode([frames])
+                text_memory = m._gloss_memory(memory, [n], [got.gloss_ids])
+                for stage, mem in (("gloss", memory), ("text", text_memory)):
+                    cache, token = DecoderCache(), BOS
+                    for _ in range(limit):
+                        logits = m.decoder_forward(mem, [token], stage,
+                                                   cache).data
+                        digest.update(logits.tobytes())
+                        token = int(logits[0].argmax())
+    assert digest.hexdigest() == ("62cb21c016ae265b743356c39f05d68a"
+                                  "654ba72a3df99768b1d21b261a213e6f")
 
 
 def test_decode_rejects_an_overflowing_layer_norm_variance():

@@ -806,6 +806,34 @@ def test_finite_check_passes_overflowing_sum():
     assert out.data.tolist() == [[1e308], [1e308]]
 
 
+def test_check_finite_all_names_the_first_non_finite_array():
+    # later arrays are non-finite too, and of other widths
+    arrs = [np.ones((1, 3)), np.array([[1.0, np.nan]]),
+            np.array([[np.inf, 2.0, 3.0, 4.0]]), np.array([[-np.inf]])]
+    for first in (1, 2):
+        with np.errstate(invalid="ignore"), pytest.raises(nc.NonFiniteError,
+                           match=f"^op{first} produced non-finite values$"):
+            nc._check_finite_all(arrs[:1] + arrs[first:],
+                                 ["op0"] + [f"op{i}" for i in range(first, 4)])
+
+
+def test_check_finite_all_names_the_first_of_opposite_infinities():
+    # +Inf and -Inf in two arrays sum to NaN: the first array is named
+    for a, b in ((np.inf, -np.inf), (-np.inf, np.inf)):
+        with np.errstate(invalid="ignore"), pytest.raises(nc.NonFiniteError,
+                           match="^first produced non-finite values$"):
+            nc._check_finite_all([np.array([[a]]), np.array([[1.0, b]])],
+                                 ("first", "second"))
+
+
+def test_check_finite_all_passes_an_overflowing_sum():
+    # two finite rows whose combined sum overflows (numpy warns about that
+    # sum): no array is non-finite, so nothing is raised
+    with np.errstate(over="ignore"):
+        nc._check_finite_all([np.array([[1e308]]), np.array([[1e308]])],
+                             ("a", "b"))
+
+
 @pytest.mark.parametrize("shape", [(16,), (1, 16), (14, 16), (5, 8), (3, 256)])
 def test_layer_norm_bit_equal_to_mean_var_formula(shape):
     rng = np.random.default_rng(15)
