@@ -224,11 +224,12 @@ class DecoderCache:
     projects the memory's cross-attention keys and values once; a later
     step with another stage or another memory raises ContractError before
     it does any work. The self-attention keys and values of every position
-    decoded so far grow by one step at a time. Keys and values are kept
-    split into heads as the attention kernel takes them: keys as
-    (H, d/H, rows), values as (H, rows, d/H); all are None before the
-    first step. They are plain arrays, so a cached step records no
-    gradient: the cache is for inference.
+    decoded so far grow by one step at a time, each stored only once its
+    step's check passes. Keys and values are kept split into heads as the
+    attention kernel takes them: keys as (H, d/H, rows), values as
+    (H, rows, d/H); all are None before the first step. They are plain
+    arrays, so a cached step records no gradient: the cache is for
+    inference.
     """
 
     def __init__(self):
@@ -241,14 +242,13 @@ class DecoderCache:
 
     def extend(self, kt: np.ndarray, vh: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-        """Append this step's head-split keys and values; return all of
-        them so far."""
-        if self.self_kv is not None:
-            old_kt, old_vh = self.self_kv
-            kt = np.concatenate([old_kt, kt], axis=2)
-            vh = np.concatenate([old_vh, vh], axis=1)
-        self.self_kv = (kt, vh)
-        return kt, vh
+        """The cached head-split keys and values with this step's joined
+        after them; the cache itself is left as it is."""
+        if self.self_kv is None:
+            return kt, vh
+        old_kt, old_vh = self.self_kv
+        return (np.concatenate([old_kt, kt], axis=2),
+                np.concatenate([old_vh, vh], axis=1))
 
 
 # The op whose forward kernel makes each output of a cached decoder step,
@@ -532,8 +532,8 @@ class GlotModel:
         STEP_CHECKS, with one reduction once the logits are out, or as soon
         as a layer norm raises for an overflowing variance; either way the
         first non-finite output in op order is named, as a check after each
-        op would name it. A failed step leaves the cache's keys and values
-        as they were."""
+        op would name it. Only a step that passes stores its keys and
+        values and advances the cache."""
         H, d = self.config.n_heads, self.config.d_model
         if cache.weights is None:
             w = self._stage_weights(stage)
@@ -542,7 +542,7 @@ class GlotModel:
             cache.stage, cache.memory, cache.weights = stage, memory, w
             cache.cross_kv = (nc._split_heads(kv[:, :d], H, True),
                               nc._split_heads(kv[:, d:], H))
-        w, t, self_kv = cache.weights, cache.start, cache.self_kv
+        w, t = cache.weights, cache.start
         outs: list[np.ndarray] = []
         keep = outs.append
         try:
@@ -566,15 +566,13 @@ class GlotModel:
             keep(ff := ff @ w.ff_w2 + w.ff_b2)
             keep(h := nc._norm_rows(h + ff, *w.ff_norm)[0])
             keep(logits := h @ w.out_w + w.out_b)
+        except nc.NonFiniteError:
+            # A layer norm raised: an earlier non-finite output, if any, is
+            # what the step reports.
             nc._check_finite_all(outs, STEP_CHECKS)
-        except BaseException as err:
-            cache.self_kv = self_kv
-            if isinstance(err, nc.NonFiniteError) and len(outs) < len(
-                    STEP_CHECKS):
-                # A layer norm raised: an earlier non-finite output, if
-                # any, is what the step reports.
-                nc._check_finite_all(outs, STEP_CHECKS)
             raise
+        nc._check_finite_all(outs, STEP_CHECKS)
+        cache.self_kv = (kt, vh)
         cache.start += 1
         return Tensor(logits)
 

@@ -306,7 +306,7 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         np.add.at(full, ids, g)
         return (full,)
 
-    return _record(table.data[ids].copy(), "gather_rows", (table,), bw)
+    return _record(table.data[ids], "gather_rows", (table,), bw)
 
 
 def pick_per_row(x: Tensor, cols: Sequence[int]) -> Tensor:
@@ -322,7 +322,7 @@ def pick_per_row(x: Tensor, cols: Sequence[int]) -> Tensor:
         full[rows, cols] = g
         return (full,)
 
-    return _record(x.data[rows, cols].copy(), "pick_per_row", (x,), bw)
+    return _record(x.data[rows, cols], "pick_per_row", (x,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -76,8 +76,9 @@ def build_mask(length: int) -> np.ndarray:
     read-only Toeplitz view, strides (1, -1), of one vector of the 2L - 1
     distances: built once per length in O(L) bytes and shared by callers.
     """
+    offsets = log_sparse_offsets(length)
     lags = np.zeros(2 * length - 1, dtype=bool)
-    lags[[length - 1 + delta for delta in log_sparse_offsets(length)]] = True
+    lags[[length - 1 + delta for delta in offsets]] = True
     return np.lib.stride_tricks.as_strided(
         lags[length - 1:], shape=(length, length), strides=(1, -1),
         writeable=False)

@@ -152,10 +152,11 @@ class Adam:
     """Standard Adam with bias correction (ADAM_BETA1, ADAM_BETA2, ADAM_EPS).
 
     The moments of all parameters sit in two flat arrays, one segment per
-    parameter in the order of params, so a step updates every parameter
-    in one pass of array arithmetic. Each element meets the same
-    expressions in the same order as in a per-parameter loop, so the
-    result is the same to the bit.
+    parameter in the order of params, updated in place. A step builds one
+    flat update from them and gives each parameter a fresh array of its
+    own: its old data minus its segment of the update. Each element meets
+    the same expressions in the same order as in a per-parameter loop, so
+    the result is the same to the bit.
     """
 
     def __init__(self, params: dict[str, Tensor]):
@@ -177,18 +178,15 @@ class Adam:
         b1c = 1.0 - ADAM_BETA1 ** self.t
         b2c = 1.0 - ADAM_BETA2 ** self.t
         g = np.concatenate([p.grad.reshape(-1) for p in tensors])
-        m = ADAM_BETA1 * self.m + (1 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * self.v + (1 - ADAM_BETA2) * g * g
-        self.m[:], self.v[:] = m, v
-        mhat = m / b1c
-        vhat = v / b2c
-        data = np.concatenate([p.data.reshape(-1) for p in tensors])
-        data = data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        # Each parameter gets an array of its own: left as views into one
-        # flat array, they made greedy decoding about 8% slower on the
-        # tiny_learn benchmark.
+        self.m *= ADAM_BETA1
+        self.m += (1 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1 - ADAM_BETA2) * g * g
+        step = lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
         for p, start, stop in zip(tensors, self._bounds, self._bounds[1:]):
-            p.data = data[start:stop].reshape(p.data.shape).copy()
+            # via reshape(-1): a 0-d parameter stays an array, not a scalar
+            p.data = (p.data.reshape(-1) - step[start:stop]).reshape(
+                p.data.shape)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

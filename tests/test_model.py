@@ -911,6 +911,24 @@ def test_failed_step_leaves_the_cache_as_it_was():
     assert cache.start == 3
 
 
+def test_step_failing_only_its_last_check_leaves_the_cache_as_it_was():
+    # The output logits overflow, and no layer norm follows them: only the
+    # step's one check once the logits are out sees it. The FF layer
+    # norm's output lies within sqrt(d - 1) < 3 of its bias, so a bias of
+    # 4 makes the huge weight's input entry exceed 1.
+    m = tiny_model()
+    memory = m.encode([np.random.default_rng(23).normal(size=(6, 5))])
+    cache = DecoderCache()
+    m.decoder_forward(memory, [BOS], "gloss", cache)
+    start, self_kv = cache.start, cache.self_kv
+    m.params["out_gloss.w"].data[0, 0] = np.finfo(np.float64).max
+    m.params["dec_gloss0.ff_norm_b"].data[0] = 4.0
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            nc.NonFiniteError, match="^matmul produced non-finite values$"):
+        m.decoder_forward(memory, [5], "gloss", cache)
+    assert cache.start == start and cache.self_kv is self_kv
+
+
 def test_cached_step_names_a_nan_embedding_row():
     m = tiny_model()
     memory = m.encode([np.random.default_rng(24).normal(size=(6, 5))])

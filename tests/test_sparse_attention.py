@@ -191,8 +191,10 @@ def test_log_sparse_offsets():
     assert sa.log_sparse_offsets(2) == (0, 1)
     assert sa.log_sparse_offsets(8) == (0, 1, 2, 4)
     assert sa.log_sparse_offsets(9) == (0, 1, 2, 4, 8)
-    with pytest.raises(sa.DomainError):
-        sa.log_sparse_offsets(0)
+    for length in (0, -3):
+        for fn in (sa.log_sparse_offsets, sa.build_mask, sa.causal_mask):
+            with pytest.raises(sa.DomainError):
+                fn(length)
 
 
 def test_count_attention_pairs_closed_form_matches_loop():

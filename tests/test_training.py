@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -399,6 +400,50 @@ def test_adam_step_with_a_missing_gradient_raises_and_changes_nothing():
     assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
     for n, p in params.items():
         assert np.array_equal(p.data, before[n]), n
+
+
+def test_adam_gives_each_parameter_an_array_of_its_own():
+    # A 0-d parameter stays a 0-d array that in-place edits reach (as
+    # grad_check's perturbations do), and no parameter is a view into
+    # another's memory or into the moments: views of one flat array made
+    # greedy decoding slower.
+    rng = np.random.default_rng(44)
+    shapes = {"w": (3, 4), "s": (), "b": (4,), "u": (2, 2)}
+    params = {n: Tensor(rng.normal(size=shape), requires_grad=True)
+              for n, shape in shapes.items()}
+    opt = training.Adam(params)
+    for _ in range(3):
+        for p in params.values():
+            p.grad = rng.normal(size=p.shape)
+        opt.step(lr=1e-2)
+    for n, p in params.items():
+        assert type(p.data) is np.ndarray and p.data.shape == shapes[n], n
+        assert p.data.flags.c_contiguous and p.data.flags.writeable, n
+        owner = p.data if p.data.base is None else p.data.base
+        assert owner.nbytes == p.data.nbytes, n
+        others = [q.data for k, q in params.items() if k != n]
+        assert not any(np.shares_memory(p.data, o)
+                       for o in [*others, opt.m, opt.v]), n
+
+
+def test_adam_step_at_set2_width_holds_at_most_five_parameter_copies():
+    # The moments update in place and the step is one flat array, so a
+    # step's traced peak stays near 4 copies of the N parameters; a flat
+    # copy of the parameters on top of that made it 8.
+    rng = np.random.default_rng(45)
+    params = GlotModel(GlotConfig.set2(), seed=0).params
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape)
+    n = sum(p.data.size for p in params.values())
+    opt = training.Adam(params)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        opt.step(lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert n > 10 ** 6 and peak <= 5 * n * 8, peak / (n * 8)
 
 
 @pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
