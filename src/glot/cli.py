@@ -232,7 +232,8 @@ def evaluate_clipped(model: GlotModel, encoded) -> tuple:
     max_len = min(model.config.max_target_len,
                   2 + max(max(len(s.gloss_ids), len(s.text_ids))
                           for s in encoded))
-    return training.evaluate_bleu(model, encoded, max_decode_len=max_len)
+    results = model.greedy_decode_batch([s.features for s in encoded], max_len)
+    return training.score_decodes(model, encoded, results)
 
 
 def cmd_gradcheck(args) -> int:

@@ -217,28 +217,39 @@ class StepWeights(NamedTuple):
 
 
 class DecoderCache:
-    """Decoder state carried across the steps of one greedy stage.
+    """Decoder state carried across the steps of one greedy stage, for a
+    group of sequences decoded in lockstep (a lone sequence is a group of
+    one).
 
-    A cache serves one stage over one memory. Its first step records the
-    stage and the memory object, fetches the stage's StepWeights and
-    projects the memory's cross-attention keys and values once; a later
-    step with another stage or another memory raises ContractError before
-    it does any work. The self-attention keys and values of every position
-    decoded so far grow by one step at a time, each stored only once its
-    step's check passes. Keys and values are kept split into heads as the
-    attention kernel takes them: keys as (H, d/H, rows), values as
-    (H, rows, d/H); all are None before the first step. They are plain
-    arrays, so a cached step records no gradient: the cache is for
+    A cache serves one stage over one memory: one memory Tensor for a
+    lone sequence, or a list of them, one per sequence. Its first step
+    records the stage and the memory object, fetches the stage's
+    StepWeights and projects the memory's cross-attention keys and values
+    once; a later step with another stage or another memory raises
+    ContractError before it does any work. Keys and values are kept split
+    into heads as the attention kernel takes them: keys as (B*H, d/H,
+    rows), values as (B*H, rows, d/H), rows b*H .. b*H + H-1 of the
+    leading axis being sequence b's heads, so that the kernel runs on the
+    3-D stacks of a lone sequence whatever B is. The cross-attention ones
+    are zero-padded to the group's longest memory, and cross_mask
+    (B*H, 1, rows), true on each sequence's own rows, keeps the padding
+    out of the softmax; it is None when no sequence is padded. The
+    self-attention keys and values grow by one position per step, stored
+    only once the step's check passes; keep_only drops finished sequences
+    from every cached array. All are None before the first step. They are
+    plain arrays, so a cached step records no gradient: the cache is for
     inference.
     """
 
     def __init__(self):
         self.start = 0      # positions already decoded
         self.stage: str | None = None
-        self.memory: Tensor | None = None
+        self.memory: Tensor | list[Tensor] | None = None
         self.weights: StepWeights | None = None
         self.self_kv: tuple[np.ndarray, np.ndarray] | None = None
         self.cross_kv: tuple[np.ndarray, np.ndarray] | None = None
+        self.cross_mask: np.ndarray | None = None
+        self.size = 0       # sequences still decoded
 
     def extend(self, kt: np.ndarray, vh: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -250,6 +261,43 @@ class DecoderCache:
         return (np.concatenate([old_kt, kt], axis=2),
                 np.concatenate([old_vh, vh], axis=1))
 
+    def keep_only(self, live: list[bool]) -> None:
+        """Keep the sequences whose entry in live is true, in their order,
+        and drop the rows of the others from every cached array."""
+        heads = len(self.cross_kv[0]) // self.size
+        self.size = sum(live)
+        live = np.repeat(np.asarray(live, dtype=bool), heads)
+        self.self_kv = tuple(a[live] for a in self.self_kv)
+        self.cross_kv = tuple(a[live] for a in self.cross_kv)
+        if self.cross_mask is not None:
+            self.cross_mask = self.cross_mask[live]
+
+
+def _cross_heads(memories: list[np.ndarray], w_kv: np.ndarray,
+                 n_heads: int):
+    """The cross-attention keys and values of sequences over these
+    memories: each memory is projected by w_kv = [wk|wv] and finite-checked
+    as a matmul on its own, as a lone decode projects it, and written
+    zero-padded to the longest, F rows, into head-split (B*H, d/H, F) keys
+    and (B*H, F, d/H) values, sequence b's heads at b*H .. b*H + H-1. Also
+    the (B*H, 1, F) mask of each sequence's own rows, or None when every
+    memory has F rows."""
+    rows = [len(m) for m in memories]
+    B, F, d = len(rows), max(rows), w_kv.shape[1] // 2
+    dh = d // n_heads
+    kt, vh = np.zeros((B, n_heads, dh, F)), np.zeros((B, n_heads, F, dh))
+    for b, (mem, n) in enumerate(zip(memories, rows)):
+        kv = mem @ w_kv
+        nc._check_finite(kv, "matmul")
+        kt[b, ..., :n] = kv[:, :d].reshape(n, n_heads, dh).transpose(1, 2, 0)
+        vh[b, :, :n] = kv[:, d:].reshape(n, n_heads, dh).transpose(1, 0, 2)
+    mask = None
+    if min(rows) < F:
+        mask = np.repeat(np.arange(F) < np.array(rows)[:, None], n_heads,
+                         axis=0)[:, None, :]
+    return (kt.reshape(B * n_heads, dh, F), vh.reshape(B * n_heads, F, dh),
+            mask)
+
 
 # The op whose forward kernel makes each output of a cached decoder step,
 # in the step's order: the names its finite check reports.
@@ -258,6 +306,11 @@ STEP_CHECKS = ("gather_rows", "add",                          # embedding + PE
                "matmul", "attention", "matmul", "layer_norm",  # cross
                "matmul", "relu", "matmul", "layer_norm",       # feed-forward
                "matmul")                                       # output logits
+
+
+# Clips that greedy_decode_batch decodes in lockstep at most: the batch
+# size of both training presets.
+DECODE_GROUP = 32
 
 
 @dataclass
@@ -436,8 +489,9 @@ class GlotModel:
         return (self.config.gloss_vocab_size if stage == "gloss"
                 else self.config.text_vocab_size)
 
-    def decoder_forward(self, memory: Tensor, token_ids: list[int],
-                        stage: str, cache: DecoderCache | None = None,
+    def decoder_forward(self, memory: Tensor | list[Tensor],
+                        token_ids: list[int], stage: str,
+                        cache: DecoderCache | None = None,
                         blocks: list[tuple[int, int]] | None = None
                         ) -> Tensor:
         """Causal self-attention over the target prefix, cross-attention
@@ -450,38 +504,50 @@ class GlotModel:
         sequence and of its memory. Without blocks, token_ids is one
         sequence from position 0 over all of memory.
 
-        With a cache (eval mode only: a step applies no dropout), token_ids
-        is one id (any other count raises ContractError), the position after
-        the cache.start already decoded. Its row alone is computed, on plain
-        arrays, by the forward kernels of the ops above; its key and value
-        join the cache, and one check of all the kernels' outputs names the
-        first non-finite one by its op. The 1 x vocab logits come back as a
-        Tensor that records nothing. A cache holds one sequence of one stage
-        over one memory (DecoderCache), so it takes no blocks.
+        With a cache (eval mode only: a step applies no dropout), the call
+        is one step of a group of sequences decoded in lockstep
+        (DecoderCache): memory is one sequence's memory Tensor, or a list
+        of them, one per sequence, and takes no blocks. token_ids holds
+        one id for each sequence the cache still decodes (on its first
+        step, one per memory; any other count raises ContractError), at
+        the position after the cache.start already decoded. Each id's row
+        alone is computed, on plain arrays, by the forward kernels of the
+        ops above, all rows at once; their keys and values join the cache,
+        and one check of all the kernels' outputs names the first
+        non-finite one by its op. The B x vocab logits, one row per id,
+        come back as a Tensor that records nothing.
         """
         if stage not in ("gloss", "text"):
             raise nc.ConfigError(f"unknown decoder stage {stage!r}")
         vocab = self._stage_vocab_size(stage)
-        if any(not 0 <= t < vocab for t in token_ids):
+        if len(token_ids) and not (0 <= min(token_ids)
+                                   and max(token_ids) < vocab):
             raise DataError(f"token id out of range for {stage} vocabulary")
         limit = self.config.max_target_len + 2
         if cache is not None:
-            if blocks is not None or len(token_ids) != 1:
-                raise nc.ContractError("a cached decoder step takes one token "
-                                       "id of one sequence, and no blocks")
+            if blocks is not None:
+                raise nc.ContractError("a cached decoder step takes one "
+                                       "memory per sequence, and no blocks")
             if self.training:
                 raise nc.ContractError("a cached decoder step applies no "
                                        "dropout; it runs in eval mode only")
-            if cache.stage is not None and (stage != cache.stage
-                                            or memory is not cache.memory):
+            if cache.stage is None:
+                n = 1 if isinstance(memory, Tensor) else len(memory)
+            elif stage != cache.stage or memory is not cache.memory:
                 raise nc.ContractError(
                     f"a decoder cache serves one stage over one memory: "
                     f"this one serves the {cache.stage} stage over the "
                     f"memory of its first step")
+            else:
+                n = cache.size
+            if len(token_ids) != n or not n:
+                raise nc.ContractError(
+                    f"a cached decoder step takes one token id per sequence "
+                    f"it decodes: {n} expected, got {len(token_ids)}")
             longest = cache.start + 1
             if longest > limit:
                 raise DataError(f"target length {longest} exceeds limit")
-            return self._decoder_step(memory, int(token_ids[0]), stage, cache)
+            return self._decoder_step(memory, token_ids, stage, cache)
         if blocks is None:
             blocks = [(len(token_ids), memory.shape[0])]
         lengths = [t for t, _ in blocks]
@@ -522,11 +588,13 @@ class GlotModel:
             (arr("ff_norm_g"), arr("ff_norm_b")),
             p[f"out_{stage}.w"].data, p[f"out_{stage}.b"].data)
 
-    def _decoder_step(self, memory: Tensor, token: int, stage: str,
+    def _decoder_step(self, memory: Tensor | list[Tensor],
+                      token_ids: list[int], stage: str,
                       cache: DecoderCache) -> Tensor:
-        """decoder_forward with a cache for one token: the ops' forward
-        arithmetic on its one row, in the taped path's order. The row may
-        see every cached key: it needs no mask.
+        """decoder_forward with a cache for one token per sequence: the
+        ops' forward arithmetic on one row per sequence, in the taped
+        path's order. A row may see every cached key of its own sequence:
+        self-attention needs no mask.
 
         The step keeps each kernel output and checks them all, named by
         STEP_CHECKS, with one reduction once the logits are out, or as soon
@@ -537,27 +605,31 @@ class GlotModel:
         H, d = self.config.n_heads, self.config.d_model
         if cache.weights is None:
             w = self._stage_weights(stage)
-            kv = memory.data @ w.cross_kv
-            nc._check_finite(kv, "matmul")
+            memories = [memory] if isinstance(memory, Tensor) else memory
+            kt, vh, cache.cross_mask = _cross_heads(
+                [m.data for m in memories], w.cross_kv, H)
+            cache.cross_kv = (kt, vh)
             cache.stage, cache.memory, cache.weights = stage, memory, w
-            cache.cross_kv = (nc._split_heads(kv[:, :d], H, True),
-                              nc._split_heads(kv[:, d:], H))
-        w, t = cache.weights, cache.start
+            cache.size = len(memories)
+        w, t, B = cache.weights, cache.start, len(token_ids)
+        # one row per sequence splits into its heads, and merges back, by
+        # a reshape
+        heads, key_heads, merged = (B * H, 1, -1), (B * H, -1, 1), (B, d)
         outs: list[np.ndarray] = []
         keep = outs.append
         try:
-            keep(h := w.embed[token:token + 1])
+            keep(h := w.embed.take(token_ids, axis=0))
             keep(h := h + self._sinusoids(t + 1)[t:])
             keep(qkv := h @ w.self_qkv)
-            kt, vh = cache.extend(nc._split_heads(qkv[:, d:2 * d], H, True),
-                                  nc._split_heads(qkv[:, 2 * d:], H))
-            keep(attn := nc._attend_heads(nc._split_heads(qkv[:, :d], H),
-                                          kt, vh, None)[0])
+            kt, vh = cache.extend(qkv[:, d:2 * d].reshape(key_heads),
+                                  qkv[:, 2 * d:].reshape(heads))
+            keep(attn := nc._attend_heads(qkv[:, :d].reshape(heads), kt, vh,
+                                          None)[0].reshape(merged))
             keep(attn := attn @ w.self_wo)
             keep(h := nc._norm_rows(h + attn, *w.self_norm)[0])
             keep(q := h @ w.cross_wq)
-            keep(attn := nc._attend_heads(nc._split_heads(q, H),
-                                          *cache.cross_kv, None)[0])
+            keep(attn := nc._attend_heads(q.reshape(heads), *cache.cross_kv,
+                                          cache.cross_mask)[0].reshape(merged))
             keep(attn := attn @ w.cross_wo)
             keep(h := nc._norm_rows(h + attn, *w.cross_norm)[0])
             keep(ff := h @ w.ff_w1 + w.ff_b1)
@@ -623,50 +695,83 @@ class GlotModel:
                             text_rows, text_ids, "text")
         return gloss_logits, text_logits
 
-    def _greedy_stage(self, memory: Tensor, stage: str,
-                      max_len: int) -> tuple[list[int], bool]:
-        ids: list[int] = [BOS]
+    def _greedy_stage(self, memories: list[Tensor], stage: str,
+                      max_len: int) -> tuple[list[list[int]], list[bool]]:
+        """Greedy ids of one stage for the sequence over each memory, and
+        whether each reached max_len unended. All sequences step together;
+        one that emits EOS leaves the batch."""
+        ids: list[list[int]] = [[] for _ in memories]
+        truncated = [True] * len(memories)
+        live = list(range(len(memories)))   # the sequences still decoded
+        tokens = [BOS] * len(memories)
         cache = DecoderCache()
-        truncated = True
         for _ in range(max_len):
-            logits = self.decoder_forward(memory, ids[-1:], stage, cache)
-            nxt = int(logits.data[-1].argmax())  # ties -> lowest id
-            if nxt == EOS:
-                truncated = False
-                break
-            ids.append(nxt)
-        return ids[1:], truncated
+            logits = self.decoder_forward(memories, tokens, stage, cache)
+            tokens = logits.data.argmax(axis=1).tolist()  # ties -> lowest id
+            if EOS in tokens:
+                going = [t != EOS for t in tokens]
+                for i in itertools.compress(live, [not g for g in going]):
+                    truncated[i] = False
+                live = list(itertools.compress(live, going))
+                if not live:
+                    break
+                tokens = list(itertools.compress(tokens, going))
+                cache.keep_only(going)
+            for i, t in zip(live, tokens):
+                ids[i].append(t)
+        return ids, truncated
 
-    def greedy_decode(self, frames: np.ndarray,
-                      max_len: int | None = None) -> GreedyResult:
-        """Deterministic argmax decoding, gloss stage feeding the text stage.
+    def _greedy_group(self, frames_list: list[np.ndarray],
+                      max_len: int) -> list[GreedyResult]:
+        """greedy_decode_batch of one group. Each clip has its own encode,
+        and each text memory its own _gloss_memory, so every memory is the
+        one greedy decoding of that clip alone sees."""
+        memories = [self.encode([f]) for f in frames_list]
+        gloss, gloss_trunc = self._greedy_stage(memories, "gloss", max_len)
+        memories = [self._gloss_memory(m, [m.shape[0]], [g])
+                    for m, g in zip(memories, gloss)]
+        text, text_trunc = self._greedy_stage(memories, "text", max_len)
+        return [GreedyResult(*r)
+                for r in zip(gloss, text, gloss_trunc, text_trunc)]
+
+    def greedy_decode_batch(self, frames_list: list[np.ndarray],
+                            max_len: int | None = None
+                            ) -> list[GreedyResult]:
+        """Deterministic argmax decoding of each clip, gloss stage feeding
+        the text stage: one GreedyResult per clip, in input order.
 
         Each stage decodes at most max_len tokens (None means
         max_target_len); a stage that reaches it unended is truncated.
         max_len is an int in [0, max_target_len + 2], the longest a cached
         stage may run, or ContractError is raised before anything is
-        encoded."""
+        encoded. Consecutive groups of at most DECODE_GROUP clips decode in
+        lockstep: one cached decoder step serves every sequence of a group
+        still running, and a sequence that emits EOS leaves its group. A
+        clip's logits differ from a lone decode's only in the last bits of
+        float sums taken in another order (padded keys, rows stacked in
+        one matmul), so its ids and truncation flags are a lone decode's
+        unless two logits tie to those bits."""
         limit = self.config.max_target_len + 2
         if max_len is None:
             max_len = self.config.max_target_len
         if (isinstance(max_len, bool) or not isinstance(max_len, int)
                 or not 0 <= max_len <= limit):
-            raise nc.ContractError(f"greedy_decode: max_len must be an int "
-                                   f"in [0, {limit}], got {max_len!r}")
+            raise nc.ContractError(f"greedy decoding: max_len must be an "
+                                   f"int in [0, {limit}], got {max_len!r}")
         was_training = self.training
         self.eval()
         try:
-            memory = self.encode([frames])
-            gloss_ids, gloss_trunc = self._greedy_stage(memory, "gloss", max_len)
-            text_memory = self._gloss_memory(memory, [memory.shape[0]],
-                                             [gloss_ids])
-            text_ids, text_trunc = self._greedy_stage(text_memory, "text",
-                                                      max_len)
+            return [res for lo in range(0, len(frames_list), DECODE_GROUP)
+                    for res in self._greedy_group(
+                        frames_list[lo:lo + DECODE_GROUP], max_len)]
         finally:
             self.training = was_training
-        return GreedyResult(gloss_ids=gloss_ids, text_ids=text_ids,
-                            gloss_truncated=gloss_trunc,
-                            text_truncated=text_trunc)
+
+    def greedy_decode(self, frames: np.ndarray,
+                      max_len: int | None = None) -> GreedyResult:
+        """greedy_decode_batch of one clip: its arithmetic is the lone
+        decode's."""
+        return self.greedy_decode_batch([frames], max_len)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ take two operands of one shape and raise ``ShapeError`` otherwise.
 from __future__ import annotations
 
 import contextvars
+import functools
 import itertools
 import math
 import numbers
@@ -365,7 +366,8 @@ def _split_heads(x: np.ndarray, n_heads: int, keys: bool = False
 def _attend_heads(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
                   mask: np.ndarray | None):
     """Scores, softmax over the mask-true keys, weighted sum: the
-    (Lq, d) output of head-split q, k^T and v, and the weights alpha."""
+    head-split (H, Lq, d/H) output of head-split q, k^T and v, and the
+    weights alpha. The mask broadcasts over the scores."""
     alpha = qh @ kt
     alpha *= 1.0 / math.sqrt(qh.shape[2])
     if mask is not None:
@@ -373,7 +375,7 @@ def _attend_heads(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
     alpha -= np.maximum.reduce(alpha, axis=-1, keepdims=True)
     np.exp(alpha, out=alpha)
     alpha /= np.add.reduce(alpha, axis=-1, keepdims=True)
-    return _merge_heads(alpha @ vh), alpha
+    return alpha @ vh, alpha
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
@@ -391,7 +393,7 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
     qh, kt, vh = (_split_heads(q, n_heads), _split_heads(k, n_heads, True),
                   _split_heads(v, n_heads))
     out, alpha = _attend_heads(qh, kt, vh, mask)
-    return out, (qh, kt, vh, alpha)
+    return _merge_heads(out), (qh, kt, vh, alpha)
 
 
 def _attend_grads(saved, g: np.ndarray):
@@ -486,10 +488,11 @@ def offset_attention(x: Tensor, w_q: Tensor, w_k: Tensor,
                          f"w_k {w_k.shape}")
     L = x.shape[0]
     offsets = tuple(offsets)
-    if (not all(isinstance(o, numbers.Integral) and not isinstance(o, bool)
-                for o in offsets)
-            or len(set(offsets)) != len(offsets) or 0 not in offsets
-            or not all(0 <= o < L for o in offsets)):
+    try:
+        valid = _offsets_valid(offsets, tuple(map(type, offsets)), L)
+    except TypeError:   # an unhashable offset is no integer
+        valid = False
+    if not valid:
         raise ContractError(f"offset_attention: offsets {offsets} must be "
                             f"distinct integers, include 0 and lie in "
                             f"[0, {L})")
@@ -523,6 +526,17 @@ def offset_attention(x: Tensor, w_q: Tensor, w_k: Tensor,
         return (dv + dk @ wk.T) + dq @ wq.T, xd.T @ dq, xd.T @ dk
 
     return _record(out, "offset_attention", (x, w_q, w_k), bw)
+
+
+@functools.lru_cache(maxsize=4096)
+def _offsets_valid(offsets: tuple, types: tuple, L: int) -> bool:
+    """Whether offset_attention takes these offsets at length L, memoized
+    per pattern. The offsets' types are part of the key: (0, 1.0) equals
+    (0, 1) and hashes alike, yet only the second is valid."""
+    return (all(issubclass(t, numbers.Integral) and not issubclass(t, bool)
+                for t in types)
+            and len(set(offsets)) == len(offsets) and 0 in offsets
+            and all(0 <= o < L for o in offsets))
 
 
 def _shifted_sum(w: np.ndarray, x: np.ndarray, offsets: tuple[int, ...],

@@ -24,7 +24,8 @@ import numpy as np
 
 from . import metrics, numcore as nc
 from .dataio import EOS, SignSample, Vocabulary
-from .model import GlotModel, check_field_types, save_checkpoint
+from .model import (GlotModel, GreedyResult, check_field_types,
+                    save_checkpoint)
 from .numcore import ContractError, Tape, Tensor
 
 
@@ -182,6 +183,7 @@ class Adam:
         self.m += (1 - ADAM_BETA1) * g
         self.v *= ADAM_BETA2
         self.v += (1 - ADAM_BETA2) * g * g
+        del g   # the step expression peaks at 3 N floats by itself
         step = lr * (self.m / b1c) / (np.sqrt(self.v / b2c) + ADAM_EPS)
         for p, start, stop in zip(tensors, self._bounds, self._bounds[1:]):
             # via reshape(-1): a 0-d parameter stays an array, not a scalar
@@ -240,18 +242,26 @@ def encode_samples(samples: list[SignSample], gloss_vocab: Vocabulary,
             for s in samples]
 
 
+def score_decodes(model: GlotModel, samples: list[EncodedSample],
+                  results: list[GreedyResult]
+                  ) -> tuple[metrics.BleuReport, metrics.BleuReport]:
+    """(gloss report, text report): corpus BLEU of each sample's greedy
+    result against its references."""
+    gloss_pairs = [(model.gloss_vocab.decode_content(r.gloss_ids),
+                    s.gloss_tokens) for s, r in zip(samples, results)]
+    text_pairs = [(model.text_vocab.decode_content(r.text_ids),
+                   s.text_tokens) for s, r in zip(samples, results)]
+    return metrics.corpus_bleu(gloss_pairs), metrics.corpus_bleu(text_pairs)
+
+
 def evaluate_bleu(model: GlotModel, samples: list[EncodedSample],
                   max_decode_len: int | None = None
                   ) -> tuple[metrics.BleuReport, metrics.BleuReport]:
-    """(gloss report, text report) from greedy decoding every sample."""
-    gloss_pairs, text_pairs = [], []
-    for s in samples:
-        res = model.greedy_decode(s.features, max_len=max_decode_len)
-        gloss_pairs.append((model.gloss_vocab.decode_content(res.gloss_ids),
-                            s.gloss_tokens))
-        text_pairs.append((model.text_vocab.decode_content(res.text_ids),
-                           s.text_tokens))
-    return metrics.corpus_bleu(gloss_pairs), metrics.corpus_bleu(text_pairs)
+    """(gloss report, text report) from greedy decoding every sample, one
+    greedy_decode call each."""
+    return score_decodes(model, samples, [
+        model.greedy_decode(s.features, max_len=max_decode_len)
+        for s in samples])
 
 
 # ---------------------------------------------------------------------------

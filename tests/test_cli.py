@@ -8,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from glot import cli, dataio, sparse_attention as sa
-from glot.model import GlotConfig, GlotModel, save_checkpoint
+from glot import cli, dataio, sparse_attention as sa, training
+from glot.model import GlotConfig, GlotModel, load_checkpoint, save_checkpoint
 
 
 def run(capsys, argv):
@@ -765,3 +765,48 @@ def test_library_errors_share_one_base(monkeypatch, capsys):
         got, out, err = run(capsys, ["bench-attn"])
         assert (got, out) == (code, "")
         assert err.splitlines() == [f"{prefix}: stopped"]
+
+
+def test_eval_prints_what_per_sample_decoding_scores(tmp_path, capsys,
+                                                     monkeypatch):
+    # glot eval decodes its 36 clips in lockstep groups (32, then 4) with
+    # one greedy_decode_batch call; its lines equal training.evaluate_bleu's,
+    # which decodes the same clips one greedy_decode call at a time.
+    samples = dataio.synth_generate(5, 45, 5, 8, 0.0,
+                                    tmp_path / "d").load_samples("cv")
+    assert len(samples) == 36
+    gv = dataio.build_vocab([s.gloss for s in samples])
+    tv = dataio.build_vocab([s.text for s in samples])
+    enc = training.encode_samples(samples, gv, tv)
+    cfg = GlotConfig.tiny(d_model=16, ff_size=32, max_frames=32, feat_dim=8,
+                          gloss_vocab_size=len(gv), text_vocab_size=len(tv))
+    model = GlotModel(cfg, gloss_vocab=gv, text_vocab=tv)
+    training.train(model, enc, enc[:2],
+                   training.TrainConfig.set2(epochs=3, batch_size=4))
+    ckpt = tmp_path / "m.ckpt"
+    save_checkpoint(model, ckpt)
+
+    calls = {"greedy_decode": 0, "greedy_decode_batch": 0}
+    for name in calls:
+        def counted(self, *args, _fn=getattr(GlotModel, name), _name=name,
+                    **kwargs):
+            calls[_name] += 1
+            return _fn(self, *args, **kwargs)
+        monkeypatch.setattr(GlotModel, name, counted)
+    code, out, _ = run(capsys, ["eval", "--manifest",
+                                str(tmp_path / "d" / "manifest.tsv"),
+                                "--checkpoint", str(ckpt), "--split", "cv"])
+    assert code == 0 and calls == {"greedy_decode": 0,
+                                   "greedy_decode_batch": 1}
+
+    reloaded = load_checkpoint(ckpt)
+    max_len = min(cfg.max_target_len,
+                  2 + max(max(len(s.gloss_ids), len(s.text_ids))
+                          for s in enc))
+    gloss, text = training.evaluate_bleu(reloaded, enc, max_decode_len=max_len)
+    assert calls == {"greedy_decode": 36, "greedy_decode_batch": 37}
+    assert out.splitlines() == [f"gloss {gloss.record()}",
+                                f"text {text.record()}"]
+    # some sequences end at EOS, so some leave their group early
+    results = reloaded.greedy_decode_batch([s.features for s in enc], max_len)
+    assert 0 < sum(r.gloss_truncated + r.text_truncated for r in results) < 72

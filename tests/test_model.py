@@ -368,6 +368,29 @@ def test_packed_decoder_rejects_a_cache():
                           blocks=[(1, 3)])
 
 
+def test_cached_step_takes_one_token_per_memory_of_a_list():
+    # A cached step over a list of memories decodes one sequence per
+    # memory: one token id each, and on later steps one per sequence the
+    # cache still decodes; the list is the memory the cache serves.
+    m = tiny_model()
+    memories = [m.encode([np.zeros((n, 5))]) for n in (1, 2)]
+    cache = DecoderCache()
+    for ids in ([BOS], [BOS] * 3):
+        with pytest.raises(nc.ContractError, match="2 expected"):
+            m.decoder_forward(memories, ids, "gloss", cache)
+    with pytest.raises(nc.ContractError, match="0 expected"):
+        m.decoder_forward([], [], "gloss", cache)
+    assert cache.stage is None
+    got = m.decoder_forward(memories, [BOS, BOS], "gloss", cache)
+    assert got.shape == (2, 7) and cache.size == 2
+    with pytest.raises(nc.ContractError, match="one stage over one memory"):
+        m.decoder_forward(list(memories), [5, 5], "gloss", cache)
+    cache.keep_only([False, True])
+    with pytest.raises(nc.ContractError, match="1 expected, got 2"):
+        m.decoder_forward(memories, [5, 5], "gloss", cache)
+    assert m.decoder_forward(memories, [5], "gloss", cache).shape == (1, 7)
+
+
 def test_loss_decreases_on_two_samples():
     m = tiny_model()
     rng = np.random.default_rng(15)
@@ -1081,3 +1104,126 @@ def test_greedy_decode_matches_full_prefix_oracle(tmp_path, seed, n, noise):
             assert got == full_prefix_greedy(model, s.features, max_t), s.id
             stops += (not got.gloss_truncated) + (not got.text_truncated)
     assert stops > 0
+
+
+def batch_model(kind, seed):
+    return GlotModel(GlotConfig.tiny(max_frames=40, encoder_kind=kind,
+                                     d_model=16, ff_size=32), seed=seed)
+
+
+def lone_steps(ids, truncated):
+    """The tokens a lone greedy stage fed its cached steps."""
+    return [BOS, *ids][:len(ids) + (not truncated)]
+
+
+def lockstep_logit_error(m, memories, fed, stage):
+    """Step one cache over the memories in lockstep, feeding each
+    sequence its lone decode's tokens and dropping it once they run out;
+    the largest difference of a batched step's logits row from the same
+    step of a lone cache over that sequence's memory alone."""
+    cache, lone = DecoderCache(), [DecoderCache() for _ in memories]
+    live, worst = list(range(len(memories))), 0.0
+    for t in range(max(map(len, fed))):
+        got = m.decoder_forward(memories, [fed[i][t] for i in live], stage,
+                                cache).data
+        assert got.shape[0] == len(live) == cache.size
+        for row, i in zip(got, live):
+            want = m.decoder_forward(memories[i], [fed[i][t]], stage,
+                                     lone[i]).data[0]
+            worst = max(worst, float(np.max(np.abs(row - want))))
+        going = [t + 1 < len(fed[i]) for i in live]
+        live = [i for i, go in zip(live, going) if go]
+        if not live:
+            break
+        if not all(going):
+            cache.keep_only(going)
+            H = m.config.n_heads
+            assert len(cache.self_kv[0]) == len(cache.cross_kv[1]) == \
+                H * len(live)
+    return worst
+
+
+@pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_greedy_decode_batch_matches_lone_decodes(kind, seed):
+    # Clips of 1, 7 and 40 frames, and 33 clips: more than one group.
+    # The ids and truncation flags are those of greedy_decode per clip,
+    # and each lockstep step's logits lie within 1e-12 of the lone step's.
+    m = batch_model(kind, seed)
+    rng = np.random.default_rng(seed + 100)
+    three = [np.random.default_rng([seed, n]).normal(size=(n, 5))
+             for n in (1, 7, 40)]
+    many = [rng.normal(size=(int(n), 5)) for n in rng.integers(1, 41, 33)]
+    limit = m.config.max_target_len + 2
+    for clips in (three, many):
+        lone = [m.greedy_decode(f, max_len=limit) for f in clips]
+        assert m.greedy_decode_batch(clips, max_len=limit) == lone
+        memories = [m.encode([f]) for f in clips]
+        text_memories = [m._gloss_memory(mem, [len(f)], [r.gloss_ids])
+                         for mem, f, r in zip(memories, clips, lone)]
+        gloss_fed = [lone_steps(r.gloss_ids, r.gloss_truncated) for r in lone]
+        text_fed = [lone_steps(r.text_ids, r.text_truncated) for r in lone]
+        for mems, fed, stage in ((memories, gloss_fed, "gloss"),
+                                 (text_memories, text_fed, "text")):
+            assert lockstep_logit_error(m, mems, fed, stage) <= 1e-12
+
+
+def test_a_sequence_that_ends_leaves_the_batch(monkeypatch):
+    # These 33 clips' gloss stages end at four different steps: each step
+    # decodes exactly the sequences whose lone decode is still running,
+    # group by group (32 clips, then 1), so a sequence that emits EOS
+    # leaves and the others run on to their own ends.
+    m = batch_model("glot", 2)
+    rng = np.random.default_rng(102)
+    clips = [rng.normal(size=(int(n), 5)) for n in rng.integers(1, 41, 33)]
+    lone = [m.greedy_decode(f, max_len=14) for f in clips]
+    steps = {stage: [len(lone_steps(getattr(r, f"{stage}_ids"),
+                                    getattr(r, f"{stage}_truncated")))
+                     for r in lone] for stage in ("gloss", "text")}
+    assert len(set(steps["gloss"])) == 4
+    expected = [(stage, sum(n > t for n in steps[stage][lo:lo + 32]))
+                for lo in (0, 32) for stage in ("gloss", "text")
+                for t in range(max(steps[stage][lo:lo + 32]))]
+    calls, forward = [], m.decoder_forward
+
+    def spy(memory, token_ids, stage, cache=None, blocks=None):
+        calls.append((stage, len(token_ids)))
+        return forward(memory, token_ids, stage, cache, blocks)
+
+    monkeypatch.setattr(m, "decoder_forward", spy)
+    assert m.greedy_decode_batch(clips, max_len=14) == lone
+    assert calls == expected
+
+
+def test_batch_overflow_in_one_sequence_names_the_lone_decodes_op():
+    # A huge embedding row for gloss id 5, which only the 1-frame clip
+    # (last in the batch) feeds back: decoding that clip alone overflows,
+    # the other clips decode alone as before, and the lockstep batch
+    # raises the same error as the lone decodes in order do.
+    m = batch_model("dense_baseline", 2)
+    clips = [np.random.default_rng([2, n]).normal(size=(n, 5))
+             for n in (40, 7, 1)]
+    clean = [m.greedy_decode(f, max_len=14) for f in clips]
+    assert [5 in r.gloss_ids[:-1] for r in clean] == [False, False, True]
+    m.params["embed_gloss"].data[5] = 1e200
+    assert [m.greedy_decode(f, max_len=14) for f in clips[:2]] == clean[:2]
+    with np.errstate(all="ignore"), pytest.raises(nc.NonFiniteError) as lone:
+        m.greedy_decode(clips[2], max_len=14)
+    with np.errstate(all="ignore"), pytest.raises(nc.NonFiniteError) as batch:
+        m.greedy_decode_batch(clips, max_len=14)
+    assert str(batch.value) == str(lone.value)
+    assert str(lone.value).endswith("produced non-finite values")
+
+
+@pytest.mark.parametrize("max_len", [-1, 15, 2.0, True, None])
+def test_greedy_decode_batch_checks_max_len_before_any_encode(monkeypatch,
+                                                              max_len):
+    m = tiny_model()
+    clips = [np.zeros((2, 5)), np.zeros((3, 5))]
+    if max_len is None:     # the default is valid; nothing is decoded
+        assert m.greedy_decode_batch([], max_len) == []
+        return
+    monkeypatch.setattr(m, "encode", None)
+    with pytest.raises(nc.ContractError,
+                       match=r"max_len must be an int in \[0, 14\]"):
+        m.greedy_decode_batch(clips, max_len=max_len)

@@ -426,10 +426,11 @@ def test_adam_gives_each_parameter_an_array_of_its_own():
                        for o in [*others, opt.m, opt.v]), n
 
 
-def test_adam_step_at_set2_width_holds_at_most_five_parameter_copies():
-    # The moments update in place and the step is one flat array, so a
-    # step's traced peak stays near 4 copies of the N parameters; a flat
-    # copy of the parameters on top of that made it 8.
+def test_adam_step_at_set2_width_holds_at_most_3_5_parameter_copies():
+    # The moments update in place, the flat gradient is freed once they
+    # are, and the step is one flat array, so a step's traced peak stays
+    # near 3 copies of the N parameters; keeping the flat gradient made it
+    # 4, and a flat copy of the parameters on top of that 8.
     rng = np.random.default_rng(45)
     params = GlotModel(GlotConfig.set2(), seed=0).params
     for p in params.values():
@@ -443,7 +444,7 @@ def test_adam_step_at_set2_width_holds_at_most_five_parameter_copies():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert n > 10 ** 6 and peak <= 5 * n * 8, peak / (n * 8)
+    assert n > 10 ** 6 and peak <= 3.5 * n * 8, peak / (n * 8)
 
 
 @pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
