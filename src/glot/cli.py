@@ -298,9 +298,8 @@ def cmd_bench_attn(args) -> int:
         if int(sa.build_mask(L).sum()) != logsparse:
             print(f"pair counts disagree at L={L}", file=sys.stderr)
             return EXIT_CHECK_FAILED
-        dense_mask = np.ones((L, L), dtype=bool)
         t_dense = _median_ms(lambda: nc.attention(
-            nc.matmul(x, params.w_q), nc.matmul(x, params.w_k), x, dense_mask))
+            nc.matmul(x, params.w_q), nc.matmul(x, params.w_k), x))
         t_lssa = _median_ms(lambda: sa.lssa_layer(x, params))
         print(f"{L:>6} {dense:>10} {causal:>10} {logsparse:>10} "
               f"{bound:>10} {t_dense:>11.3f} {t_lssa:>10.3f}")

@@ -9,8 +9,9 @@ finite differences.
 
 The forward arithmetic of attention and layer norm lives in array
 kernels (``_split_heads`` and ``_attend_heads``, ``_norm_rows``) that the
-taped ops call and that the model's cached decoder step, which records no
-gradient, calls on plain arrays.
+taped ops call; the model's cached decoder step, which records no
+gradient, splits its heads itself and calls ``_attend_heads`` and
+``_norm_rows`` on plain arrays.
 
 All arithmetic is 64-bit, and nothing broadcasts: ``add`` and ``mul``
 take two operands of one shape and raise ``ShapeError`` otherwise.
@@ -22,7 +23,6 @@ import contextvars
 import functools
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -45,6 +45,10 @@ class ContractError(GlotError, RuntimeError):
 
 class NonFiniteError(ArithmeticError):
     """A forward operation produced NaN or Inf."""
+
+
+class DomainError(GlotError, ValueError):
+    """Position or length outside the valid domain."""
 
 
 # The tapes entered in the current context, innermost last. Each thread
@@ -346,19 +350,15 @@ def log_softmax_rows(x: Tensor) -> Tensor:
 # attention
 
 def _merge_heads(x: np.ndarray) -> np.ndarray:
-    """(H, L, dh) -> C-contiguous (L, H*dh), one row just reshaped; C order
-    keeps the BLAS kernel, and so the low bits, of a gradient's matmul fixed."""
-    if x.shape[1] == 1:
-        return x.reshape(1, -1)
+    """(H, L, dh) -> C-contiguous (L, H*dh); C order keeps the BLAS kernel,
+    and so the low bits, of a gradient's matmul fixed."""
     return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(x.shape[1], -1)
 
 
 def _split_heads(x: np.ndarray, n_heads: int, keys: bool = False
                  ) -> np.ndarray:
     """(L, d) rows as the C-contiguous per-head (H, L, d/H) array that
-    _attend_heads takes, or for keys (H, d/H, L); one row is just reshaped."""
-    if x.shape[0] == 1:
-        return x.reshape((n_heads, -1, 1) if keys else (n_heads, 1, -1))
+    _attend_heads takes, or for keys (H, d/H, L)."""
     xh = x.reshape(x.shape[0], n_heads, -1)
     return np.ascontiguousarray(xh.transpose((1, 2, 0) if keys else (1, 0, 2)))
 
@@ -461,16 +461,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
                    (q, k, v), bw)
 
 
-def offset_attention(x: Tensor, w_q: Tensor, w_k: Tensor,
-                     offsets: Sequence[int]) -> Tensor:
-    """Single-head scaled dot-product attention of the rows of x over
-    fixed key distances, with queries x @ w_q, keys x @ w_k and values x.
+@functools.lru_cache(maxsize=256)
+def log_sparse_offsets(length: int) -> tuple[int, ...]:
+    """Key distances of the log-sparse pattern at this length:
+    (0, 1, 2, 4, ..., 2^m) with 2^m < length. Row p (0-based) sees the
+    keys p - delta for every offset delta <= p."""
+    if length < 1:
+        raise DomainError(f"length must be >= 1, got {length}")
+    return (0,) + tuple(2 ** k for k in range((length - 1).bit_length()))
 
-    x is (L, d) and w_q, w_k are (d, e); query row p attends to the rows
-    p - delta for each delta in offsets with delta <= p. The offsets are
-    distinct integers. Each distance is one shifted block of rows: its
+
+def offset_attention(x: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
+    """Single-head scaled dot-product log-sparse attention of the rows of
+    x, with queries x @ w_q, keys x @ w_k and values x.
+
+    x is (L, d) with L >= 1 and w_q, w_k are (d, e); query row p attends
+    to the rows p - delta for each of the K distances delta <= p in
+    log_sparse_offsets(L). Each distance is one shifted block of rows: its
     scores are the row-wise dot products of q[delta:] with k[:L - delta],
-    row j of a (K, L) weight array (K = len(offsets)), and the output and
+    row j of a (K, L) weight array, and the output and
     every gradient add K shifted products, so time grows as L*K rather
     than L*L and nothing larger than the weights is built. The tape keeps
     only x, w_q, w_k and the (K, L) softmax weights; backward projects q
@@ -482,20 +491,12 @@ def offset_attention(x: Tensor, w_q: Tensor, w_k: Tensor,
     and dx adds its terms in the order the backward pass of those three
     ops would: the values' term, then the keys', then the queries'.
     """
-    if (x.data.ndim != 2 or w_q.data.ndim != 2 or w_k.shape != w_q.shape
-            or w_q.shape[0] != x.shape[1]):
+    if (x.data.ndim != 2 or not x.shape[0] or w_q.data.ndim != 2
+            or w_k.shape != w_q.shape or w_q.shape[0] != x.shape[1]):
         raise ShapeError(f"offset_attention: x {x.shape}, w_q {w_q.shape}, "
                          f"w_k {w_k.shape}")
     L = x.shape[0]
-    offsets = tuple(offsets)
-    try:
-        valid = _offsets_valid(offsets, tuple(map(type, offsets)), L)
-    except TypeError:   # an unhashable offset is no integer
-        valid = False
-    if not valid:
-        raise ContractError(f"offset_attention: offsets {offsets} must be "
-                            f"distinct integers, include 0 and lie in "
-                            f"[0, {L})")
+    offsets = log_sparse_offsets(L)
     xd, wq, wk = x.data, w_q.data, w_k.data
     qd = xd @ wq
     _check_finite(qd, "matmul")
@@ -526,17 +527,6 @@ def offset_attention(x: Tensor, w_q: Tensor, w_k: Tensor,
         return (dv + dk @ wk.T) + dq @ wq.T, xd.T @ dq, xd.T @ dk
 
     return _record(out, "offset_attention", (x, w_q, w_k), bw)
-
-
-@functools.lru_cache(maxsize=4096)
-def _offsets_valid(offsets: tuple, types: tuple, L: int) -> bool:
-    """Whether offset_attention takes these offsets at length L, memoized
-    per pattern. The offsets' types are part of the key: (0, 1.0) equals
-    (0, 1) and hashes alike, yet only the second is valid."""
-    return (all(issubclass(t, numbers.Integral) and not issubclass(t, bool)
-                for t in types)
-            and len(set(offsets)) == len(offsets) and 0 in offsets
-            and all(0 <= o < L for o in offsets))
 
 
 def _shifted_sum(w: np.ndarray, x: np.ndarray, offsets: tuple[int, ...],

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import GlotError
-from .numcore import ContractError, Tensor
+from .numcore import ContractError, DomainError, Tensor, log_sparse_offsets
 
 
 # Shortest length at which lssa_layer runs numcore.offset_attention, one
@@ -29,10 +28,6 @@ from .numcore import ContractError, Tensor
 # 1.4-1.5 at L = 64, 1.15-1.2 at L = 96, 0.6-0.75 at L = 128 and 0.35-0.4
 # at L = 192.
 OFFSET_MIN_LENGTH = 128
-
-
-class DomainError(GlotError, ValueError):
-    """Position or length outside the valid domain."""
 
 
 @dataclass
@@ -55,16 +50,6 @@ def log_index_set(p: int) -> tuple[int, ...]:
             if q >= 1:
                 members.add(q)
     return tuple(sorted(members))
-
-
-@functools.lru_cache(maxsize=256)
-def log_sparse_offsets(length: int) -> tuple[int, ...]:
-    """Key distances of the log-sparse pattern at this length:
-    (0, 1, 2, 4, ..., 2^m) with 2^m < length. Row p (0-based) sees the
-    keys p - delta for every offset delta <= p."""
-    if length < 1:
-        raise DomainError(f"length must be >= 1, got {length}")
-    return (0,) + tuple(2 ** k for k in range((length - 1).bit_length()))
 
 
 @functools.lru_cache(maxsize=256)
@@ -120,8 +105,7 @@ def lssa_layer(x: Tensor, params: LssaParams) -> Tensor:
     """
     L = x.shape[0]
     if L >= OFFSET_MIN_LENGTH:
-        return nc.offset_attention(x, params.w_q, params.w_k,
-                                   log_sparse_offsets(L))
+        return nc.offset_attention(x, params.w_q, params.w_k)
     return nc.attention(nc.matmul(x, params.w_q), nc.matmul(x, params.w_k),
                         x, build_mask(L))
 

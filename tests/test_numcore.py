@@ -161,8 +161,7 @@ def test_offset_attention_matches_masked_dense(L):
     results = []
     for op in (lambda x, wq, wk: nc.attention(
                    nc.matmul(x, wq), nc.matmul(x, wk), x, sa.build_mask(L)),
-               lambda x, wq, wk: nc.offset_attention(
-                   x, wq, wk, sa.log_sparse_offsets(L))):
+               nc.offset_attention):
         x, wq, wk = (Tensor(a, requires_grad=True) for a in (x0, wq0, wk0))
         with Tape() as tape:
             out = op(x, wq, wk)
@@ -177,15 +176,15 @@ def test_offset_attention_matches_masked_dense(L):
 def test_offset_attention_contract_errors():
     x, w = Tensor(np.zeros((4, 2))), Tensor(np.zeros((2, 2)))
     with pytest.raises(nc.ShapeError):  # w_q's rows do not match x's width
-        nc.offset_attention(x, Tensor(np.zeros((3, 2))), w, (0, 1))
+        nc.offset_attention(x, Tensor(np.zeros((3, 2))), w)
     with pytest.raises(nc.ShapeError):  # w_k's shape differs from w_q's
-        nc.offset_attention(x, w, Tensor(np.zeros((2, 3))), (0, 1))
+        nc.offset_attention(x, w, Tensor(np.zeros((2, 3))))
     with pytest.raises(nc.ShapeError):
-        nc.offset_attention(Tensor(np.zeros(4)), w, w, (0, 1))
-    with pytest.raises(nc.ContractError):  # row 0 would have no key
-        nc.offset_attention(x, w, w, (1, 2))
-    with pytest.raises(nc.ContractError):
-        nc.offset_attention(x, w, w, (0, 4))
+        nc.offset_attention(Tensor(np.zeros(4)), w, w)
+    with Tape() as tape, pytest.raises(nc.ShapeError):  # no rows
+        nc.offset_attention(Tensor(np.zeros((0, 2)), requires_grad=True),
+                            w, w)
+    assert len(tape) == 0
 
 
 def test_offset_attention_projections_are_finite_checked_as_matmul():
@@ -193,19 +192,7 @@ def test_offset_attention_projections_are_finite_checked_as_matmul():
     with np.errstate(over="ignore"), pytest.raises(
             nc.NonFiniteError, match="^matmul produced"):
         nc.offset_attention(x, Tensor(np.full((2, 2), 1e200)),
-                            Tensor(np.ones((2, 2))), (0, 1))
-
-
-@pytest.mark.parametrize("offsets", [(0, 1, 1), (0, 1.7), (0, 1.0),
-                                     (0, True)])
-def test_offset_attention_rejects_repeated_and_non_integer_offsets(offsets):
-    # A repeated offset would count its key twice in the softmax, and a
-    # float one would run truncated; a bool is not an integer here.
-    x = Tensor(np.ones((4, 2)), requires_grad=True)
-    w = Tensor(np.ones((2, 2)), requires_grad=True)
-    with Tape() as tape, pytest.raises(nc.ContractError, match="distinct"):
-        nc.offset_attention(x, w, w, offsets)
-    assert len(tape) == 0
+                            Tensor(np.ones((2, 2))))
 
 
 def test_offset_attention_tape_holds_no_gather():
@@ -558,14 +545,13 @@ def offset_attention_case(opname, rng):
     and feed both projections; the other two inputs are fixed."""
     wrt, length = opname.split("_")[2:]
     L, d = int(length[1:]), 3
-    offsets = sa.log_sparse_offsets(L)
     shapes = {"v": (L, d), "q": (d, d), "k": (d, d)}
     fixed = {n: Tensor(rng.normal(size=shape)) for n, shape in shapes.items()}
     w = Tensor(rng.normal(size=(L, d)))
 
     def f(x):
         args = dict(fixed, **{wrt: x})
-        out = nc.offset_attention(args["v"], args["q"], args["k"], offsets)
+        out = nc.offset_attention(args["v"], args["q"], args["k"])
         return nc.tsum(nc.mul(out, w))
 
     return f, Tensor(rng.normal(size=shapes[wrt]))
