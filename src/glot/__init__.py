@@ -2,7 +2,7 @@
 
 from .numcore import Tape, Tensor, grad_check
 from .sparse_attention import (LssaParams, build_mask, count_attention_pairs,
-                               log_index_set, lssa_layer, stacked_lssa)
+                               log_index_set, stacked_lssa)
 from .model import GlotConfig, GlotModel, load_checkpoint, save_checkpoint
 from .metrics import BleuReport, corpus_bleu, sentence_bleu
 from .dataio import Manifest, SignSample, Vocabulary, synth_generate
@@ -13,6 +13,6 @@ __all__ = [
     "LssaParams", "Manifest", "SignSample", "Tape", "Tensor", "TrainConfig",
     "Vocabulary", "build_mask", "corpus_bleu", "count_attention_pairs",
     "cross_validate", "grad_check", "load_checkpoint", "log_index_set",
-    "lssa_layer", "save_checkpoint", "sentence_bleu", "stacked_lssa",
+    "save_checkpoint", "sentence_bleu", "stacked_lssa",
     "synth_generate", "train",
 ]

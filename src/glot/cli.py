@@ -293,14 +293,14 @@ def cmd_bench_attn(args) -> int:
         bound = L * (int(np.floor(np.log2(L))) + 2)
 
         x = Tensor(rng.normal(size=(L, d)))
-        params = sa.LssaParams(Tensor(rng.normal(size=(d, d)) / np.sqrt(d)),
-                               Tensor(rng.normal(size=(d, d)) / np.sqrt(d)))
+        w_q, w_k = (Tensor(rng.normal(size=(d, d)) / np.sqrt(d))
+                    for _ in range(2))
         if int(sa.build_mask(L).sum()) != logsparse:
             print(f"pair counts disagree at L={L}", file=sys.stderr)
             return EXIT_CHECK_FAILED
         t_dense = _median_ms(lambda: nc.attention(
-            nc.matmul(x, params.w_q), nc.matmul(x, params.w_k), x))
-        t_lssa = _median_ms(lambda: sa.lssa_layer(x, params))
+            nc.matmul(x, w_q), nc.matmul(x, w_k), x))
+        t_lssa = _median_ms(lambda: nc.offset_attention(x, w_q, w_k))
         print(f"{L:>6} {dense:>10} {causal:>10} {logsparse:>10} "
               f"{bound:>10} {t_dense:>11.3f} {t_lssa:>10.3f}")
     return EXIT_OK

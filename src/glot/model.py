@@ -390,15 +390,14 @@ class GlotModel:
         return Tensor(np.concatenate([table[:n] for n in lengths]))
 
     def _mha(self, prefix: str, xq: Tensor, xkv: Tensor,
-             mask: np.ndarray | None,
+             causal: bool = False,
              blocks: list[tuple[int, int]] | None = None) -> Tensor:
-        """Multi-head attention; a mask of None allows every key. Blocks
-        and a per-block mask make the pattern block-diagonal, as in
-        nc.attention."""
+        """Multi-head attention, causal or over every key; blocks make the
+        pattern block-diagonal, as in nc.attention."""
         p = self.params
         q = nc.matmul(xq, p[prefix + "wq"])
         k, v = nc.matmul(xkv, p[prefix + "wk"]), nc.matmul(xkv, p[prefix + "wv"])
-        heads = nc.attention(q, k, v, mask, self.config.n_heads, blocks)
+        heads = nc.attention(q, k, v, causal, self.config.n_heads, blocks)
         return nc.matmul(heads, p[prefix + "wo"])
 
     def _feed_forward(self, prefix: str, x: Tensor) -> Tensor:
@@ -469,7 +468,7 @@ class GlotModel:
         x; self-attention stays within each clip."""
         pre = "enc0."
         blocks = None if len(lengths) == 1 else [(F, F) for F in lengths]
-        attn = self._mha(pre + "attn.", x, x, None, blocks=blocks)
+        attn = self._mha(pre + "attn.", x, x, blocks=blocks)
         x = self._norm(pre + "attn_norm", x, self._dropout(attn))
         ff = self._feed_forward(pre, x)
         return self._norm(pre + "ff_norm", x, self._dropout(ff))
@@ -555,15 +554,14 @@ class GlotModel:
         if longest > limit:
             raise DataError(f"target length {longest} exceeds limit")
         self_blocks = [(t, t) for t in lengths]
-        self_mask = [sa.causal_mask(t) for t in lengths]
         p = self.params
         h = nc.gather_rows(p[f"embed_{stage}"], token_ids)
         h = nc.add(h, self._pe(lengths))
         h = self._dropout(h)
         pre = f"dec_{stage}0."
-        attn = self._mha(pre + "self.", h, h, self_mask, self_blocks)
+        attn = self._mha(pre + "self.", h, h, True, self_blocks)
         h = self._norm(pre + "self_norm", h, self._dropout(attn))
-        attn = self._mha(pre + "cross.", h, memory, None, blocks)
+        attn = self._mha(pre + "cross.", h, memory, blocks=blocks)
         h = self._norm(pre + "cross_norm", h, self._dropout(attn))
         ff = self._feed_forward(pre, h)
         h = self._norm(pre + "ff_norm", h, self._dropout(ff))

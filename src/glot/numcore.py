@@ -7,11 +7,13 @@ whole model: it runs backward once over a zero-argument ``loss()`` and
 compares the gradient of each named tensor in ``wrt`` against central
 finite differences.
 
-The forward arithmetic of attention and layer norm lives in array
-kernels (``_split_heads`` and ``_attend_heads``, ``_norm_rows``) that the
-taped ops call; the model's cached decoder step, which records no
-gradient, splits its heads itself and calls ``_attend_heads`` and
-``_norm_rows`` on plain arrays.
+Callers name an attention pattern and numcore builds its mask:
+``attention`` is causal or sees every key, and ``offset_attention`` is a
+whole log-sparse layer. Their forward arithmetic, and layer norm's, lives
+in array kernels (``_split_heads`` and ``_attend_heads``, ``_norm_rows``)
+that the taped ops call; the model's cached decoder step, which records
+no gradient, splits its heads itself and calls ``_attend_heads`` (with
+its own padding mask) and ``_norm_rows`` on plain arrays.
 
 All arithmetic is 64-bit, and nothing broadcasts: ``add`` and ``mul``
 take two operands of one shape and raise ``ShapeError`` otherwise.
@@ -382,14 +384,6 @@ def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
             mask: np.ndarray | None, n_heads: int):
     """attention's arithmetic on plain arrays: the (Lq, d) output and what
     _attend_grads needs (the per-head q, k^T, v and weights alpha)."""
-    Lq, Lk = q.shape[0], k.shape[0]
-    if mask is not None:
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (Lq, Lk):
-            raise ShapeError(f"attention: mask {mask.shape} vs scores "
-                             f"{(Lq, Lk)}")
-        if not mask.any(axis=1).all():
-            raise ContractError("attention: a row has no allowed entries")
     qh, kt, vh = (_split_heads(q, n_heads), _split_heads(k, n_heads, True),
                   _split_heads(v, n_heads))
     out, alpha = _attend_heads(qh, kt, vh, mask)
@@ -411,24 +405,33 @@ def _attend_grads(saved, g: np.ndarray):
     return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor,
-              mask: np.ndarray | Sequence | None = None, n_heads: int = 1,
-              blocks: Sequence[tuple[int, int]] | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention restricted to a mask.
+@functools.lru_cache(maxsize=256)
+def _causal_mask(length: int) -> np.ndarray:
+    """Boolean LxL lower triangle, built once per length and read-only."""
+    mask = np.tril(np.ones((length, length), dtype=bool))
+    mask.setflags(write=False)
+    return mask
 
-    q is (Lq, d), k and v are (Lk, d) and mask is a boolean (Lq, Lk)
-    pattern shared by every head, or None to allow every key. Heads are the
-    reshape (L, d) -> (H, L, d/H); scores are scaled by 1/sqrt(d/H) and
-    each row is softmax-normalized over its mask-true entries only, so
-    masked weights are exactly 0. The per-head outputs are laid side by
-    side into an (Lq, d) result.
+
+def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
+              n_heads: int = 1,
+              blocks: Sequence[tuple[int, int]] | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention, causal or over every key.
+
+    q is (Lq, d), k and v are (Lk, d). Heads are the reshape (L, d) ->
+    (H, L, d/H); scores are scaled by 1/sqrt(d/H) and each row is
+    softmax-normalized over the keys it may see. A causal call needs
+    Lq = Lk, and query row p sees keys 0 .. p only, under a lower
+    triangle that numcore builds once per length: masked weights are
+    exactly 0. The per-head outputs are laid side by side into an (Lq, d)
+    result.
 
     ``blocks`` makes the pattern block-diagonal: (lq, lk) row counts that
     split q and k, in order, into blocks whose query rows see only the
-    keys of their own block, and mask is then one pattern (or None) per
-    block. Each block runs the arithmetic of a call on its rows alone, and
-    no score outside the blocks is computed; a call without blocks is the
-    single block (Lq, Lk).
+    keys of their own block (with lq = lk in every block of a causal
+    call). Each block runs the arithmetic of a call on its rows alone,
+    and no score outside the blocks is computed; a call without blocks is
+    the single block (Lq, Lk).
     """
     if q.data.ndim != 2 or k.shape != v.shape or k.shape[1:] != q.shape[1:]:
         raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
@@ -436,21 +439,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor,
     if n_heads < 1 or d % n_heads:
         raise ConfigError(f"attention: width {d} does not split into "
                           f"{n_heads} heads")
+    if blocks is not None and (
+            not blocks or min(min(b) for b in blocks) < 1
+            or tuple(map(sum, zip(*blocks))) != (Lq, Lk)):
+        raise ShapeError(f"attention: blocks {list(blocks)} do not tile "
+                         f"{(Lq, Lk)}")
+    if causal and any(lq != lk for lq, lk in blocks or [(Lq, Lk)]):
+        raise ShapeError(f"attention: causal scores must be square, got "
+                         f"{list(blocks or [(Lq, Lk)])}")
     if blocks is None:
-        out, saved = _attend(q.data, k.data, v.data, mask, n_heads)
+        out, saved = _attend(q.data, k.data, v.data,
+                             _causal_mask(Lq) if causal else None, n_heads)
         return _record(out, "attention", (q, k, v),
                        lambda g: _attend_grads(saved, g))
-    masks = (None,) * len(blocks) if mask is None else mask
-    if (not blocks or len(masks) != len(blocks)
-            or min(min(b) for b in blocks) < 1
-            or tuple(map(sum, zip(*blocks))) != (Lq, Lk)):
-        raise ShapeError(f"attention: blocks {list(blocks)} with "
-                         f"{len(masks)} masks do not tile {(Lq, Lk)}")
     q_cut = np.cumsum([lq for lq, _ in blocks[:-1]])
     k_cut = np.cumsum([lk for _, lk in blocks[:-1]])
-    parts = [_attend(qb, kb, vb, m, n_heads) for qb, kb, vb, m in zip(
-        np.split(q.data, q_cut), np.split(k.data, k_cut),
-        np.split(v.data, k_cut), masks)]
+    parts = [_attend(qb, kb, vb, _causal_mask(len(qb)) if causal else None,
+                     n_heads)
+             for qb, kb, vb in zip(np.split(q.data, q_cut),
+                                   np.split(k.data, k_cut),
+                                   np.split(v.data, k_cut))]
 
     def bw(g):
         grads = [_attend_grads(saved, gb) for (_, saved), gb in
@@ -471,62 +479,97 @@ def log_sparse_offsets(length: int) -> tuple[int, ...]:
     return (0,) + tuple(2 ** k for k in range((length - 1).bit_length()))
 
 
+@functools.lru_cache(maxsize=256)
+def build_mask(length: int) -> np.ndarray:
+    """Boolean LxL log-sparse mask, row p marking the keys p - delta for
+    each delta <= p in log_sparse_offsets(L) (0-based storage).
+
+    Entry (p, c) depends only on the distance p - c, so the matrix is a
+    read-only Toeplitz view, strides (1, -1), of one vector of the 2L - 1
+    distances: built once per length in O(L) bytes and shared by callers.
+    """
+    offsets = log_sparse_offsets(length)
+    lags = np.zeros(2 * length - 1, dtype=bool)
+    lags[[length - 1 + delta for delta in offsets]] = True
+    return np.lib.stride_tricks.as_strided(
+        lags[length - 1:], shape=(length, length), strides=(1, -1),
+        writeable=False)
+
+
+# Shortest length at which offset_attention runs its shifted kernel, one
+# row block per key distance, instead of masking a dense L x L score
+# matrix. Below it, the dense kernel's few large BLAS calls beat the
+# shifted kernel's per-distance loop of small array calls. Forward plus
+# backward of 5 stacked layers at d_b = 8 (the fused offset op against
+# two matmul projections and masked-dense attention), one BLAS thread on
+# a 2-vCPU Xeon, two runs: offset/dense time is about 2.0 at L = 32,
+# 1.4-1.5 at L = 64, 1.15-1.2 at L = 96, 0.6-0.75 at L = 128 and 0.35-0.4
+# at L = 192.
+OFFSET_MIN_LENGTH = 128
+
+
 def offset_attention(x: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
-    """Single-head scaled dot-product log-sparse attention of the rows of
-    x, with queries x @ w_q, keys x @ w_k and values x.
+    """One log-sparse layer, one op at every length: single-head scaled
+    dot-product attention of the rows of x, with queries x @ w_q, keys
+    x @ w_k (both finite-checked as matmul) and values x.
 
     x is (L, d) with L >= 1 and w_q, w_k are (d, e); query row p attends
     to the rows p - delta for each of the K distances delta <= p in
-    log_sparse_offsets(L). Each distance is one shifted block of rows: its
-    scores are the row-wise dot products of q[delta:] with k[:L - delta],
-    row j of a (K, L) weight array, and the output and
-    every gradient add K shifted products, so time grows as L*K rather
-    than L*L and nothing larger than the weights is built. The tape keeps
-    only x, w_q, w_k and the (K, L) softmax weights; backward projects q
-    and k again. Scores are scaled by 1/sqrt(e) and
-    softmax-normalized over a row's valid distances only, so the weight
-    of a distance beyond its row is exactly 0. The result equals
-    attention(matmul(x, w_q), matmul(x, w_k), x, mask) with
-    mask[p, p - delta] true. The projections are finite-checked as matmul,
-    and dx adds its terms in the order the backward pass of those three
-    ops would: the values' term, then the keys', then the queries'.
+    log_sparse_offsets(L), with scores scaled by 1/sqrt(e). Below
+    OFFSET_MIN_LENGTH the dense kernel scores all L x L pairs under
+    build_mask(L). From there up the shifted kernel takes each distance
+    as one shifted block of rows: its scores are the row-wise dot products
+    of q[delta:] with k[:L - delta], row j of a (K, L) weight array, and
+    the output and every gradient add K shifted products, so time grows
+    as L*K and nothing larger than the weights is built or kept; backward
+    projects q and k again. Either way x gets three gradients, the
+    values' term, the keys', then the queries', which the tape adds in
+    the order of the backward pass of two matmul projections and
+    attention over them: the dense kernel equals that chain to the bit.
     """
     if (x.data.ndim != 2 or not x.shape[0] or w_q.data.ndim != 2
             or w_k.shape != w_q.shape or w_q.shape[0] != x.shape[1]):
         raise ShapeError(f"offset_attention: x {x.shape}, w_q {w_q.shape}, "
                          f"w_k {w_k.shape}")
     L = x.shape[0]
-    offsets = log_sparse_offsets(L)
     xd, wq, wk = x.data, w_q.data, w_k.data
     qd = xd @ wq
     _check_finite(qd, "matmul")
     kd = xd @ wk
     _check_finite(kd, "matmul")
-    alpha = np.full((len(offsets), L), -np.inf)
-    for j, delta in enumerate(offsets):
-        np.einsum("ld,ld->l", qd[delta:], kd[:L - delta],
-                  out=alpha[j, delta:])
-    c = 1.0 / math.sqrt(wq.shape[1])
-    alpha *= c
-    alpha -= np.maximum.reduce(alpha, axis=0)
-    np.exp(alpha, out=alpha)
-    alpha /= np.add.reduce(alpha, axis=0)
-    out = _shifted_sum(alpha, xd, offsets)
+    if L < OFFSET_MIN_LENGTH:
+        out, saved = _attend(qd, kd, xd, build_mask(L), 1)
+        grads = functools.partial(_attend_grads, saved)
+    else:
+        offsets = log_sparse_offsets(L)
+        alpha = np.full((len(offsets), L), -np.inf)
+        for j, delta in enumerate(offsets):
+            np.einsum("ld,ld->l", qd[delta:], kd[:L - delta],
+                      out=alpha[j, delta:])
+        c = 1.0 / math.sqrt(wq.shape[1])
+        alpha *= c
+        alpha -= np.maximum.reduce(alpha, axis=0)
+        np.exp(alpha, out=alpha)
+        alpha /= np.add.reduce(alpha, axis=0)
+        out = _shifted_sum(alpha, xd, offsets)
+
+        def grads(g):
+            ds = np.zeros_like(alpha)
+            for j, delta in enumerate(offsets):
+                np.einsum("ld,ld->l", g[delta:], xd[:L - delta],
+                          out=ds[j, delta:])
+            ds -= np.add.reduce(ds * alpha, axis=0)
+            ds *= alpha
+            ds *= c
+            return (_shifted_sum(ds, xd @ wk, offsets),
+                    _shifted_sum(ds, xd @ wq, offsets, scatter=True),
+                    _shifted_sum(alpha, g, offsets, scatter=True))
 
     def bw(g):
-        ds = np.zeros_like(alpha)
-        for j, delta in enumerate(offsets):
-            np.einsum("ld,ld->l", g[delta:], xd[:L - delta],
-                      out=ds[j, delta:])
-        ds -= np.add.reduce(ds * alpha, axis=0)
-        ds *= alpha
-        ds *= c
-        dq = _shifted_sum(ds, xd @ wk, offsets)
-        dk = _shifted_sum(ds, xd @ wq, offsets, scatter=True)
-        dv = _shifted_sum(alpha, g, offsets, scatter=True)
-        return (dv + dk @ wk.T) + dq @ wq.T, xd.T @ dq, xd.T @ dk
+        dq, dk, dv = grads(g)
+        return dv, dk @ wk.T, dq @ wq.T, xd.T @ dq, xd.T @ dk
 
-    return _record(out, "offset_attention", (x, w_q, w_k), bw)
+    return _record(out, "offset_attention", (x, x, x, w_q, w_k), bw)
 
 
 def _shifted_sum(w: np.ndarray, x: np.ndarray, offsets: tuple[int, ...],

@@ -1,33 +1,23 @@
-"""Log-sparse self-attention: index sets, masks, layers, and pair counts.
+"""Log-sparse self-attention: index sets, stacked layers, and pair counts.
 
 Each query position p (1-based) attends to itself plus the positions at
 power-of-two distances into the past, so one layer evaluates
 O(log L) scores per row and a stack of ceil(log2 L) layers gives every
-position a full causal receptive field.
+position a full causal receptive field. One layer is one
+``numcore.offset_attention`` op, and its mask ``build_mask`` is numcore's,
+re-exported here.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import numcore as nc
-from .numcore import ContractError, DomainError, Tensor, log_sparse_offsets
-
-
-# Shortest length at which lssa_layer runs numcore.offset_attention, one
-# shifted row block per key distance, instead of masking a dense L x L
-# score matrix. Below it, the masked-dense op's few large BLAS calls beat
-# the offset op's per-distance loop of small array calls. Forward plus
-# backward of 5 stacked layers at d_b = 8 (the fused offset op against
-# two matmul projections and masked-dense attention), one BLAS thread on
-# a 2-vCPU Xeon, two runs: offset/dense time is about 2.0 at L = 32,
-# 1.4-1.5 at L = 64, 1.15-1.2 at L = 96, 0.6-0.75 at L = 128 and 0.35-0.4
-# at L = 192.
-OFFSET_MIN_LENGTH = 128
+from .numcore import (ContractError, DomainError, Tensor, build_mask,
+                       log_sparse_offsets)
 
 
 @dataclass
@@ -52,33 +42,6 @@ def log_index_set(p: int) -> tuple[int, ...]:
     return tuple(sorted(members))
 
 
-@functools.lru_cache(maxsize=256)
-def build_mask(length: int) -> np.ndarray:
-    """Boolean LxL matrix; row p marks log_index_set(p+1) (0-based storage):
-    the diagonal plus every sub-diagonal at a power-of-two distance.
-
-    Entry (p, c) depends only on the distance p - c, so the matrix is a
-    read-only Toeplitz view, strides (1, -1), of one vector of the 2L - 1
-    distances: built once per length in O(L) bytes and shared by callers.
-    """
-    offsets = log_sparse_offsets(length)
-    lags = np.zeros(2 * length - 1, dtype=bool)
-    lags[[length - 1 + delta for delta in offsets]] = True
-    return np.lib.stride_tricks.as_strided(
-        lags[length - 1:], shape=(length, length), strides=(1, -1),
-        writeable=False)
-
-
-@functools.lru_cache(maxsize=256)
-def causal_mask(length: int) -> np.ndarray:
-    """Boolean LxL lower triangle, built once per length and read-only."""
-    if length < 1:
-        raise DomainError(f"length must be >= 1, got {length}")
-    mask = np.tril(np.ones((length, length), dtype=bool))
-    mask.setflags(write=False)
-    return mask
-
-
 def count_attention_pairs(length: int, mode: str) -> int:
     """Exact score evaluations one attention layer performs at this length."""
     if length < 1:
@@ -92,30 +55,13 @@ def count_attention_pairs(length: int, mode: str) -> int:
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def lssa_layer(x: Tensor, params: LssaParams) -> Tensor:
-    """One log-sparse attention layer over the L rows of x.
-
-    Scores come from learned Q/K projections scaled by sqrt(d_b); the raw
-    input rows act as values, so the output row p is the softmax-weighted
-    mean of x over its index set. From OFFSET_MIN_LENGTH on,
-    one offset_attention op projects q and k and scores only the
-    O(L log L) allowed pairs, one shifted row block per key distance in
-    log_sparse_offsets(L); below it, masked-dense attention under
-    build_mask(L) scores the same pairs of two matmul projections.
-    """
-    L = x.shape[0]
-    if L >= OFFSET_MIN_LENGTH:
-        return nc.offset_attention(x, params.w_q, params.w_k)
-    return nc.attention(nc.matmul(x, params.w_q), nc.matmul(x, params.w_k),
-                        x, build_mask(L))
-
-
 def stacked_lssa(x: Tensor, layer_params: list[LssaParams],
                  mask: np.ndarray) -> Tensor:
-    """Sequential log-sparse layers over x; depth ceil(log2 F) makes the
-    stacked receptive field fully causal. mask must equal build_mask of
-    x's length, or ContractError is raised; the layers work out the
-    pattern themselves, and the mask stays for the bench's pair probe."""
+    """Sequential log-sparse layers over x, one numcore.offset_attention
+    op each; depth ceil(log2 F) makes the stacked receptive field fully
+    causal. mask must equal build_mask of x's length, or ContractError is
+    raised; the layers work out the pattern themselves, and the mask
+    stays for the bench's pair probe."""
     if not layer_params:
         raise nc.ConfigError("stacked_lssa requires at least one layer")
     L = x.shape[0]
@@ -125,7 +71,7 @@ def stacked_lssa(x: Tensor, layer_params: list[LssaParams],
                             f"build_mask({L}), the log-sparse mask of x")
     out = x
     for params in layer_params:
-        out = lssa_layer(out, params)
+        out = nc.offset_attention(out, params.w_q, params.w_k)
     return out
 
 

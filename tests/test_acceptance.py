@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line
 with its measured evidence (run pytest -s to see them)."""
 
+import functools
 import math
 import time
 
@@ -29,12 +30,16 @@ def test_criterion_1_index_set_oracle():
 
 
 def _taped_weights(backward) -> np.ndarray:
-    """The softmax weights an attention op's tape entry keeps: alpha in
-    the closure of offset_attention's backward pass, or the last of the
-    arrays attention saves for its gradients."""
-    cells = dict(zip(backward.__code__.co_freevars,
-                     (c.cell_contents for c in backward.__closure__)))
-    return cells["alpha"] if "alpha" in cells else cells["saved"][-1]
+    """The softmax weights offset_attention's tape entry keeps, in the
+    closure of its kernel's gradient: the shifted kernel's alpha, or the
+    last of the arrays the dense kernel saves."""
+    def cells(fn):
+        return dict(zip(fn.__code__.co_freevars,
+                        (c.cell_contents for c in fn.__closure__)))
+    grads = cells(backward)["grads"]
+    if isinstance(grads, functools.partial):  # _attend_grads and its saved
+        return grads.args[0][-1]
+    return cells(grads)["alpha"]
 
 
 def test_criterion_2_complexity_counts():
@@ -47,20 +52,21 @@ def test_criterion_2_complexity_counts():
         assert expected_sparse <= L * (math.floor(math.log2(L)) + 2)
         assert sa.count_attention_pairs(L, "dense") == L * L
 
-        # What the kernels score: the nonzero softmax weights a layer
-        # keeps on the tape, of masked-dense attention under build_mask
-        # below the crossover and of the offset op from it on.
+        # What the kernels score: the nonzero softmax weights a layer's
+        # one offset_attention entry keeps on the tape, of its dense
+        # kernel under build_mask below the crossover and of its shifted
+        # kernel from it on.
         assert int(sa.build_mask(L).sum()) == expected_sparse
         x = Tensor(rng.normal(size=(L, d)), requires_grad=True)
-        params = sa.LssaParams(Tensor(rng.normal(size=(d, d)) / 3),
-                               Tensor(rng.normal(size=(d, d)) / 3))
+        w_q, w_k = (Tensor(rng.normal(size=(d, d)) / 3) for _ in range(2))
         with nc.Tape() as tape:
-            sa.lssa_layer(x, params)
-        backward = tape._entries[-1][2]
-        kernel = backward.__qualname__.split(".")[0]
-        assert kernel == ("offset_attention" if L >= sa.OFFSET_MIN_LENGTH
-                          else "attention"), L
-        assert np.count_nonzero(_taped_weights(backward)) == expected_sparse
+            nc.offset_attention(x, w_q, w_k)
+        [(_, _, backward)] = tape._entries
+        assert backward.__qualname__.split(".")[0] == "offset_attention"
+        weights = _taped_weights(backward)
+        assert weights.shape == ((1, L, L) if L < nc.OFFSET_MIN_LENGTH else
+                                 (len(nc.log_sparse_offsets(L)), L)), L
+        assert np.count_nonzero(weights) == expected_sparse
     assert sa.count_attention_pairs(8, "logsparse") == 25
     assert sa.count_attention_pairs(8, "dense") == 64
     assert sa.count_attention_pairs(8, "causal_dense") == 36

@@ -2,9 +2,10 @@
 
 The oracle scores each query row against the explicit members of its
 log_index_set, one dot product at a time, with the raw rows as values.
-It shares no code with lssa_layer's two kernels (numcore.offset_attention
-from OFFSET_MIN_LENGTH on, masked-dense attention below), so a mistake
-that both kernels share, such as a wrong key distance, still fails here.
+It shares no code with numcore.offset_attention's two kernels (shifted
+row blocks from OFFSET_MIN_LENGTH on, masked-dense under build_mask
+below), so a mistake that both kernels share, such as a wrong key
+distance, still fails here.
 """
 
 import math
@@ -42,8 +43,7 @@ def test_lssa_layer_matches_plain_loop_oracle(L):
     d = 6
     x = rng.normal(size=(L, d))
     w_q, w_k = (rng.normal(size=(d, d)) / 2 for _ in range(2))
-    got = sa.lssa_layer(Tensor(x), sa.LssaParams(Tensor(w_q),
-                                                 Tensor(w_k))).data
+    got = nc.offset_attention(Tensor(x), Tensor(w_q), Tensor(w_k)).data
     ref = oracle_lssa_layer(x, w_q, w_k)
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -52,7 +52,7 @@ def test_stacked_lssa_gradients_above_crossover():
     # 2 layers at L = 130 run the offset op, whose gradients no full-model
     # sweep reaches: every clip there is shorter than OFFSET_MIN_LENGTH.
     L, d = 130, 3
-    assert L >= sa.OFFSET_MIN_LENGTH
+    assert L >= nc.OFFSET_MIN_LENGTH
     rng = np.random.default_rng(13)
     x = Tensor(rng.normal(size=(L, d)), requires_grad=True)
     layers = [sa.LssaParams(*(Tensor(rng.normal(size=(d, d)),

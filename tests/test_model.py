@@ -219,8 +219,7 @@ def test_dense_uniform_attention_oracle():
     m.params["enc0.attn.wo"].data = np.eye(8)
     rng = np.random.default_rng(9)
     x = rng.normal(size=(5, 8))
-    out = m._mha("enc0.attn.", Tensor(x), Tensor(x),
-                 np.ones((5, 5), dtype=bool)).data
+    out = m._mha("enc0.attn.", Tensor(x), Tensor(x)).data
     assert np.allclose(out, np.tile(x.mean(axis=0), (5, 1)), atol=1e-12)
 
 
@@ -231,8 +230,7 @@ def test_attention_rows_sum_to_one():
     q = nc.matmul(x, m.params["enc0.attn.wq"])
     k = nc.matmul(x, m.params["enc0.attn.wk"])
     eye = Tensor(np.eye(6))  # k = v = I: the attention output is alpha
-    alpha = nc.attention(Tensor(q.data @ k.data.T), eye, eye,
-                         np.ones((6, 6), dtype=bool))
+    alpha = nc.attention(Tensor(q.data @ k.data.T), eye, eye)
     assert np.allclose(alpha.data.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -281,7 +279,7 @@ def test_decoder_gradients():
 
 def test_encoder_gradients_above_gather_crossover():
     # at this length the LSSA layers run the gathered log-sparse op
-    F = sa.OFFSET_MIN_LENGTH + 5
+    F = nc.OFFSET_MIN_LENGTH + 5
     m = tiny_model(max_frames=F, n_lssa_layers=2)
     rng = np.random.default_rng(14)
     x = Tensor(rng.normal(size=(F, 8)), requires_grad=True)
@@ -825,7 +823,7 @@ def test_cached_decoder_step_records_nothing(monkeypatch, kind):
         recorded = len(tape)
         assert memory.requires_grad and recorded > 0
         spy_on_checks(monkeypatch, checked)
-        monkeypatch.setattr(sa, "causal_mask", None)
+        monkeypatch.setattr(nc, "_causal_mask", None)
         for t, token in enumerate([BOS, 5, 6]):
             checked.clear()
             logits = m.decoder_forward(memory, [token], "gloss", cache)

@@ -42,38 +42,34 @@ def test_matmul_shape_error():
 
 
 def attention_alpha(x, mask):
-    """Attention weights of score matrix x: with k = v = I the output is
-    alpha, and scaling q by sqrt(d) undoes the op's 1/sqrt(d)."""
+    """Attention weights of score matrix x under mask, from the one-head
+    kernel: with k = v = I the output is alpha, and scaling q by sqrt(d)
+    undoes the kernel's 1/sqrt(d)."""
     x = np.asarray(x, dtype=np.float64)
-    eye = Tensor(np.eye(x.shape[1]))
-    return nc.attention(Tensor(x * np.sqrt(x.shape[1])), eye, eye, mask)
+    eye = np.eye(x.shape[1])[None]
+    return nc._attend_heads((x * np.sqrt(x.shape[1]))[None], eye, eye,
+                            mask)[0][0]
 
 
 def test_masked_softmax_uniform_row():
     out = attention_alpha([[0.0, 0.0, 0.0]], np.ones((1, 3), bool))
-    assert np.allclose(out.data, 1 / 3, atol=1e-12)
+    assert np.allclose(out, 1 / 3, atol=1e-12)
 
 
 def test_masked_softmax_single_survivor():
     out = attention_alpha([[5.0, 9.0, 2.0]], np.array([[False, True, False]]))
-    assert np.array_equal(out.data, [[0.0, 1.0, 0.0]])
+    assert np.array_equal(out, [[0.0, 1.0, 0.0]])
 
 
 def test_masked_softmax_max_shift_avoids_overflow():
     out = attention_alpha([[1000.0, 1000.0 + np.log(3.0), -1000.0]],
                           np.array([[True, True, False]]))
-    assert np.allclose(out.data, [[0.25, 0.75, 0.0]], atol=1e-12)
+    assert np.allclose(out, [[0.25, 0.75, 0.0]], atol=1e-12)
 
 
 def test_masked_softmax_closed_form():
     out = attention_alpha([[0.0, np.log(2.0)]], np.ones((1, 2), bool))
-    assert np.allclose(out.data, [[1 / 3, 2 / 3]], atol=1e-12)
-
-
-def test_masked_softmax_all_false_row_rejected():
-    with pytest.raises(nc.ContractError):
-        attention_alpha(np.zeros((2, 2)),
-                        np.array([[True, True], [False, False]]))
+    assert np.allclose(out, [[1 / 3, 2 / 3]], atol=1e-12)
 
 
 def test_masked_softmax_rows_sum_to_one_and_zero_off_mask():
@@ -82,19 +78,37 @@ def test_masked_softmax_rows_sum_to_one_and_zero_off_mask():
         x = rng.normal(size=(5, 5)) * 10
         mask = rng.random((5, 5)) < 0.5
         mask[:, 0] = True
-        out = attention_alpha(x, mask).data
+        out = attention_alpha(x, mask)
         assert np.allclose(out.sum(axis=1), 1.0, atol=1e-9)
         assert np.all(out[~mask] == 0.0)
 
 
-def attention_mask(kind, lq, lk, rng):
+def masked_attention(q, k, v, mask, n_heads=1):
+    """Attention under any mask, taped from numcore's private kernels.
+    After two matmul projections it completes the chain that
+    offset_attention's dense kernel must equal to the bit."""
+    out, saved = nc._attend(q.data, k.data, v.data, mask, n_heads)
+    return nc._record(out, "attention", (q, k, v),
+                      lambda g: nc._attend_grads(saved, g))
+
+
+def attention_mask(kind, lq, lk):
+    """The pattern of a kind of attention: log-sparse, causal, or
+    rectangular (cross-attention), which sees every key."""
     if kind == "logsparse":
-        return sa.build_mask(lq)
+        return nc.build_mask(lq)
     if kind == "causal":
-        return sa.causal_mask(lq)
-    mask = rng.random((lq, lk)) < 0.6  # rectangular: cross-attention
-    mask[np.arange(lq), rng.integers(0, lk, size=lq)] = True
-    return mask
+        return np.tril(np.ones((lq, lk), dtype=bool))
+    return np.ones((lq, lk), dtype=bool)
+
+
+def attention_of_kind(kind, q, k, v, n_heads):
+    """The taped attention of a kind: nc.attention for causal and
+    rectangular, and masked_attention under build_mask for log-sparse,
+    a mask attention does not take."""
+    if kind == "logsparse":
+        return masked_attention(q, k, v, nc.build_mask(q.shape[0]), n_heads)
+    return nc.attention(q, k, v, kind == "causal", n_heads)
 
 
 def per_head_reference(q, k, v, mask, n_heads):
@@ -127,11 +141,11 @@ def per_head_reference(q, k, v, mask, n_heads):
 def test_attention_bit_equal_to_per_head_reference(n_heads, kind):
     rng = np.random.default_rng(21 + n_heads)
     lq, lk, d = (6, 9, 8) if kind == "rectangular" else (9, 9, 8)
-    mask = attention_mask(kind, lq, lk, rng)
+    mask = attention_mask(kind, lq, lk)
     q, k, v = (Tensor(rng.normal(size=shape), requires_grad=True)
                for shape in ((lq, d), (lk, d), (lk, d)))
     with Tape() as tape:
-        out = nc.attention(q, k, v, mask, n_heads)
+        out = attention_of_kind(kind, q, k, v, n_heads)
         loss = nc.tsum(out)
     tape.backward(loss)
     ref_out, ref_dq, ref_dk, ref_dv = per_head_reference(
@@ -145,11 +159,32 @@ def test_attention_bit_equal_to_per_head_reference(n_heads, kind):
 def test_attention_contract_errors():
     x = Tensor(np.zeros((3, 4)))
     with pytest.raises(nc.ShapeError):
-        nc.attention(x, x, x, np.ones((3, 2), bool))
+        nc.attention(x, x, Tensor(np.zeros((3, 2))))
     with pytest.raises(nc.ShapeError):
-        nc.attention(x, x, Tensor(np.zeros((3, 2))), np.ones((3, 3), bool))
+        nc.attention(x, Tensor(np.zeros((2, 4))), x)
     with pytest.raises(nc.ConfigError):
-        nc.attention(x, x, x, np.ones((3, 3), bool), n_heads=3)
+        nc.attention(x, x, x, n_heads=3)
+
+
+def test_causal_attention_needs_square_scores():
+    # Lq != Lk, or one block with lq != lk, raises before any op records
+    rng = np.random.default_rng(22)
+    q, k = (Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+            for n in (5, 6))
+    for q_, k_, blocks in ((q, k, None), (k, q, None),
+                           (q, k, [(2, 2), (3, 4)]),
+                           (q, q, [(2, 3), (3, 2)])):
+        with Tape() as tape:
+            with pytest.raises(nc.ShapeError, match="causal"):
+                nc.attention(q_, k_, k_, causal=True, blocks=blocks)
+        assert len(tape) == 0
+
+
+def masked_dense_chain(x, w_q, w_k):
+    """Two matmul projections and attention over them under build_mask:
+    the three ops offset_attention replaced, three tape entries."""
+    return masked_attention(nc.matmul(x, w_q), nc.matmul(x, w_k), x,
+                            nc.build_mask(x.shape[0]))
 
 
 @pytest.mark.parametrize("L", [1, 2, 3, 5, 17, 64, 129, 300, 736])
@@ -159,9 +194,7 @@ def test_offset_attention_matches_masked_dense(L):
     x0, w = rng.normal(size=(L, d)), rng.normal(size=(L, d))
     wq0, wk0 = rng.normal(size=(d, d)), rng.normal(size=(d, d))
     results = []
-    for op in (lambda x, wq, wk: nc.attention(
-                   nc.matmul(x, wq), nc.matmul(x, wk), x, sa.build_mask(L)),
-               nc.offset_attention):
+    for op in (masked_dense_chain, nc.offset_attention):
         x, wq, wk = (Tensor(a, requires_grad=True) for a in (x0, wq0, wk0))
         with Tape() as tape:
             out = op(x, wq, wk)
@@ -171,6 +204,36 @@ def test_offset_attention_matches_masked_dense(L):
     for got, ref in zip(*reversed(results)):
         assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
         assert got.flags.c_contiguous
+
+
+@pytest.mark.parametrize("L", [5, 31, 127])
+def test_offset_attention_dense_kernel_bit_equal_to_three_op_chain(L):
+    # Below OFFSET_MIN_LENGTH the one op runs the chain's arithmetic, and
+    # its three gradients of x reach the tape in the chain's order, also
+    # when x feeds a matmul recorded after the op, whose gradient of x
+    # the tape takes first.
+    assert L < nc.OFFSET_MIN_LENGTH
+    rng = np.random.default_rng(L)
+    d = 4
+    x0, w = rng.normal(size=(L, d)), Tensor(rng.normal(size=(L, d)))
+    wq0, wk0, wv = (rng.normal(size=(d, d)) for _ in range(3))
+    for reuse in (False, True):
+        results = []
+        for op in (masked_dense_chain, nc.offset_attention):
+            x, wq, wk = (Tensor(a, requires_grad=True)
+                         for a in (x0, wq0, wk0))
+            with Tape() as tape:
+                out = op(x, wq, wk)
+                entries = len(tape)
+                loss = nc.tsum(nc.mul(out, w))
+                if reuse:
+                    loss = nc.add(loss, nc.tsum(nc.mul(
+                        nc.matmul(x, Tensor(wv)), w)))
+            tape.backward(loss)
+            results.append((entries, [out.data, x.grad, wq.grad, wk.grad]))
+        (chain_entries, ref), (op_entries, got) = results
+        assert (chain_entries, op_entries) == (3, 1)
+        assert_bit_equal(got, ref)
 
 
 def test_offset_attention_contract_errors():
@@ -444,7 +507,7 @@ def test_grad_check_softmax_pick():
     eye = Tensor(np.eye(4))
 
     def f(x):
-        sm = nc.attention(x, eye, eye, np.ones((1, 4), bool))
+        sm = nc.attention(x, eye, eye)
         return nc.tsum(nc.slice_cols(sm, 0, 1))
 
     x = Tensor(np.random.default_rng(8).normal(size=(1, 4)), requires_grad=True)
@@ -490,7 +553,6 @@ def attention_case(opname, rng):
     inputs are fixed random tensors."""
     _, wrt, heads, kind = opname.split("_")
     lq, lk, d = (3, 5, 4) if kind == "rectangular" else (5, 5, 4)
-    mask = attention_mask(kind, lq, lk, rng)
     fixed = {"q": Tensor(rng.normal(size=(lq, d))),
              "k": Tensor(rng.normal(size=(lk, d))),
              "v": Tensor(rng.normal(size=(lk, d)))}
@@ -498,7 +560,8 @@ def attention_case(opname, rng):
 
     def f(x):
         args = dict(fixed, **{wrt: x})
-        out = nc.attention(args["q"], args["k"], args["v"], mask, int(heads[1:]))
+        out = attention_of_kind(kind, args["q"], args["k"], args["v"],
+                                int(heads[1:]))
         return nc.tsum(nc.mul(out, w))
 
     return f, Tensor(rng.normal(size=fixed[wrt].shape))
@@ -514,11 +577,8 @@ def block_attention_case(opname, rng):
     causal square blocks (decoder self-attention) or rectangular blocks
     without a mask (cross-attention); the other two inputs are fixed."""
     _, _, wrt, heads, kind = opname.split("_")
-    if kind == "causal":
-        blocks = [(2, 2), (1, 1), (3, 3)]
-        masks = [sa.causal_mask(lq) for lq, _ in blocks]
-    else:
-        blocks, masks = [(2, 3), (1, 1), (3, 2)], None
+    causal = kind == "causal"
+    blocks = [(2, 2), (1, 1), (3, 3)] if causal else [(2, 3), (1, 1), (3, 2)]
     d = 4
     fixed = {"q": Tensor(rng.normal(size=(6, d))),
              "k": Tensor(rng.normal(size=(6, d))),
@@ -527,7 +587,7 @@ def block_attention_case(opname, rng):
 
     def f(x):
         args = dict(fixed, **{wrt: x})
-        out = nc.attention(args["q"], args["k"], args["v"], masks,
+        out = nc.attention(args["q"], args["k"], args["v"], causal,
                            int(heads[1:]), blocks)
         return nc.tsum(nc.mul(out, w))
 
@@ -707,7 +767,8 @@ def test_gradients_match_finite_differences(opname):
             mask = rng.random((4, 3)) < 0.6
             mask[:, 0] = True
             eye = Tensor(np.eye(3))
-            f = lambda x: nc.tsum(nc.mul(nc.attention(x, eye, eye, mask), w))
+            f = lambda x: nc.tsum(nc.mul(masked_attention(x, eye, eye, mask),
+                                         w))
         elif opname == "log_softmax":
             f = lambda x: nc.tsum(nc.mul(nc.log_softmax_rows(x), w))
         elif opname == "layer_norm":
@@ -740,8 +801,8 @@ def test_gradients_match_finite_differences(opname):
 def test_operations_deterministic():
     rng = np.random.default_rng(13)
     x = rng.normal(size=(4, 4))
-    a = attention_alpha(x, np.ones((4, 4), bool)).data
-    b = attention_alpha(x, np.ones((4, 4), bool)).data
+    a = attention_alpha(x, np.ones((4, 4), bool))
+    b = attention_alpha(x, np.ones((4, 4), bool))
     assert np.array_equal(a, b)
 
 
@@ -971,9 +1032,9 @@ def test_attention_without_mask_bit_equal_to_all_true_mask(n_heads):
         w = rng.normal(size=(lq, 8))
         full = np.ones((lq, lk), dtype=bool)
         assert_bit_equal(
-            grads_of(lambda q, k, v: nc.attention(q, k, v, None, n_heads),
+            grads_of(lambda q, k, v: nc.attention(q, k, v, n_heads=n_heads),
                      arrays, w),
-            grads_of(lambda q, k, v: nc.attention(q, k, v, full, n_heads),
+            grads_of(lambda q, k, v: masked_attention(q, k, v, full, n_heads),
                      arrays, w))
 
 
@@ -1013,19 +1074,18 @@ def test_one_block_attention_bit_equal_to_reference(n_heads):
     # what greedy decoding runs (no blocks) and a packed batch of one
     # (one explicit block) both match the pre-block arithmetic to the bit
     rng = np.random.default_rng(30 + n_heads)
-    for (lq, lk), kind in (((1, 1), None), ((1, 9), None), ((6, 9), None),
-                           ((5, 5), "causal"), ((5, 5), "logsparse"),
-                           ((4, 7), "rectangular")):
+    for (lq, lk), causal in (((1, 1), False), ((1, 9), False),
+                             ((6, 9), False), ((1, 1), True), ((5, 5), True)):
         arrays = [rng.normal(size=(lq, 8)), rng.normal(size=(lk, 8)),
                   rng.normal(size=(lk, 8))]
         w = rng.normal(size=(lq, 8))
-        mask = None if kind is None else attention_mask(kind, lq, lk, rng)
+        mask = attention_mask("causal", lq, lk) if causal else None
         ref = single_block_reference(*arrays, mask, n_heads, w)
         assert_bit_equal(grads_of(
-            lambda q, k, v: nc.attention(q, k, v, mask, n_heads), arrays, w),
-            ref)
+            lambda q, k, v: nc.attention(q, k, v, causal, n_heads), arrays,
+            w), ref)
         assert_bit_equal(grads_of(
-            lambda q, k, v: nc.attention(q, k, v, [mask], n_heads,
+            lambda q, k, v: nc.attention(q, k, v, causal, n_heads,
                                          [(lq, lk)]), arrays, w), ref)
 
 
@@ -1035,18 +1095,17 @@ def test_block_attention_bit_equal_to_one_call_per_block(n_heads):
     for causal in (False, True):
         blocks = ([(3, 3), (1, 1), (5, 5)] if causal
                   else [(3, 7), (1, 2), (5, 4)])
-        masks = ([sa.causal_mask(lq) for lq, _ in blocks] if causal
-                 else [None] * 3)
         lq, lk = map(sum, zip(*blocks))
         arrays = [rng.normal(size=(lq, 8)), rng.normal(size=(lk, 8)),
                   rng.normal(size=(lk, 8))]
         w = rng.normal(size=(lq, 8))
         got = grads_of(lambda q, k, v: nc.attention(
-            q, k, v, None if not causal else masks, n_heads, blocks), arrays, w)
+            q, k, v, causal, n_heads, blocks), arrays, w)
         q0 = k0 = 0
-        for (bq, bk), m in zip(blocks, masks):
+        for bq, bk in blocks:
             qs, ks = slice(q0, q0 + bq), slice(k0, k0 + bk)
-            ref = grads_of(lambda q, k, v: nc.attention(q, k, v, m, n_heads),
+            ref = grads_of(lambda q, k, v: nc.attention(q, k, v, causal,
+                                                        n_heads),
                            [arrays[0][qs], arrays[1][ks], arrays[2][ks]],
                            w[qs])
             assert_bit_equal([got[0][qs], got[1][qs], got[2][ks],
@@ -1056,18 +1115,13 @@ def test_block_attention_bit_equal_to_one_call_per_block(n_heads):
 
 def test_block_attention_rejects_bad_blocks():
     x = Tensor(np.zeros((5, 4)))
-    for blocks, mask in (([(2, 2), (2, 2)], None),      # rows left over
-                         ([(3, 3), (3, 3)], None),      # too many rows
-                         ([(5, 0)], None),              # a block without keys
-                         ([], None),
-                         ([(2, 2), (3, 3)], [None])):   # one mask per block
-        with pytest.raises(nc.ShapeError):
-            nc.attention(x, x, x, mask, 1, blocks)
-    with pytest.raises(nc.ShapeError):  # a block's mask has its own shape
-        nc.attention(x, x, x, [sa.causal_mask(2), sa.causal_mask(2)], 1,
-                     [(2, 2), (3, 3)])
-    with pytest.raises(nc.ContractError):
-        nc.attention(x, x, x, [np.zeros((5, 5), bool)], 1, [(5, 5)])
+    for blocks in ([(2, 2), (2, 2)],      # rows left over
+                   [(3, 3), (3, 3)],      # too many rows
+                   [(5, 0)],              # a block without keys
+                   []):
+        for causal in (False, True):
+            with pytest.raises(nc.ShapeError, match="tile"):
+                nc.attention(x, x, x, causal, 1, blocks)
 
 
 def test_fused_ops_reject_overflow():

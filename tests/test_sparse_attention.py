@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -74,7 +75,8 @@ def _random_params(rng, d):
 def test_lssa_single_position_is_identity():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(1, 4)))
-    out = sa.lssa_layer(x, _random_params(rng, 4))
+    params = _random_params(rng, 4)
+    out = nc.offset_attention(x, params.w_q, params.w_k)
     assert np.allclose(out.data, x.data, atol=1e-12)
 
 
@@ -82,8 +84,8 @@ def test_lssa_zero_projections_give_index_set_means():
     rng = np.random.default_rng(1)
     F, d = 6, 4
     x = rng.normal(size=(F, d))
-    params = sa.LssaParams(Tensor(np.zeros((d, d))), Tensor(np.zeros((d, d))))
-    out = sa.lssa_layer(Tensor(x), params).data
+    zero = Tensor(np.zeros((d, d)))
+    out = nc.offset_attention(Tensor(x), zero, zero).data
     for p in range(1, F + 1):
         members = np.array(sa.log_index_set(p)) - 1
         assert np.allclose(out[p - 1], x[members].mean(axis=0), atol=1e-12)
@@ -92,13 +94,11 @@ def test_lssa_zero_projections_give_index_set_means():
 def test_lssa_alpha_rows_are_normalized():
     rng = np.random.default_rng(2)
     F, d = 8, 4
-    x = Tensor(rng.normal(size=(F, d)))
+    x = rng.normal(size=(F, d))
     mask = sa.build_mask(F)
-    q = nc.matmul(x, Tensor(rng.normal(size=(d, d))))
-    k = nc.matmul(x, Tensor(rng.normal(size=(d, d))))
-    eye = Tensor(np.eye(F))  # k = v = I: the attention output is alpha
-    scores = q.data @ k.data.T / np.sqrt(d)
-    alpha = nc.attention(Tensor(scores * np.sqrt(F)), eye, eye, mask).data
+    q, k = (x @ rng.normal(size=(d, d)) for _ in range(2))
+    # the weights the dense kernel of offset_attention keeps at this length
+    alpha = nc._attend(q, k, x, mask, 1)[1][-1][0]
     assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(alpha[~mask] == 0.0)
 
@@ -107,7 +107,7 @@ def test_stacked_single_layer_equals_layer():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(5, 4)))
     params = _random_params(rng, 4)
-    one = sa.lssa_layer(x, params)
+    one = nc.offset_attention(x, params.w_q, params.w_k)
     stacked = sa.stacked_lssa(x, [params], sa.build_mask(5))
     assert np.array_equal(one.data, stacked.data)
 
@@ -140,12 +140,10 @@ def test_permutation_covariance():
     wq = rng.normal(size=(d, d))
     wk = rng.normal(size=(d, d))
     perm = rng.permutation(d)
-    base = sa.lssa_layer(Tensor(x),
-                         sa.LssaParams(Tensor(wq), Tensor(wk))).data
-    permuted = sa.lssa_layer(
-        Tensor(x[:, perm]),
-        sa.LssaParams(Tensor(wq[perm][:, perm]),
-                      Tensor(wk[perm][:, perm]))).data
+    base = nc.offset_attention(Tensor(x), Tensor(wq), Tensor(wk)).data
+    permuted = nc.offset_attention(Tensor(x[:, perm]),
+                                   Tensor(wq[perm][:, perm]),
+                                   Tensor(wk[perm][:, perm])).data
     assert np.allclose(permuted, base[:, perm], atol=1e-12)
 
 
@@ -155,9 +153,8 @@ def test_lssa_gradients():
     x, wq, wk = (Tensor(rng.normal(size=shape), requires_grad=True)
                  for shape in ((F, d), (d, d), (d, d)))
     w = Tensor(rng.normal(size=(F, d)))
-    params = sa.LssaParams(wq, wk)
     checks = nc.grad_check(
-        lambda: nc.tsum(nc.mul(sa.lssa_layer(x, params), w)),
+        lambda: nc.tsum(nc.mul(nc.offset_attention(x, wq, wk), w)),
         {"x": x, "wq": wq, "wk": wk})
     assert [c.name for c in checks if not c.passed] == []
 
@@ -192,7 +189,7 @@ def test_log_sparse_offsets():
     assert sa.log_sparse_offsets(8) == (0, 1, 2, 4)
     assert sa.log_sparse_offsets(9) == (0, 1, 2, 4, 8)
     for length in (0, -3):
-        for fn in (sa.log_sparse_offsets, sa.build_mask, sa.causal_mask):
+        for fn in (sa.log_sparse_offsets, sa.build_mask):
             with pytest.raises(sa.DomainError):
                 fn(length)
 
@@ -204,49 +201,78 @@ def test_count_attention_pairs_closed_form_matches_loop():
 
 
 def _lssa_run(x0, params, layer):
-    """Output, x/w_q/w_k gradients and the recorded op names of one
-    layer(x, LssaParams) call under a weighted-sum loss."""
+    """Output, x/w_q/w_k gradients and the tape entries of one
+    layer(x, w_q, w_k) call under a weighted-sum loss."""
     x = Tensor(x0, requires_grad=True)
     wq, wk = (Tensor(t.data, requires_grad=True)
               for t in (params.w_q, params.w_k))
     w = Tensor(np.random.default_rng(0).normal(size=x0.shape))
     with nc.Tape() as tape:
-        out = layer(x, sa.LssaParams(wq, wk))
-        ops = [fn.__qualname__.split(".")[0] for _, _, fn in tape._entries]
+        out = layer(x, wq, wk)
+        entries = list(tape._entries)
         loss = nc.tsum(nc.mul(out, w))
     tape.backward(loss)
-    return out.data, (x.grad, wq.grad, wk.grad), ops
+    return out.data, (x.grad, wq.grad, wk.grad), entries
+
+
+def _masked_dense(x, w_q, w_k):
+    """Two matmul projections and attention over them under build_mask,
+    taped from numcore's private kernels: the three ops that
+    offset_attention replaced."""
+    q, k = nc.matmul(x, w_q), nc.matmul(x, w_k)
+    out, saved = nc._attend(q.data, k.data, x.data,
+                            sa.build_mask(x.shape[0]), 1)
+    return nc._record(out, "attention", (q, k, x),
+                      lambda g: nc._attend_grads(saved, g))
 
 
 def _layer_and_masked_dense(x0, params):
-    """_lssa_run of lssa_layer, then of the same projections under
-    masked-dense attention with build_mask."""
-    mask = sa.build_mask(len(x0))
-    return (_lssa_run(x0, params, sa.lssa_layer),
-            _lssa_run(x0, params, lambda x, p: nc.attention(
-                nc.matmul(x, p.w_q), nc.matmul(x, p.w_k), x, mask)))
+    """_lssa_run of offset_attention, then of _masked_dense."""
+    return (_lssa_run(x0, params, nc.offset_attention),
+            _lssa_run(x0, params, _masked_dense))
+
+
+def _kept_weights(backward):
+    """The softmax weights an offset_attention tape entry keeps: (K, L)
+    from the shifted kernel, (1, L, L) from the dense one."""
+    def cells(fn):
+        return dict(zip(fn.__code__.co_freevars,
+                        (c.cell_contents for c in fn.__closure__)))
+    grads = cells(backward)["grads"]
+    if isinstance(grads, functools.partial):  # _attend_grads and its saved
+        return grads.args[0][-1]
+    return cells(grads)["alpha"]
 
 
 def test_lssa_layer_gathers_above_crossover():
+    # From OFFSET_MIN_LENGTH on, the one op keeps one weight per key
+    # distance and row, and matches the masked-dense chain to 1e-12.
     rng = np.random.default_rng(8)
-    L, d = sa.OFFSET_MIN_LENGTH + 9, 4
-    x0, params = rng.normal(size=(L, d)), _random_params(rng, d)
-    (out, grads, ops), (ref, ref_grads, _) = _layer_and_masked_dense(x0,
-                                                                     params)
-    assert ops == ["offset_attention"]
-    assert nc.rel_err(out, ref) <= 1e-12
-    for g, r in zip(grads, ref_grads):
-        assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
+    d = 4
+    for L in (nc.OFFSET_MIN_LENGTH, nc.OFFSET_MIN_LENGTH + 9):
+        x0, params = rng.normal(size=(L, d)), _random_params(rng, d)
+        (out, grads, entries), (ref, ref_grads, _) = \
+            _layer_and_masked_dense(x0, params)
+        [(_, _, backward)] = entries
+        assert backward.__qualname__.split(".")[0] == "offset_attention"
+        assert _kept_weights(backward).shape == (
+            len(sa.log_sparse_offsets(L)), L)
+        assert nc.rel_err(out, ref) <= 1e-12
+        for g, r in zip(grads, ref_grads):
+            assert np.max(np.abs(g - r)) <= 1e-12 * np.max(np.abs(r))
 
 
 def test_lssa_layer_below_crossover_is_masked_dense():
     rng = np.random.default_rng(9)
-    L, d = sa.OFFSET_MIN_LENGTH - 1, 4
+    L, d = nc.OFFSET_MIN_LENGTH - 1, 4
     x0, params = rng.normal(size=(L, d)), _random_params(rng, d)
-    (out, grads, ops), (ref, ref_grads, _) = _layer_and_masked_dense(x0,
-                                                                     params)
-    assert ops == ["matmul", "matmul", "attention"]
-    # the same three ops called directly: bit-identical results
+    (out, grads, entries), (ref, ref_grads, ref_entries) = \
+        _layer_and_masked_dense(x0, params)
+    [(_, _, backward)] = entries
+    assert backward.__qualname__.split(".")[0] == "offset_attention"
+    assert _kept_weights(backward).shape == (1, L, L)
+    assert len(ref_entries) == 3
+    # one op against the three ops it replaced: bit-identical results
     assert np.array_equal(out, ref)
     for g, r in zip(grads, ref_grads):
         assert np.array_equal(g, r)
@@ -260,7 +286,7 @@ def test_stacked_lssa_rejects_a_foreign_mask():
     rng = np.random.default_rng(10)
     d = 4
     params = _random_params(rng, d)
-    for L in (sa.OFFSET_MIN_LENGTH - 1, sa.OFFSET_MIN_LENGTH + 1):
+    for L in (nc.OFFSET_MIN_LENGTH - 1, nc.OFFSET_MIN_LENGTH + 1):
         x = Tensor(rng.normal(size=(L, d)), requires_grad=True)
         flipped = sa.build_mask(L).copy()
         flipped[-1, 0] = not flipped[-1, 0]

@@ -462,12 +462,12 @@ def test_decoder_and_loss_record_once_per_batch():
     # same ops for any batch size. A sample adds the slices of its rows
     # (the log-sparse stack's input and its text memory), its gloss
     # embedding's two ops (the third sample has none) and, for glot, its
-    # log-sparse stack of 3 ops per layer. Packing a second sample adds
+    # log-sparse stack of one op per layer. Packing a second sample adds
     # glot's concat_rows of the stacks' outputs. A lone sample's slices
     # are its whole memory and record nothing.
     for kind in ("glot", "dense_baseline"):
         model = _batch_model(kind)
-        stack = 3 * model.config.lssa_depth if kind == "glot" else 0
+        stack = model.config.lssa_depth if kind == "glot" else 0
         slices = 2 if kind == "glot" else 1
         entries = []
         for n in (1, 2, 3):
