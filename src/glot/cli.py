@@ -283,6 +283,7 @@ def cmd_bench_attn(args) -> int:
     if not lengths or any(n < 1 for n in lengths):
         raise UsageError("--lengths needs positive comma-separated integers")
     d = 16
+    eye = Tensor(np.eye(d))  # values x, and the heads as the output
     rng = np.random.default_rng(args.seed)
     print(f"{'L':>6} {'dense':>10} {'causal':>10} {'logsparse':>10} "
           f"{'bound':>10} {'t_dense_ms':>11} {'t_lssa_ms':>10}")
@@ -298,8 +299,7 @@ def cmd_bench_attn(args) -> int:
         if int(sa.build_mask(L).sum()) != logsparse:
             print(f"pair counts disagree at L={L}", file=sys.stderr)
             return EXIT_CHECK_FAILED
-        t_dense = _median_ms(lambda: nc.attention(
-            nc.matmul(x, w_q), nc.matmul(x, w_k), x))
+        t_dense = _median_ms(lambda: nc.attention(x, x, w_q, w_k, eye, eye))
         t_lssa = _median_ms(lambda: nc.offset_attention(x, w_q, w_k))
         print(f"{L:>6} {dense:>10} {causal:>10} {logsparse:>10} "
               f"{bound:>10} {t_dense:>11.3f} {t_lssa:>10.3f}")

@@ -231,14 +231,14 @@ class DecoderCache:
     rows), values as (B*H, rows, d/H), rows b*H .. b*H + H-1 of the
     leading axis being sequence b's heads, so that the kernel runs on the
     3-D stacks of a lone sequence whatever B is. The cross-attention ones
-    are zero-padded to the group's longest memory, and cross_mask
-    (B*H, 1, rows), true on each sequence's own rows, keeps the padding
-    out of the softmax; it is None when no sequence is padded. The
-    self-attention keys and values grow by one position per step, stored
-    only once the step's check passes; keep_only drops finished sequences
-    from every cached array. All are None before the first step. They are
-    plain arrays, so a cached step records no gradient: the cache is for
-    inference.
+    are zero-padded to the group's longest memory, and cross_hide
+    (B*H, 1, rows), true on each sequence's padding and built once per
+    stage, keeps the padding out of the softmax; it is None when no
+    sequence is padded. The self-attention keys and values grow by one
+    position per step, stored only once the step's check passes;
+    keep_only drops finished sequences from every cached array. All are
+    None before the first step. They are plain arrays, so a cached step
+    records no gradient: the cache is for inference.
     """
 
     def __init__(self):
@@ -248,7 +248,7 @@ class DecoderCache:
         self.weights: StepWeights | None = None
         self.self_kv: tuple[np.ndarray, np.ndarray] | None = None
         self.cross_kv: tuple[np.ndarray, np.ndarray] | None = None
-        self.cross_mask: np.ndarray | None = None
+        self.cross_hide: np.ndarray | None = None
         self.size = 0       # sequences still decoded
 
     def extend(self, kt: np.ndarray, vh: np.ndarray
@@ -269,8 +269,8 @@ class DecoderCache:
         live = np.repeat(np.asarray(live, dtype=bool), heads)
         self.self_kv = tuple(a[live] for a in self.self_kv)
         self.cross_kv = tuple(a[live] for a in self.cross_kv)
-        if self.cross_mask is not None:
-            self.cross_mask = self.cross_mask[live]
+        if self.cross_hide is not None:
+            self.cross_hide = self.cross_hide[live]
 
 
 def _cross_heads(memories: list[np.ndarray], w_kv: np.ndarray,
@@ -280,8 +280,8 @@ def _cross_heads(memories: list[np.ndarray], w_kv: np.ndarray,
     as a matmul on its own, as a lone decode projects it, and written
     zero-padded to the longest, F rows, into head-split (B*H, d/H, F) keys
     and (B*H, F, d/H) values, sequence b's heads at b*H .. b*H + H-1. Also
-    the (B*H, 1, F) mask of each sequence's own rows, or None when every
-    memory has F rows."""
+    the (B*H, 1, F) mask of each sequence's padding rows, as the attention
+    kernel takes it, or None when every memory has F rows."""
     rows = [len(m) for m in memories]
     B, F, d = len(rows), max(rows), w_kv.shape[1] // 2
     dh = d // n_heads
@@ -291,12 +291,12 @@ def _cross_heads(memories: list[np.ndarray], w_kv: np.ndarray,
         nc._check_finite(kv, "matmul")
         kt[b, ..., :n] = kv[:, :d].reshape(n, n_heads, dh).transpose(1, 2, 0)
         vh[b, :, :n] = kv[:, d:].reshape(n, n_heads, dh).transpose(1, 0, 2)
-    mask = None
+    hide = None
     if min(rows) < F:
-        mask = np.repeat(np.arange(F) < np.array(rows)[:, None], n_heads,
+        hide = np.repeat(np.arange(F) >= np.array(rows)[:, None], n_heads,
                          axis=0)[:, None, :]
     return (kt.reshape(B * n_heads, dh, F), vh.reshape(B * n_heads, F, dh),
-            mask)
+            hide)
 
 
 # The op whose forward kernel makes each output of a cached decoder step,
@@ -392,13 +392,10 @@ class GlotModel:
     def _mha(self, prefix: str, xq: Tensor, xkv: Tensor,
              causal: bool = False,
              blocks: list[tuple[int, int]] | None = None) -> Tensor:
-        """Multi-head attention, causal or over every key; blocks make the
-        pattern block-diagonal, as in nc.attention."""
-        p = self.params
-        q = nc.matmul(xq, p[prefix + "wq"])
-        k, v = nc.matmul(xkv, p[prefix + "wk"]), nc.matmul(xkv, p[prefix + "wv"])
-        heads = nc.attention(q, k, v, causal, self.config.n_heads, blocks)
-        return nc.matmul(heads, p[prefix + "wo"])
+        """Multi-head attention, causal or over every key, one nc.attention
+        op; blocks make the pattern block-diagonal."""
+        w = (self.params[prefix + n] for n in ("wq", "wk", "wv", "wo"))
+        return nc.attention(xq, xkv, *w, causal, self.config.n_heads, blocks)
 
     def _feed_forward(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params
@@ -467,8 +464,7 @@ class GlotModel:
         """The transformer block over clips of these row counts packed in
         x; self-attention stays within each clip."""
         pre = "enc0."
-        blocks = None if len(lengths) == 1 else [(F, F) for F in lengths]
-        attn = self._mha(pre + "attn.", x, x, blocks=blocks)
+        attn = self._mha(pre + "attn.", x, x, blocks=[(F, F) for F in lengths])
         x = self._norm(pre + "attn_norm", x, self._dropout(attn))
         ff = self._feed_forward(pre, x)
         return self._norm(pre + "ff_norm", x, self._dropout(ff))
@@ -604,7 +600,7 @@ class GlotModel:
         if cache.weights is None:
             w = self._stage_weights(stage)
             memories = [memory] if isinstance(memory, Tensor) else memory
-            kt, vh, cache.cross_mask = _cross_heads(
+            kt, vh, cache.cross_hide = _cross_heads(
                 [m.data for m in memories], w.cross_kv, H)
             cache.cross_kv = (kt, vh)
             cache.stage, cache.memory, cache.weights = stage, memory, w
@@ -627,7 +623,7 @@ class GlotModel:
             keep(h := nc._norm_rows(h + attn, *w.self_norm)[0])
             keep(q := h @ w.cross_wq)
             keep(attn := nc._attend_heads(q.reshape(heads), *cache.cross_kv,
-                                          cache.cross_mask)[0].reshape(merged))
+                                          cache.cross_hide)[0].reshape(merged))
             keep(attn := attn @ w.cross_wo)
             keep(h := nc._norm_rows(h + attn, *w.cross_norm)[0])
             keep(ff := h @ w.ff_w1 + w.ff_b1)

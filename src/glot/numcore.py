@@ -7,7 +7,8 @@ whole model: it runs backward once over a zero-argument ``loss()`` and
 compares the gradient of each named tensor in ``wrt`` against central
 finite differences.
 
-Callers name an attention pattern and numcore builds its mask:
+Each attention block is one taped op that projects its own inputs, and
+numcore builds its pattern's mask once, as the scores it hides:
 ``attention`` is causal or sees every key, and ``offset_attention`` is a
 whole log-sparse layer. Their forward arithmetic, and layer norm's, lives
 in array kernels (``_split_heads`` and ``_attend_heads``, ``_norm_rows``)
@@ -366,14 +367,15 @@ def _split_heads(x: np.ndarray, n_heads: int, keys: bool = False
 
 
 def _attend_heads(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
-                  mask: np.ndarray | None):
-    """Scores, softmax over the mask-true keys, weighted sum: the
+                  hide: np.ndarray | None):
+    """Scores, softmax over the keys not hidden, weighted sum: the
     head-split (H, Lq, d/H) output of head-split q, k^T and v, and the
-    weights alpha. The mask broadcasts over the scores."""
+    weights alpha. hide, true on the scores a row may not see (the form
+    np.copyto's where reads; None hides none), broadcasts over them."""
     alpha = qh @ kt
     alpha *= 1.0 / math.sqrt(qh.shape[2])
-    if mask is not None:
-        np.copyto(alpha, -np.inf, where=~mask)
+    if hide is not None:
+        np.copyto(alpha, -np.inf, where=hide)
     alpha -= np.maximum.reduce(alpha, axis=-1, keepdims=True)
     np.exp(alpha, out=alpha)
     alpha /= np.add.reduce(alpha, axis=-1, keepdims=True)
@@ -381,12 +383,12 @@ def _attend_heads(qh: np.ndarray, kt: np.ndarray, vh: np.ndarray,
 
 
 def _attend(q: np.ndarray, k: np.ndarray, v: np.ndarray,
-            mask: np.ndarray | None, n_heads: int):
+            hide: np.ndarray | None, n_heads: int):
     """attention's arithmetic on plain arrays: the (Lq, d) output and what
     _attend_grads needs (the per-head q, k^T, v and weights alpha)."""
     qh, kt, vh = (_split_heads(q, n_heads), _split_heads(k, n_heads, True),
                   _split_heads(v, n_heads))
-    out, alpha = _attend_heads(qh, kt, vh, mask)
+    out, alpha = _attend_heads(qh, kt, vh, hide)
     return _merge_heads(out), (qh, kt, vh, alpha)
 
 
@@ -405,68 +407,80 @@ def _attend_grads(saved, g: np.ndarray):
     return _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
 
 
-@functools.lru_cache(maxsize=256)
-def _causal_mask(length: int) -> np.ndarray:
-    """Boolean LxL lower triangle, built once per length and read-only."""
-    mask = np.tril(np.ones((length, length), dtype=bool))
-    mask.setflags(write=False)
-    return mask
+@functools.lru_cache(maxsize=512)
+def _hide(pattern: str, length: int) -> np.ndarray:
+    """The LxL scores that rows of a "causal" or "logsparse" pattern may
+    not see, as _attend_heads takes them: built once per length and
+    read-only."""
+    hide = ~(build_mask(length) if pattern == "logsparse"
+             else np.tril(np.ones((length, length), dtype=bool)))
+    hide.setflags(write=False)
+    return hide
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool = False,
+def attention(xq: Tensor, xkv: Tensor, w_q: Tensor, w_k: Tensor,
+              w_v: Tensor, w_o: Tensor, causal: bool = False,
               n_heads: int = 1,
               blocks: Sequence[tuple[int, int]] | None = None) -> Tensor:
-    """Multi-head scaled dot-product attention, causal or over every key.
+    """One multi-head attention block, one tape entry: queries xq @ w_q,
+    keys xkv @ w_k and values xkv @ w_v, scaled dot-product attention,
+    causal or over every key, and the output projection heads @ w_o.
 
-    q is (Lq, d), k and v are (Lk, d). Heads are the reshape (L, d) ->
-    (H, L, d/H); scores are scaled by 1/sqrt(d/H) and each row is
-    softmax-normalized over the keys it may see. A causal call needs
-    Lq = Lk, and query row p sees keys 0 .. p only, under a lower
-    triangle that numcore builds once per length: masked weights are
-    exactly 0. The per-head outputs are laid side by side into an (Lq, d)
-    result.
+    xq is (Lq, a), xkv (Lk, b), w_q (a, e), w_k and w_v (b, e), w_o
+    (e, f). Heads are the reshape (L, e) -> (H, L, e/H); scores are scaled
+    by 1/sqrt(e/H) and each row is softmax-normalized over the keys it may
+    see. ``blocks`` are (lq, lk) row counts that split the query and key
+    rows, in order, into blocks whose query rows see only the keys of
+    their own block, each block attended alone; None is the one block
+    (Lq, Lk). A causal call needs lq = lk in every block, where query row
+    p sees keys 0 .. p only: masked weights are exactly 0.
 
-    ``blocks`` makes the pattern block-diagonal: (lq, lk) row counts that
-    split q and k, in order, into blocks whose query rows see only the
-    keys of their own block (with lq = lk in every block of a causal
-    call). Each block runs the arithmetic of a call on its rows alone,
-    and no score outside the blocks is computed; a call without blocks is
-    the single block (Lq, Lk).
+    The projections are finite-checked as matmul, in that order, then the
+    merged heads as attention and the output as matmul. The entry keeps
+    each block's head-split q, k^T, v and softmax weights and the merged
+    heads, not the projections; backward hands xkv the values' term, then
+    the keys', then xq the queries', which the tape adds in that order:
+    the gradients of three matmul projections, attention over them and
+    the output matmul, to the bit.
     """
-    if q.data.ndim != 2 or k.shape != v.shape or k.shape[1:] != q.shape[1:]:
-        raise ShapeError(f"attention: q {q.shape}, k {k.shape}, v {v.shape}")
-    (Lq, d), Lk = q.shape, k.shape[0]
-    if n_heads < 1 or d % n_heads:
-        raise ConfigError(f"attention: width {d} does not split into "
+    if (xq.data.ndim != 2 or xkv.data.ndim != 2 or w_o.data.ndim != 2
+            or w_q.shape != (xq.shape[1], w_o.shape[0])
+            or not w_k.shape == w_v.shape == (xkv.shape[1], w_o.shape[0])):
+        raise ShapeError(f"attention: xq {xq.shape}, xkv {xkv.shape}, weights "
+                         f"{w_q.shape}, {w_k.shape}, {w_v.shape}, {w_o.shape}")
+    Lq, Lk, e = xq.shape[0], xkv.shape[0], w_o.shape[0]
+    if n_heads < 1 or e % n_heads:
+        raise ConfigError(f"attention: width {e} does not split into "
                           f"{n_heads} heads")
-    if blocks is not None and (
-            not blocks or min(min(b) for b in blocks) < 1
+    blocks = [(Lq, Lk)] if blocks is None else list(blocks)
+    if (not blocks or min(min(b) for b in blocks) < 1
             or tuple(map(sum, zip(*blocks))) != (Lq, Lk)):
-        raise ShapeError(f"attention: blocks {list(blocks)} do not tile "
+        raise ShapeError(f"attention: blocks {blocks} do not tile "
                          f"{(Lq, Lk)}")
-    if causal and any(lq != lk for lq, lk in blocks or [(Lq, Lk)]):
+    if causal and any(lq != lk for lq, lk in blocks):
         raise ShapeError(f"attention: causal scores must be square, got "
-                         f"{list(blocks or [(Lq, Lk)])}")
-    if blocks is None:
-        out, saved = _attend(q.data, k.data, v.data,
-                             _causal_mask(Lq) if causal else None, n_heads)
-        return _record(out, "attention", (q, k, v),
-                       lambda g: _attend_grads(saved, g))
-    q_cut = np.cumsum([lq for lq, _ in blocks[:-1]])
-    k_cut = np.cumsum([lk for _, lk in blocks[:-1]])
-    parts = [_attend(qb, kb, vb, _causal_mask(len(qb)) if causal else None,
-                     n_heads)
-             for qb, kb, vb in zip(np.split(q.data, q_cut),
-                                   np.split(k.data, k_cut),
-                                   np.split(v.data, k_cut))]
+                         f"{blocks}")
+    q, k, v = xq.data @ w_q.data, xkv.data @ w_k.data, xkv.data @ w_v.data
+    for proj in (q, k, v):
+        _check_finite(proj, "matmul")
+    # each block's rows of the queries, and of the keys and values
+    qs, ks = ([slice(end - n, end) for n, end in
+               zip(ns, itertools.accumulate(ns))] for ns in zip(*blocks))
+    outs, saved = zip(*(
+        _attend(q[i], k[j], v[j], _hide("causal", lq) if causal else None,
+                n_heads) for (lq, _), i, j in zip(blocks, qs, ks)))
+    heads = np.concatenate(outs)
+    _check_finite(heads, "attention")
 
     def bw(g):
-        grads = [_attend_grads(saved, gb) for (_, saved), gb in
-                 zip(parts, np.split(g, q_cut))]
-        return tuple(np.concatenate(gs) for gs in zip(*grads))
+        gh = g @ w_o.data.T
+        dq, dk, dv = (np.concatenate(gs) for gs in zip(*(
+            _attend_grads(s, gh[i]) for s, i in zip(saved, qs))))
+        return (dv @ w_v.data.T, dk @ w_k.data.T, dq @ w_q.data.T,
+                xq.data.T @ dq, xkv.data.T @ dk, xkv.data.T @ dv, heads.T @ g)
 
-    return _record(np.concatenate([out for out, _ in parts]), "attention",
-                   (q, k, v), bw)
+    return _record(heads @ w_o.data, "matmul",
+                   (xkv, xkv, xq, w_q, w_k, w_v, w_o), bw)
 
 
 @functools.lru_cache(maxsize=256)
@@ -538,7 +552,7 @@ def offset_attention(x: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
     kd = xd @ wk
     _check_finite(kd, "matmul")
     if L < OFFSET_MIN_LENGTH:
-        out, saved = _attend(qd, kd, xd, build_mask(L), 1)
+        out, saved = _attend(qd, kd, xd, _hide("logsparse", L), 1)
         grads = functools.partial(_attend_grads, saved)
     else:
         offsets = log_sparse_offsets(L)

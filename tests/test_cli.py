@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import struct
@@ -210,17 +212,6 @@ def test_eval_checkpoint_mismatch(tmp_path, capsys):
     assert "feature width" in err
 
 
-def test_gradcheck_passes_and_negative_control(capsys):
-    # A corrupted gradient fails its own group, and every other group passes.
-    # The clean run's exit 0 and empty FAIL column are asserted by
-    # test_gradcheck_deterministic.
-    code, out, _ = run(capsys, ["gradcheck", "--corrupt", "enc0.gate_b"])
-    assert code == 1
-    failed = [line.split()[0] for line in out.splitlines()
-              if line.endswith("FAIL")]
-    assert failed == ["enc0.gate_b"]
-
-
 def test_gradcheck_unknown_corrupt_name_exits_2(capsys):
     code, out, err = run(capsys, ["gradcheck", "--corrupt", "nosuchparam"])
     assert code == 2 and out == ""
@@ -271,12 +262,48 @@ def test_train_infinite_lr_exits_2_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_gradcheck_deterministic(capsys):
-    code, out1, _ = run(capsys, ["gradcheck"])
+@pytest.fixture(scope="module")
+def gradcheck_sweeps():
+    # One clean and one corrupt CLI sweep, shared by the gradcheck tests:
+    # each full-model sweep takes seconds.
+    sweeps = {}
+    for key, argv in (("clean", ["gradcheck"]),
+                      ("corrupt", ["gradcheck", "--corrupt", "enc0.gate_b"])):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+        sweeps[key] = code, out.getvalue()
+    return sweeps
+
+
+def test_gradcheck_passes_and_negative_control(gradcheck_sweeps):
+    # A corrupted gradient fails its own group, and every other group passes.
+    # The clean run's exit 0 and empty FAIL column are asserted by
+    # test_gradcheck_deterministic.
+    code, out = gradcheck_sweeps["corrupt"]
+    assert code == 1
+    failed = [line.split()[0] for line in out.splitlines()
+              if line.endswith("FAIL")]
+    assert failed == ["enc0.gate_b"]
+
+
+def test_gradcheck_deterministic(gradcheck_sweeps):
+    # Every group of the clean run passes, and every line of the corrupt
+    # run other than the corrupted group's and the summary, each group's
+    # error included, equals the clean run's byte for byte, so the sweep
+    # is deterministic.
+    code, clean = gradcheck_sweeps["clean"]
     assert code == 0
-    assert "FAIL" not in out1
-    _, out2, _ = run(capsys, ["gradcheck"])
-    assert out1 == out2
+    assert "FAIL" not in clean
+    clean = clean.splitlines()
+    corrupt = gradcheck_sweeps["corrupt"][1].splitlines()
+    n = len(clean) - 1
+    assert clean[-1].startswith(f"{n}/{n} parameter groups passed")
+    assert corrupt[-1].startswith(f"{n - 1}/{n} parameter groups passed")
+    assert len(corrupt) == len(clean)
+    assert [a for a, b in zip(clean, corrupt) if a != b] == [
+        clean[[line.split()[0] for line in clean].index("enc0.gate_b")],
+        clean[-1]]
 
 
 def test_nonfinite_forward_op_exits_3(tmp_path, capsys):

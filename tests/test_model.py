@@ -229,8 +229,9 @@ def test_attention_rows_sum_to_one():
     x = Tensor(rng.normal(size=(6, 8)))
     q = nc.matmul(x, m.params["enc0.attn.wq"])
     k = nc.matmul(x, m.params["enc0.attn.wk"])
-    eye = Tensor(np.eye(6))  # k = v = I: the attention output is alpha
-    alpha = nc.attention(Tensor(q.data @ k.data.T), eye, eye)
+    # keys, values and every weight I: the attention output is alpha
+    eye = Tensor(np.eye(6))
+    alpha = nc.attention(Tensor(q.data @ k.data.T), eye, eye, eye, eye, eye)
     assert np.allclose(alpha.data.sum(axis=1), 1.0, atol=1e-9)
 
 
@@ -823,7 +824,7 @@ def test_cached_decoder_step_records_nothing(monkeypatch, kind):
         recorded = len(tape)
         assert memory.requires_grad and recorded > 0
         spy_on_checks(monkeypatch, checked)
-        monkeypatch.setattr(nc, "_causal_mask", None)
+        monkeypatch.setattr(nc, "_hide", None)
         for t, token in enumerate([BOS, 5, 6]):
             checked.clear()
             logits = m.decoder_forward(memory, [token], "gloss", cache)

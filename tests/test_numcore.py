@@ -42,13 +42,14 @@ def test_matmul_shape_error():
 
 
 def attention_alpha(x, mask):
-    """Attention weights of score matrix x under mask, from the one-head
-    kernel: with k = v = I the output is alpha, and scaling q by sqrt(d)
-    undoes the kernel's 1/sqrt(d)."""
+    """Attention weights of score matrix x under mask (true on the keys a
+    row sees), from the one-head kernel, which takes the mask's
+    complement: with k = v = I the output is alpha, and scaling q by
+    sqrt(d) undoes the kernel's 1/sqrt(d)."""
     x = np.asarray(x, dtype=np.float64)
     eye = np.eye(x.shape[1])[None]
     return nc._attend_heads((x * np.sqrt(x.shape[1]))[None], eye, eye,
-                            mask)[0][0]
+                            ~mask)[0][0]
 
 
 def test_masked_softmax_uniform_row():
@@ -84,12 +85,48 @@ def test_masked_softmax_rows_sum_to_one_and_zero_off_mask():
 
 
 def masked_attention(q, k, v, mask, n_heads=1):
-    """Attention under any mask, taped from numcore's private kernels.
+    """Attention of q, k and v under any mask (true on the keys a row
+    sees; None sees every key), taped from numcore's private kernels.
     After two matmul projections it completes the chain that
     offset_attention's dense kernel must equal to the bit."""
-    out, saved = nc._attend(q.data, k.data, v.data, mask, n_heads)
+    hide = None if mask is None else ~mask
+    out, saved = nc._attend(q.data, k.data, v.data, hide, n_heads)
     return nc._record(out, "attention", (q, k, v),
                       lambda g: nc._attend_grads(saved, g))
+
+
+def block_attention(q, k, v, causal, n_heads, blocks):
+    """Attention of q, k and v, taped from numcore's private kernels, as
+    attention ran it before it took the block's inputs and weights: rows
+    split into blocks, each attended alone, causal blocks under a lower
+    triangle."""
+    def hide(n):
+        return ~attention_mask("causal", n, n) if causal else None
+
+    q_cut = np.cumsum([lq for lq, _ in blocks[:-1]])
+    k_cut = np.cumsum([lk for _, lk in blocks[:-1]])
+    parts = [nc._attend(qb, kb, vb, hide(len(qb)), n_heads)
+             for qb, kb, vb in zip(np.split(q.data, q_cut),
+                                   np.split(k.data, k_cut),
+                                   np.split(v.data, k_cut))]
+
+    def bw(g):
+        grads = [nc._attend_grads(saved, gb) for (_, saved), gb in
+                 zip(parts, np.split(g, q_cut))]
+        return tuple(np.concatenate(gs) for gs in zip(*grads))
+
+    return nc._record(np.concatenate([out for out, _ in parts]),
+                      "attention", (q, k, v), bw)
+
+
+def attention_chain(xq, xkv, w_q, w_k, w_v, w_o, causal=False, n_heads=1,
+                    blocks=None):
+    """The five ops an attention block took before attention became one:
+    three matmul projections, block_attention over them and the output
+    matmul, five tape entries."""
+    blocks = blocks or [(xq.shape[0], xkv.shape[0])]
+    q, k, v = nc.matmul(xq, w_q), nc.matmul(xkv, w_k), nc.matmul(xkv, w_v)
+    return nc.matmul(block_attention(q, k, v, causal, n_heads, blocks), w_o)
 
 
 def attention_mask(kind, lq, lk):
@@ -103,12 +140,11 @@ def attention_mask(kind, lq, lk):
 
 
 def attention_of_kind(kind, q, k, v, n_heads):
-    """The taped attention of a kind: nc.attention for causal and
-    rectangular, and masked_attention under build_mask for log-sparse,
-    a mask attention does not take."""
-    if kind == "logsparse":
-        return masked_attention(q, k, v, nc.build_mask(q.shape[0]), n_heads)
-    return nc.attention(q, k, v, kind == "causal", n_heads)
+    """Attention of q, k and v under the pattern of a kind, taped from
+    the kernels that attention and offset_attention's dense kernel run."""
+    return masked_attention(q, k, v,
+                            attention_mask(kind, q.shape[0], k.shape[0]),
+                            n_heads)
 
 
 def per_head_reference(q, k, v, mask, n_heads):
@@ -157,26 +193,31 @@ def test_attention_bit_equal_to_per_head_reference(n_heads, kind):
 
 
 def test_attention_contract_errors():
-    x = Tensor(np.zeros((3, 4)))
+    x, w = Tensor(np.zeros((3, 4))), Tensor(np.zeros((4, 4)))
+    for bad in range(4):  # each weight in turn has a width the others lack
+        ws = [w] * 4
+        ws[bad] = Tensor(np.zeros((4, 2)) if bad < 3 else np.zeros((2, 4)))
+        with pytest.raises(nc.ShapeError):
+            nc.attention(x, x, *ws)
+    with pytest.raises(nc.ShapeError):  # xkv's width is not w_k's rows
+        nc.attention(x, Tensor(np.zeros((3, 2))), w, w, w, w)
     with pytest.raises(nc.ShapeError):
-        nc.attention(x, x, Tensor(np.zeros((3, 2))))
-    with pytest.raises(nc.ShapeError):
-        nc.attention(x, Tensor(np.zeros((2, 4))), x)
+        nc.attention(Tensor(np.zeros(4)), x, w, w, w, w)
     with pytest.raises(nc.ConfigError):
-        nc.attention(x, x, x, n_heads=3)
+        nc.attention(x, x, w, w, w, w, n_heads=3)
 
 
 def test_causal_attention_needs_square_scores():
     # Lq != Lk, or one block with lq != lk, raises before any op records
     rng = np.random.default_rng(22)
-    q, k = (Tensor(rng.normal(size=(n, 4)), requires_grad=True)
-            for n in (5, 6))
+    q, k, w = (Tensor(rng.normal(size=(n, 4)), requires_grad=True)
+               for n in (5, 6, 4))
     for q_, k_, blocks in ((q, k, None), (k, q, None),
                            (q, k, [(2, 2), (3, 4)]),
                            (q, q, [(2, 3), (3, 2)])):
         with Tape() as tape:
             with pytest.raises(nc.ShapeError, match="causal"):
-                nc.attention(q_, k_, k_, causal=True, blocks=blocks)
+                nc.attention(q_, k_, w, w, w, w, causal=True, blocks=blocks)
         assert len(tape) == 0
 
 
@@ -506,8 +547,8 @@ def test_grad_check_linear_function():
 def test_grad_check_softmax_pick():
     eye = Tensor(np.eye(4))
 
-    def f(x):
-        sm = nc.attention(x, eye, eye)
+    def f(x):  # keys, values and every weight I: the output is alpha
+        sm = nc.attention(x, eye, eye, eye, eye, eye)
         return nc.tsum(nc.slice_cols(sm, 0, 1))
 
     x = Tensor(np.random.default_rng(8).normal(size=(1, 4)), requires_grad=True)
@@ -549,8 +590,9 @@ ATTENTION_CASES = [f"attention_{wrt}_h{h}_{kind}"
 
 
 def attention_case(opname, rng):
-    """(f, point) checking one attention input's gradient; the other two
-    inputs are fixed random tensors."""
+    """(f, point) checking the gradient of one input of attention_of_kind,
+    the kernels' attention over q, k and v; the other two inputs are fixed
+    random tensors."""
     _, wrt, heads, kind = opname.split("_")
     lq, lk, d = (3, 5, 4) if kind == "rectangular" else (5, 5, 4)
     fixed = {"q": Tensor(rng.normal(size=(lq, d))),
@@ -568,30 +610,37 @@ def attention_case(opname, rng):
 
 
 BLOCK_ATTENTION_CASES = [f"block_attention_{wrt}_h{h}_{kind}"
-                         for wrt in ("q", "k", "v") for h in (1, 2)
-                         for kind in ("causal", "full")]
+                         for wrt in ("q", "k", "v", "o", "xq", "xkv")
+                         for h in (1, 2, 4)
+                         for kind in ("causal", "full", "causal1", "full1")]
 
 
 def block_attention_case(opname, rng):
-    """(f, point) checking one input's gradient of three-block attention:
-    causal square blocks (decoder self-attention) or rectangular blocks
-    without a mask (cross-attention); the other two inputs are fixed."""
+    """(f, point) checking the gradient of one input of an attention
+    block, named by its role: q, k, v and o the weights w_q, w_k, w_v and
+    w_o, xq the query rows and xkv the key and value rows; the other
+    inputs are fixed. The pattern is three causal square blocks (decoder
+    self-attention), three rectangular blocks that see every key
+    (cross-attention), or no blocks: one causal 6 x 6 block (causal1) or
+    a rectangular 4 x 6 one (full1)."""
     _, _, wrt, heads, kind = opname.split("_")
-    causal = kind == "causal"
-    blocks = [(2, 2), (1, 1), (3, 3)] if causal else [(2, 3), (1, 1), (3, 2)]
-    d = 4
-    fixed = {"q": Tensor(rng.normal(size=(6, d))),
-             "k": Tensor(rng.normal(size=(6, d))),
-             "v": Tensor(rng.normal(size=(6, d)))}
-    w = Tensor(rng.normal(size=(6, d)))
+    causal = kind.startswith("causal")
+    blocks = {"causal": [(2, 2), (1, 1), (3, 3)],
+              "full": [(2, 3), (1, 1), (3, 2)]}.get(kind)
+    lq = 4 if kind == "full1" else 6
+    shapes = {"xq": (lq, 3), "xkv": (6, 5), "q": (3, 4), "k": (5, 4),
+              "v": (5, 4), "o": (4, 2)}
+    fixed = {n: Tensor(rng.normal(size=shape)) for n, shape in shapes.items()}
+    w = Tensor(rng.normal(size=(lq, 2)))
 
     def f(x):
         args = dict(fixed, **{wrt: x})
-        out = nc.attention(args["q"], args["k"], args["v"], causal,
-                           int(heads[1:]), blocks)
+        out = nc.attention(args["xq"], args["xkv"], args["q"], args["k"],
+                           args["v"], args["o"], causal, int(heads[1:]),
+                           blocks)
         return nc.tsum(nc.mul(out, w))
 
-    return f, Tensor(rng.normal(size=fixed[wrt].shape))
+    return f, Tensor(rng.normal(size=shapes[wrt]))
 
 
 OFFSET_ATTENTION_CASES = [f"offset_attention_{wrt}_L{L}"
@@ -1025,6 +1074,7 @@ def test_layer_norm_residual_bit_equal_to_add_then_layer_norm(shape):
 
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
 def test_attention_without_mask_bit_equal_to_all_true_mask(n_heads):
+    # the kernel without a mask, as attention runs it when not causal
     rng = np.random.default_rng(20 + n_heads)
     for lq, lk in ((1, 1), (1, 9), (6, 9)):
         arrays = [rng.normal(size=(lq, 8)), rng.normal(size=(lk, 8)),
@@ -1032,19 +1082,21 @@ def test_attention_without_mask_bit_equal_to_all_true_mask(n_heads):
         w = rng.normal(size=(lq, 8))
         full = np.ones((lq, lk), dtype=bool)
         assert_bit_equal(
-            grads_of(lambda q, k, v: nc.attention(q, k, v, n_heads=n_heads),
+            grads_of(lambda q, k, v: masked_attention(q, k, v, None, n_heads),
                      arrays, w),
             grads_of(lambda q, k, v: masked_attention(q, k, v, full, n_heads),
                      arrays, w))
 
 
-def single_block_reference(q, k, v, mask, n_heads, g):
-    """The arithmetic of attention before it took blocks, step for step in
-    plain numpy: output and the gradients of q, k and v for upstream g."""
+def single_block_reference(xq, xkv, w_q, w_k, w_v, w_o, mask, n_heads, g):
+    """The arithmetic of one attention block before attention took blocks,
+    step for step in plain numpy: the output and the gradients of xq, xkv
+    and the four weights for upstream g."""
     def merge(x):
         return np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(
             x.shape[1], -1)
 
+    q, k, v = xq @ w_q, xkv @ w_k, xkv @ w_v
     (Lq, d), Lk = q.shape, k.shape[0]
     dh = d // n_heads
     c = 1.0 / np.sqrt(dh)
@@ -1058,70 +1110,178 @@ def single_block_reference(q, k, v, mask, n_heads, g):
     alpha -= alpha.max(axis=-1, keepdims=True)
     np.exp(alpha, out=alpha)
     alpha /= alpha.sum(axis=-1, keepdims=True)
-    gh = g.reshape(Lq, n_heads, dh).transpose(1, 0, 2)
+    heads = merge(alpha @ vh)
+    gheads = g @ w_o.T
+    gh = gheads.reshape(Lq, n_heads, dh).transpose(1, 0, 2)
     dv = alpha.transpose(0, 2, 1) @ gh
     ds = gh @ vh.transpose(0, 2, 1)
     ds -= (ds * alpha).sum(axis=-1, keepdims=True)
     ds *= alpha
     ds *= c
-    dq = ds @ kt.transpose(0, 2, 1)
-    dk = (qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1)
-    return [merge(alpha @ vh), merge(dq), merge(dk), merge(dv)]
+    dq = merge(ds @ kt.transpose(0, 2, 1))
+    dk = merge((qh.transpose(0, 2, 1) @ ds).transpose(0, 2, 1))
+    dv = merge(dv)
+    return [heads @ w_o, dq @ w_q.T, dv @ w_v.T + dk @ w_k.T, xq.T @ dq,
+            xkv.T @ dk, xkv.T @ dv, heads.T @ g]
+
+
+def block_arrays(rng, lq, lk, widths=(8, 8, 8, 8)):
+    """Random xq (lq, a) and xkv (lk, b), and w_q, w_k, w_v and w_o for
+    widths (a, b, e, f)."""
+    a, b, e, f = widths
+    return [rng.normal(size=shape) for shape in
+            ((lq, a), (lk, b), (a, e), (b, e), (b, e), (e, f))]
 
 
 @pytest.mark.parametrize("n_heads", [1, 2, 4])
 def test_one_block_attention_bit_equal_to_reference(n_heads):
-    # what greedy decoding runs (no blocks) and a packed batch of one
-    # (one explicit block) both match the pre-block arithmetic to the bit
+    # what a lone clip or sequence runs (no blocks) and a packed batch of
+    # one (one explicit block) both match the pre-block arithmetic to the
+    # bit
     rng = np.random.default_rng(30 + n_heads)
     for (lq, lk), causal in (((1, 1), False), ((1, 9), False),
                              ((6, 9), False), ((1, 1), True), ((5, 5), True)):
-        arrays = [rng.normal(size=(lq, 8)), rng.normal(size=(lk, 8)),
-                  rng.normal(size=(lk, 8))]
+        arrays = block_arrays(rng, lq, lk)
         w = rng.normal(size=(lq, 8))
         mask = attention_mask("causal", lq, lk) if causal else None
         ref = single_block_reference(*arrays, mask, n_heads, w)
         assert_bit_equal(grads_of(
-            lambda q, k, v: nc.attention(q, k, v, causal, n_heads), arrays,
-            w), ref)
+            lambda *t: nc.attention(*t, causal, n_heads), arrays, w), ref)
         assert_bit_equal(grads_of(
-            lambda q, k, v: nc.attention(q, k, v, causal, n_heads,
-                                         [(lq, lk)]), arrays, w), ref)
+            lambda *t: nc.attention(*t, causal, n_heads, [(lq, lk)]),
+            arrays, w), ref)
 
 
 @pytest.mark.parametrize("n_heads", [1, 2])
 def test_block_attention_bit_equal_to_one_call_per_block(n_heads):
+    # The weights select columns: q = xq, [k|v] = xkv and the output is
+    # the heads, so every projection and its gradient is exact, whatever
+    # kernel BLAS picks for a block's row count, and each block's output
+    # rows and gradients of q, k and v equal a call on its rows alone, to
+    # the bit. A weight's gradient is the sum of the blocks', up to the
+    # order of float sums over rows.
     rng = np.random.default_rng(40 + n_heads)
+    eye, zero = np.eye(8), np.zeros((8, 8))
+    weights = [eye, np.vstack([eye, zero]), np.vstack([zero, eye]), eye]
     for causal in (False, True):
         blocks = ([(3, 3), (1, 1), (5, 5)] if causal
                   else [(3, 7), (1, 2), (5, 4)])
         lq, lk = map(sum, zip(*blocks))
-        arrays = [rng.normal(size=(lq, 8)), rng.normal(size=(lk, 8)),
-                  rng.normal(size=(lk, 8))]
+        arrays = [rng.normal(size=(lq, 8)), rng.normal(size=(lk, 16))]
         w = rng.normal(size=(lq, 8))
-        got = grads_of(lambda q, k, v: nc.attention(
-            q, k, v, causal, n_heads, blocks), arrays, w)
+        got = grads_of(lambda *t: nc.attention(*t, causal, n_heads, blocks),
+                       arrays + weights, w)
         q0 = k0 = 0
+        weight_sums = [0.0] * 4
         for bq, bk in blocks:
             qs, ks = slice(q0, q0 + bq), slice(k0, k0 + bk)
-            ref = grads_of(lambda q, k, v: nc.attention(q, k, v, causal,
-                                                        n_heads),
-                           [arrays[0][qs], arrays[1][ks], arrays[2][ks]],
-                           w[qs])
-            assert_bit_equal([got[0][qs], got[1][qs], got[2][ks],
-                              got[3][ks]], ref)
+            ref = grads_of(lambda *t: nc.attention(*t, causal, n_heads),
+                           [arrays[0][qs], arrays[1][ks]] + weights, w[qs])
+            assert_bit_equal([got[0][qs], got[1][qs], got[2][ks]], ref[:3])
+            weight_sums = [a + b for a, b in zip(weight_sums, ref[3:])]
             q0, k0 = q0 + bq, k0 + bk
+        for got_w, ref_w in zip(got[3:], weight_sums):
+            assert np.allclose(got_w, ref_w, rtol=1e-13, atol=1e-13)
 
 
 def test_block_attention_rejects_bad_blocks():
-    x = Tensor(np.zeros((5, 4)))
+    x, w = Tensor(np.zeros((5, 4))), Tensor(np.zeros((4, 4)))
     for blocks in ([(2, 2), (2, 2)],      # rows left over
                    [(3, 3), (3, 3)],      # too many rows
                    [(5, 0)],              # a block without keys
                    []):
         for causal in (False, True):
             with pytest.raises(nc.ShapeError, match="tile"):
-                nc.attention(x, x, x, causal, 1, blocks)
+                nc.attention(x, x, w, w, w, w, causal, 1, blocks)
+
+
+ATTENTION_CHAIN_CASES = {
+    "causal": (5, 5, True, None),
+    "rectangular": (3, 7, False, None),
+    "causal_blocks": (9, 9, True, [(3, 3), (1, 1), (5, 5)]),
+    "rectangular_blocks": (9, 13, False, [(3, 7), (1, 2), (5, 4)]),
+}
+
+
+@pytest.mark.parametrize("n_heads", [1, 2, 4])
+@pytest.mark.parametrize("case", sorted(ATTENTION_CHAIN_CASES))
+def test_attention_bit_equal_to_five_op_chain(case, n_heads):
+    # The one op runs the arithmetic of the five ops it replaced, and its
+    # gradients of xkv (values', then keys') and xq reach the tape in the
+    # chain's order: also for self-attention, xq is xkv, when x feeds a
+    # matmul recorded after the op, whose gradient of x the tape takes
+    # first. Widths (a, b, e, f) = (6, 8, 8, 4) make every weight's shape
+    # its own, except for self-attention.
+    lq, lk, causal, blocks = ATTENTION_CHAIN_CASES[case]
+    rng = np.random.default_rng(50 + n_heads)
+    for shared in ((False, True) if lq == lk else (False,)):
+        for reuse in (False, True):
+            widths = (8, 8, 8, 4) if shared else (6, 8, 8, 4)
+            arrays = block_arrays(rng, lq, lk, widths)
+            if shared:  # self-attention: xq is xkv
+                del arrays[1]
+            w, wx = rng.normal(size=(lq, 4)), rng.normal(size=(widths[0], 3))
+            results = []
+            for op in (attention_chain, nc.attention):
+                inputs = [Tensor(a, requires_grad=True) for a in arrays]
+                args = inputs[:1] * 2 + inputs[1:] if shared else inputs
+                with Tape() as tape:
+                    out = op(*args, causal, n_heads, blocks)
+                    entries = len(tape)
+                    loss = nc.tsum(nc.mul(out, Tensor(w)))
+                    if reuse:
+                        loss = nc.add(loss, nc.tsum(nc.matmul(
+                            inputs[0], Tensor(wx))))
+                tape.backward(loss)
+                grads = [t.grad for t in inputs]
+                results.append((entries, [out.data] + grads))
+            (chain_entries, ref), (op_entries, got) = results
+            assert (chain_entries, op_entries) == (5, 1)
+            assert_bit_equal(got, ref)
+
+
+def test_attention_outputs_are_finite_checked_in_chain_order():
+    # The projections are checked before the heads, and the heads before
+    # the output projection, each under the name of the chain's op that
+    # made it: a non-finite v names matmul though the scores overflow too,
+    # and non-finite heads name attention though the output overflows too.
+    x, big = (Tensor(np.full((2, 2), a)) for a in (1e200, 1e308))
+    one, eye = Tensor(np.ones((2, 2))), Tensor(np.eye(2))
+    for xs, w_v, op in ((x, big, "matmul"),         # values
+                        (x, eye, "attention"),      # heads
+                        (one, eye, "matmul")):      # the output alone
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                nc.NonFiniteError, match=f"^{op} produced"):
+            nc.attention(xs, xs, eye, eye, w_v, big)
+
+
+def test_attention_tape_holds_no_projection():
+    # What one call's tape entry holds, over 8 blocks of 32 rows at width
+    # 32 and 2 heads: each block's head-split q, k^T and v (three (L, e)
+    # arrays in all) and softmax weights, the merged heads and the output,
+    # and less than one more (L, e) array. The five-op chain it replaced
+    # also keeps the three (L, e) projections and every block's heads, so
+    # it holds more than the bound.
+    L, d, H, n = 256, 32, 2, 8
+    blocks = [(L // n, L // n)] * n
+    rng = np.random.default_rng(1)
+    arrays = block_arrays(rng, L, L, (d, d, d, d))
+    bound = (3 * L * d + n * H * (L // n) ** 2 + 2 * L * d + L * d) * 8
+    held = []
+    for op in (nc.attention, attention_chain):
+        x = Tensor(arrays[0], requires_grad=True)
+        ws = [Tensor(a, requires_grad=True) for a in arrays[2:]]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            with Tape() as tape:
+                out = op(x, x, *ws, False, H, blocks)
+            held.append(tracemalloc.get_traced_memory()[0] - base)
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (L, d)
+        assert len(tape) == (1 if op is nc.attention else 5)
+    assert held[0] < bound < held[1], (held, bound)
 
 
 def test_fused_ops_reject_overflow():

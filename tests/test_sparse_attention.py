@@ -98,7 +98,7 @@ def test_lssa_alpha_rows_are_normalized():
     mask = sa.build_mask(F)
     q, k = (x @ rng.normal(size=(d, d)) for _ in range(2))
     # the weights the dense kernel of offset_attention keeps at this length
-    alpha = nc._attend(q, k, x, mask, 1)[1][-1][0]
+    alpha = nc._attend(q, k, x, ~mask, 1)[1][-1][0]
     assert np.allclose(alpha.sum(axis=1), 1.0, atol=1e-9)
     assert np.all(alpha[~mask] == 0.0)
 
@@ -221,7 +221,7 @@ def _masked_dense(x, w_q, w_k):
     offset_attention replaced."""
     q, k = nc.matmul(x, w_q), nc.matmul(x, w_k)
     out, saved = nc._attend(q.data, k.data, x.data,
-                            sa.build_mask(x.shape[0]), 1)
+                            ~sa.build_mask(x.shape[0]), 1)
     return nc._record(out, "attention", (q, k, x),
                       lambda g: nc._attend_grads(saved, g))
 
