@@ -16,6 +16,9 @@ that the taped ops call; the model's cached decoder step, which records
 no gradient, splits its heads itself and calls ``_attend_heads`` (with
 its own padding mask) and ``_norm_rows`` on plain arrays.
 
+The loss is one taped op too, ``cross_entropy``. Nothing else in glot calls
+``mul`` or ``tsum``; the gradient tests build their scalar losses from them.
+
 All arithmetic is 64-bit, and nothing broadcasts: ``add`` and ``mul``
 take two operands of one shape and raise ``ShapeError`` otherwise.
 """
@@ -317,36 +320,35 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     return _record(table.data[ids], "gather_rows", (table,), bw)
 
 
-def pick_per_row(x: Tensor, cols: Sequence[int]) -> Tensor:
-    cols = np.asarray(cols, dtype=np.int64)
-    if x.data.ndim != 2 or cols.shape != (x.shape[0],):
-        raise ShapeError("pick_per_row: need one column index per row")
-    if cols.size and (cols.min() < 0 or cols.max() >= x.shape[1]):
-        raise ContractError("pick_per_row: column index out of range")
+# ---------------------------------------------------------------------------
+# loss
+
+def cross_entropy(logits: Tensor, targets: Sequence[int],
+                  weights: np.ndarray) -> Tensor:
+    """Sum over the rows i of -w_i log softmax(logits)[i, t_i], with one
+    target id t_i and one weight w_i per row."""
+    x = logits.data
+    targets = np.asarray(targets, dtype=np.int64)
+    neg_w = -np.asarray(weights, dtype=np.float64)
+    if x.ndim != 2 or not targets.shape == neg_w.shape == x.shape[:1]:
+        raise ShapeError(f"cross_entropy: logits {x.shape}, targets "
+                         f"{targets.shape}, weights {neg_w.shape}")
+    if targets.size and (targets.min() < 0 or targets.max() >= x.shape[1]):
+        raise ContractError("cross_entropy: target id out of range")
+    shifted = x - x.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    lp = shifted - lse
+    # finite logits that span more than the float range give lp = -inf
+    _check_finite(lp, "cross_entropy")
     rows = np.arange(x.shape[0])
 
     def bw(g):
-        full = np.zeros_like(x.data)
-        full[rows, cols] = g
-        return (full,)
+        full = np.zeros_like(x)
+        full[rows, targets] = float(g) * neg_w
+        return (full - np.exp(lp) * full.sum(axis=1, keepdims=True),)
 
-    return _record(x.data[rows, cols], "pick_per_row", (x,), bw)
-
-
-# ---------------------------------------------------------------------------
-# softmax family
-
-def log_softmax_rows(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError("log_softmax_rows expects a matrix")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = shifted - lse
-
-    def bw(g):
-        return (g - np.exp(out) * g.sum(axis=1, keepdims=True),)
-
-    return _record(out, "log_softmax_rows", (x,), bw)
+    return _record(np.asarray((lp[rows, targets] * neg_w).sum()),
+                   "cross_entropy", (logits,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -116,15 +116,8 @@ class FoldReport:
 def cross_entropy_loss(logits: Tensor, targets: list[int],
                        weights: np.ndarray) -> Tensor:
     """Negative log-likelihood of the targets, summed over the rows with
-    one weight per row."""
-    targets = np.asarray(targets, dtype=np.int64)
-    if targets.shape != logits.shape[:1]:
-        raise nc.ShapeError("one target per logit row required")
-    if np.shape(weights) != targets.shape:
-        raise nc.ShapeError("one weight per logit row required")
-    lp = nc.log_softmax_rows(logits)
-    picked = nc.pick_per_row(lp, targets)
-    return nc.tsum(nc.mul(picked, Tensor(-np.asarray(weights))))
+    one weight per row, as one nc.cross_entropy op."""
+    return nc.cross_entropy(logits, targets, weights)
 
 
 def batch_loss(model: GlotModel, frames: list[np.ndarray],

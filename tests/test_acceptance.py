@@ -74,23 +74,22 @@ def test_criterion_2_complexity_counts():
                "for L in {8,64,512,1024}; L=8 gives 25/64/36")
 
 
-def test_criterion_3_gradient_acceptance():
+def test_criterion_3_gradient_acceptance(gradcheck_sweeps):
+    # The clean `glot gradcheck` sweep (conftest.py): every parameter of the
+    # tiny model, seed 0, under batch_loss of one random 6-frame clip with
+    # gloss ids [5, 6, 5] and text ids [5, 7, 9, 6], at tol 1e-3.
     cfg = GlotConfig.tiny(d_model=8, max_frames=8, feat_dim=5,
                           gloss_vocab_size=7, text_vocab_size=11)
-    model = GlotModel(cfg, seed=0)
-    frames = np.random.default_rng(1).normal(size=(6, 5))
-    t0 = time.perf_counter()
-    model.eval()
-    results = nc.grad_check(
-        lambda: training.batch_loss(model, [frames], [[5, 6, 5]],
-                                    [[5, 7, 9, 6]]),
-        model.params, tol=1e-3)
-    dt = time.perf_counter() - t0
-    failures = [r for r in results if not r.passed]
+    code, out, dt = gradcheck_sweeps["clean"]
+    *lines, summary = out.splitlines()
+    rows = [line.split() for line in lines]
+    assert [name for name, _, _ in rows] == list(GlotModel(cfg, seed=0).params)
+    failures = [line for line in lines if not line.endswith("  PASS")]
     assert not failures, failures
+    assert code == 0 and summary.endswith(" at tol 0.001")
     assert dt < 120.0, f"gradient sweep took {dt:.1f}s"
-    worst = max(r.max_rel_err for r in results)
-    _passed(3, f"{len(results)} parameter groups pass at 1e-3 "
+    worst = max(float(err.split("=")[1]) for _, err, _ in rows)
+    _passed(3, f"{len(rows)} parameter groups pass at 1e-3 "
                f"(worst {worst:.2e}) in {dt:.1f}s")
 
 

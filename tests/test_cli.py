@@ -1,6 +1,4 @@
-import contextlib
 import hashlib
-import io
 import json
 import os
 import struct
@@ -262,25 +260,11 @@ def test_train_infinite_lr_exits_2_before_any_output(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-@pytest.fixture(scope="module")
-def gradcheck_sweeps():
-    # One clean and one corrupt CLI sweep, shared by the gradcheck tests:
-    # each full-model sweep takes seconds.
-    sweeps = {}
-    for key, argv in (("clean", ["gradcheck"]),
-                      ("corrupt", ["gradcheck", "--corrupt", "enc0.gate_b"])):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = cli.main(argv)
-        sweeps[key] = code, out.getvalue()
-    return sweeps
-
-
 def test_gradcheck_passes_and_negative_control(gradcheck_sweeps):
     # A corrupted gradient fails its own group, and every other group passes.
     # The clean run's exit 0 and empty FAIL column are asserted by
     # test_gradcheck_deterministic.
-    code, out = gradcheck_sweeps["corrupt"]
+    code, out, _ = gradcheck_sweeps["corrupt"]
     assert code == 1
     failed = [line.split()[0] for line in out.splitlines()
               if line.endswith("FAIL")]
@@ -292,7 +276,7 @@ def test_gradcheck_deterministic(gradcheck_sweeps):
     # run other than the corrupted group's and the summary, each group's
     # error included, equals the clean run's byte for byte, so the sweep
     # is deterministic.
-    code, clean = gradcheck_sweeps["clean"]
+    code, clean, _ = gradcheck_sweeps["clean"]
     assert code == 0
     assert "FAIL" not in clean
     clean = clean.splitlines()

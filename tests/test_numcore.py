@@ -1,9 +1,11 @@
 import inspect
 import math
+import re
 import sys
 import threading
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -739,19 +741,20 @@ def clip_case(opname, rng, w):
 GRADIENT_CASES = [
     "add", "mul", "sigmoid", "relu",
     "dropout", "concat", "concat_rows", "slice", "masked_softmax",
-    "log_softmax", "layer_norm", "conv1d", "gap", "gather", "pick",
+    "cross_entropy", "layer_norm", "conv1d", "gap", "gather",
 ] + ATTENTION_CASES + BLOCK_ATTENTION_CASES + OFFSET_ATTENTION_CASES \
   + FUSED_CASES + CLIP_CASES
 
-# One gradient case per recording op; every case ends in tsum, and matmul
-# is checked through its fused-bias cases.
+# One gradient case per recording op; every case but cross_entropy's, whose
+# loss is a scalar already, ends in tsum, and matmul is checked through its
+# fused-bias cases.
 OP_CASES = {
     "add": "add", "mul": "mul", "sigmoid": "sigmoid", "relu": "relu",
     "dropout": "dropout", "concat_channels": "concat",
     "concat_rows": "concat_rows", "slice_cols": "slice",
     "slice_rows": "slice_rows", "matmul": "matmul_bias_a",
-    "tsum": "add", "gather_rows": "gather", "pick_per_row": "pick",
-    "log_softmax_rows": "log_softmax", "attention": "block_attention_q_h2_causal",
+    "tsum": "add", "gather_rows": "gather", "cross_entropy": "cross_entropy",
+    "attention": "block_attention_q_h2_causal",
     "offset_attention": "offset_attention_q_L5", "layer_norm": "layer_norm",
     "conv1d_same": "conv1d_clips_kernels", "global_avg_pool": "gap_clips",
     "gated_mix": "gated_mix_g_clips",
@@ -765,6 +768,13 @@ def test_every_recording_op_has_a_gradient_case():
            and "_record" in f.__code__.co_names}
     assert ops == set(OP_CASES), "map each recording op to a gradient case"
     assert {OP_CASES[op] for op in ops} <= set(GRADIENT_CASES)
+    # and every one has a caller in the package: an op nothing calls is
+    # dead code, but for the two that the gradient cases build their
+    # scalar losses from
+    src = Path(nc.__file__).parent
+    called = {name for path in src.glob("*.py") if path.name != "numcore.py"
+              for name in re.findall(r"\bnc\.(\w+)\(", path.read_text())}
+    assert ops - called == {"mul", "tsum"}, "delete an op nothing calls"
 
 
 @pytest.mark.parametrize("opname", GRADIENT_CASES)
@@ -818,8 +828,10 @@ def test_gradients_match_finite_differences(opname):
             eye = Tensor(np.eye(3))
             f = lambda x: nc.tsum(nc.mul(masked_attention(x, eye, eye, mask),
                                          w))
-        elif opname == "log_softmax":
-            f = lambda x: nc.tsum(nc.mul(nc.log_softmax_rows(x), w))
+        elif opname == "cross_entropy":
+            targets = [0, 2, 2, 1]
+            weights = rng.normal(size=4)
+            f = lambda x: nc.cross_entropy(x, targets, weights)
         elif opname == "layer_norm":
             gain = Tensor(rng.normal(size=3))
             bias = Tensor(rng.normal(size=3))
@@ -836,15 +848,71 @@ def test_gradients_match_finite_differences(opname):
         elif opname == "gather":
             ids = [0, 2, 2, 1]
             f = lambda x: nc.tsum(nc.mul(nc.gather_rows(x, ids), w))
-        elif opname == "pick":
-            cols = [0, 2, 1, 2]
-            wv4 = Tensor(rng.normal(size=4))
-            f = lambda x: nc.tsum(nc.mul(nc.pick_per_row(x, cols), wv4))
         if point is None:
             point = Tensor(rng.normal(size=(4, 3)))
         x = Tensor(point.data, requires_grad=True)
         [c] = nc.grad_check(lambda: f(x), {"x": x})
         assert c.passed, f"{opname} trial {trial}: {c.max_rel_err}"
+
+
+def _chain_cross_entropy(x, targets, weights, upstream):
+    # The log_softmax_rows -> pick_per_row -> mul -> tsum chain that
+    # cross_entropy replaced, forward and backward, op by op in plain numpy:
+    # the loss and the gradient of x for an upstream gradient of the loss.
+    shifted = x - x.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    lp = shifted - lse
+    rows = np.arange(x.shape[0])
+    neg_w = -np.asarray(weights)
+    loss = np.asarray((lp[rows, targets] * neg_w).sum())
+    g_picked = np.full(rows.shape, float(upstream)) * neg_w
+    full = np.zeros_like(x)
+    full[rows, targets] = g_picked
+    return loss, full - np.exp(lp) * full.sum(axis=1, keepdims=True)
+
+
+def test_cross_entropy_equals_the_chain_to_the_bit():
+    rng = np.random.default_rng(41)
+    for case in range(200):
+        n, v = int(rng.integers(1, 30)), int(rng.integers(1, 20))
+        x = rng.normal(size=(n, v)) * rng.choice([0.1, 1.0, 30.0])
+        targets = rng.integers(0, v, size=n)  # ids repeat across rows
+        weights = rng.normal(size=n)
+        upstream = rng.choice([1.0, 2.5])
+        logits = Tensor(x, requires_grad=True)
+        with Tape() as tape:
+            loss = nc.cross_entropy(logits, targets, weights)
+            assert len(tape) == 1
+            out = loss if upstream == 1.0 else nc.mul(loss, Tensor(upstream))
+            tape.backward(out)
+        want_loss, want_grad = _chain_cross_entropy(x, targets, weights,
+                                                    upstream)
+        assert loss.data.tobytes() == want_loss.tobytes(), case
+        assert logits.grad.tobytes() == want_grad.tobytes(), case
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cross_entropy_rejects_before_recording():
+    x = Tensor(np.zeros((3, 4)), requires_grad=True)
+    w = np.ones(3)
+    with Tape() as tape:
+        for targets, weights in (([0, 1], w), ([0, 1, 2, 3], w),
+                                 ([[0, 1, 2]], w), ([0, 1, 2], np.ones(2)),
+                                 ([0, 1, 2], np.ones(4))):
+            with pytest.raises(nc.ShapeError):
+                nc.cross_entropy(x, targets, weights)
+        with pytest.raises(nc.ShapeError):
+            nc.cross_entropy(Tensor(np.zeros(3), requires_grad=True),
+                             [0, 1, 2], w)
+        for bad in (-1, 4):
+            with pytest.raises(nc.ContractError):
+                nc.cross_entropy(x, [0, bad, 1], w)
+        # finite logits that span more than the float range: the other
+        # class's log-probability is -inf, though the loss would be 0
+        wide = Tensor(np.array([[-1e308, 1e308]]), requires_grad=True)
+        with pytest.raises(nc.NonFiniteError, match="cross_entropy"):
+            nc.cross_entropy(wide, [1], [1.0])
+        assert len(tape) == 0
 
 
 def test_operations_deterministic():

@@ -479,15 +479,17 @@ def test_decoder_and_loss_record_once_per_batch():
 
 
 def test_one_tape_entry_per_attention_block():
-    # A 4-clip batch at tiny width records 81 tape entries for glot and 52
+    # A 4-clip batch at tiny width records 75 tape entries for glot and 46
     # for the dense baseline, 97 and 72 when each attention block was five
-    # ops: each block is one attention entry, the two decoder stages'
-    # self- and cross-attention and the dense encoder's self-attention.
+    # ops and 81 and 52 when each stage's loss was four (log-softmax, pick,
+    # mul, sum): each block is one attention entry, the two decoder stages'
+    # self- and cross-attention and the dense encoder's self-attention, and
+    # each stage's loss one cross_entropy entry.
     rng = np.random.default_rng(40)
     frames = [rng.normal(size=(n, 5)) for n in (3, 7, 5, 8)]
     gloss = [[5, 6], [6, 5, 6, 5], [5], [6, 6]]
     text = [[5, 7, 9], [8], [10, 6, 7, 5], [7, 8]]
-    for kind, entries, blocks in (("glot", 81, 4), ("dense_baseline", 52, 5)):
+    for kind, entries, blocks in (("glot", 75, 4), ("dense_baseline", 46, 5)):
         cfg = GlotConfig.tiny(max_frames=32, feat_dim=5, encoder_kind=kind)
         model = GlotModel(cfg, seed=3)
         with Tape() as tape:
@@ -495,6 +497,7 @@ def test_one_tape_entry_per_attention_block():
             ops = [bw.__qualname__.split(".")[0] for _, _, bw in tape._entries]
         assert len(ops) == entries
         assert ops.count("attention") == blocks
+        assert ops.count("cross_entropy") == 2
 
 
 def test_long_clip_training_run_is_pinned(tmp_path):
