@@ -518,9 +518,10 @@ def build_mask(length: int) -> np.ndarray:
 # shifted kernel's per-distance loop of small array calls. Forward plus
 # backward of 5 stacked layers at d_b = 8 (the fused offset op against
 # two matmul projections and masked-dense attention), one BLAS thread on
-# a 2-vCPU Xeon, two runs: offset/dense time is about 2.0 at L = 32,
-# 1.4-1.5 at L = 64, 1.15-1.2 at L = 96, 0.6-0.75 at L = 128 and 0.35-0.4
-# at L = 192.
+# a 2-vCPU Xeon, two runs, with the flat per-distance products: offset/
+# dense time is about 2.1 at L = 32, 1.4-1.45 at L = 64, 1.07-1.08 at
+# L = 96, 0.63-0.66 at L = 128 and 0.26-0.27 at L = 192. Moving the
+# constant would change the bits of clips of the lengths it crosses.
 OFFSET_MIN_LENGTH = 128
 
 
@@ -536,12 +537,14 @@ def offset_attention(x: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
     build_mask(L). From there up the shifted kernel takes each distance
     as one shifted block of rows: its scores are the row-wise dot products
     of q[delta:] with k[:L - delta], row j of a (K, L) weight array, and
-    the output and every gradient add K shifted products, so time grows
-    as L*K and nothing larger than the weights is built or kept; backward
-    projects q and k again. Either way x gets three gradients, the
-    values' term, the keys', then the queries', which the tape adds in
-    the order of the backward pass of two matmul projections and
-    attention over them: the dense kernel equals that chain to the bit.
+    the output and every gradient add K shifted products, each one flat
+    (L - delta, d) block of spread weights times shifted rows, so time
+    grows as L*K and nothing larger than the weights and two such blocks
+    is built or kept; backward projects q and k again. Either way x gets
+    three gradients, the values' term, the keys', then the queries',
+    which the tape adds in the order of the backward pass of two matmul
+    projections and attention over them: the dense kernel equals that
+    chain to the bit.
     """
     if (x.data.ndim != 2 or not x.shape[0] or w_q.data.ndim != 2
             or w_k.shape != w_q.shape or w_q.shape[0] != x.shape[1]):
@@ -567,7 +570,7 @@ def offset_attention(x: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
         alpha -= np.maximum.reduce(alpha, axis=0)
         np.exp(alpha, out=alpha)
         alpha /= np.add.reduce(alpha, axis=0)
-        out = _shifted_sum(alpha, xd, offsets)
+        out, _ = _shifted_sum(alpha, offsets, gather=xd)
 
         def grads(g):
             ds = np.zeros_like(alpha)
@@ -577,9 +580,8 @@ def offset_attention(x: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
             ds -= np.add.reduce(ds * alpha, axis=0)
             ds *= alpha
             ds *= c
-            return (_shifted_sum(ds, xd @ wk, offsets),
-                    _shifted_sum(ds, xd @ wq, offsets, scatter=True),
-                    _shifted_sum(alpha, g, offsets, scatter=True))
+            dq, dk = _shifted_sum(ds, offsets, xd @ wk, xd @ wq)
+            return dq, dk, _shifted_sum(alpha, offsets, scatter=g)[1]
 
     def bw(g):
         dq, dk, dv = grads(g)
@@ -588,20 +590,30 @@ def offset_attention(x: Tensor, w_q: Tensor, w_k: Tensor) -> Tensor:
     return _record(out, "offset_attention", (x, x, x, w_q, w_k), bw)
 
 
-def _shifted_sum(w: np.ndarray, x: np.ndarray, offsets: tuple[int, ...],
-                 scatter: bool = False) -> np.ndarray:
-    """The sum over j of x's rows shifted by delta = offsets[j] and
-    weighted by w[j] (K, L): row p adds w[j, p] * x[p - delta], or, to
-    scatter, row p - delta adds w[j, p] * x[p]. Weights of p < delta are
-    not read."""
-    L = x.shape[0]
-    out = np.zeros(x.shape)
+def _shifted_sum(w: np.ndarray, offsets: tuple[int, ...],
+                 gather: np.ndarray | None = None,
+                 scatter: np.ndarray | None = None) -> tuple:
+    """The sums over j of rows shifted by delta = offsets[j] and weighted
+    by w[j] (K, L), as (gathered, scattered), None for an operand not
+    given: gathered row p adds w[j, p] * gather[p - delta], scattered row
+    p - delta adds w[j, p] * scatter[p]. Weights of p < delta are not
+    read. Each distance's weights are spread once into one contiguous
+    (L - delta, d) block that both operands' products take, so they are
+    flat loops rather than (n, 1) x (n, d) broadcasts: the same products
+    and sums, in the same order, with at most two such blocks alive."""
+    x = gather if gather is not None else scatter
+    L, d = x.shape
+    gathered = None if gather is None else np.zeros(x.shape)
+    scattered = None if scatter is None else np.zeros(x.shape)
+    product = np.empty(x.shape)
     for j, delta in enumerate(offsets):
-        if scatter:
-            out[:L - delta] += w[j, delta:, None] * x[delta:]
-        else:
-            out[delta:] += w[j, delta:, None] * x[:L - delta]
-    return out
+        n = L - delta
+        wx = w[j, delta:].repeat(d).reshape(n, d)
+        if gather is not None:
+            gathered[delta:] += np.multiply(wx, gather[:n], out=product[:n])
+        if scatter is not None:
+            scattered[:n] += np.multiply(wx, scatter[delta:], out=wx)
+    return gathered, scattered
 
 
 # ---------------------------------------------------------------------------

@@ -327,6 +327,91 @@ def test_offset_attention_tape_holds_no_gather():
     assert held < depth * (L * d + K * L + L * d) * 8, held
 
 
+def broadcast_shifted_sum(w, offsets, gather=None, scatter=None):
+    # The shifted kernel's sums as an (n, 1) x (n, d) broadcast per
+    # distance: the reference its flat row-block form must equal in bytes.
+    sums = []
+    for x in (gather, scatter):
+        out = None if x is None else np.zeros(x.shape)
+        for j, delta in enumerate(offsets if x is not None else ()):
+            n = x.shape[0] - delta
+            if x is scatter:
+                out[:n] += w[j, delta:, None] * x[delta:]
+            else:
+                out[delta:] += w[j, delta:, None] * x[:n]
+        sums.append(out)
+    return tuple(sums)
+
+
+@pytest.mark.parametrize("d", [1, 3, 8])
+@pytest.mark.parametrize("L", [128, 129, 300, 737])
+def test_shifted_sum_bytes_equal_the_broadcast_loop(L, d):
+    rng = np.random.default_rng(L * 10 + d)
+    offsets = nc.log_sparse_offsets(L)
+    w = rng.normal(size=(len(offsets), L))
+    w[rng.random(w.shape) < 0.2] = 0.0
+    x, y = rng.normal(size=(2, L, d))
+    x[rng.random(x.shape) < 0.2] = -0.0
+    for operands in ({"gather": x}, {"scatter": x},
+                     {"gather": x, "scatter": y}):
+        got = nc._shifted_sum(w, offsets, **operands)
+        ref = broadcast_shifted_sum(w, offsets, **operands)
+        for a, b in zip(got, ref):
+            assert (a is None) == (b is None)
+            if a is not None:
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_offset_attention_bytes_equal_under_the_broadcast_loop(monkeypatch):
+    # The output and the five gradients the tape entry hands back (the
+    # values', keys' and queries' terms of x, then w_q's and w_k's) are
+    # byte-equal with the broadcast reference in place of _shifted_sum.
+    L, d = 200, 8
+    assert L >= nc.OFFSET_MIN_LENGTH
+    rng = np.random.default_rng(L)
+    x, wq, wk = (Tensor(rng.normal(size=s) / 3, requires_grad=True)
+                 for s in ((L, d), (d, d), (d, d)))
+    g = rng.normal(size=(L, d))
+
+    def run():
+        with Tape() as tape:
+            out = nc.offset_attention(x, wq, wk)
+        (_, _, backward_fn), = tape._entries
+        return [out.data, *backward_fn(g)]
+
+    got = run()
+    monkeypatch.setattr(nc, "_shifted_sum", broadcast_shifted_sum)
+    ref = run()
+    assert len(got) == 6
+    for a, b in zip(got, ref):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_offset_attention_forward_and_backward_peak_holds_no_gather():
+    # One forward plus backward at L = 736, d = 8 peaked at 13.9 (L, d)
+    # arrays' worth of traced bytes, with at most two (L - delta, d) blocks
+    # alive per distance (the spread weights and one product). A (K, L, d)
+    # array of all distances' products is K = 11 such arrays more, so the
+    # bound of 16 rules it out.
+    L, d = 736, 8
+    rng = np.random.default_rng(0)
+    x, wq, wk = (Tensor(rng.normal(size=s) / 3, requires_grad=True)
+                 for s in ((L, d), (d, d), (d, d)))
+    w = Tensor(rng.normal(size=(L, d)))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        with Tape() as tape:
+            loss = nc.tsum(nc.mul(nc.offset_attention(x, wq, wk), w))
+        tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert x.grad is not None and wk.grad is not None
+    assert peak < 16 * L * d * 8, peak
+
+
 def test_layer_norm_constant_vector_is_zero():
     out = nc.layer_norm(Tensor([4.0, 4.0, 4.0]), Tensor(np.ones(3)),
                         Tensor(np.zeros(3)), Tensor(np.zeros(3)))
