@@ -44,10 +44,10 @@ def main():
 
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(L, d)))
-    params = [sa.LssaParams(Tensor(rng.normal(size=(d, d)) / math.sqrt(d)),
-                            Tensor(rng.normal(size=(d, d)) / math.sqrt(d)))
+    layers = [(Tensor(rng.normal(size=(d, d)) / math.sqrt(d)),
+               Tensor(rng.normal(size=(d, d)) / math.sqrt(d)))
               for _ in range(depth)]
-    out = sa.stacked_lssa(x, params, mask)
+    out = sa.stacked_lssa(x, layers, mask)
     print(f"stacked output shape: {out.data.shape}, "
           f"pairs scored: {depth * int(mask.sum())} "
           f"(dense would score {depth * L * L})")

@@ -40,7 +40,7 @@ def _load_config_file(path: str, known: set[str]) -> dict[str, tuple]:
     if not p.exists():
         raise UsageError(f"config file not found: {path}")
     values = {}
-    for ln, line in enumerate(dataio.read_utf8(p).splitlines(), 1):
+    for ln, line in enumerate(dataio.read_lines(p), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -149,7 +149,7 @@ def _log_appender(log_path):
     """training.train's per-epoch hook for a run's log file log_path(report):
     each epoch's line is written as the epoch ends, the summary line after
     the last, so a run that stops early keeps the epochs it finished. The
-    first epoch truncates the file; a whole run writes report.log_text()."""
+    first epoch truncates the file."""
     def on_epoch(report, last: bool) -> None:
         lines = [report.epochs[-1].line()]
         if last:

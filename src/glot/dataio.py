@@ -12,6 +12,7 @@ manifest's directory.
 from __future__ import annotations
 
 import codecs
+import re
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -165,24 +166,25 @@ def write_manifest(path: Path | str, entries: list[ManifestEntry]) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_utf8(path: Path | str) -> str:
-    """The text of a UTF-8 file, less one leading byte-order mark;
-    FormatError, naming the file and line, if it holds a byte sequence
-    that is not UTF-8."""
+def read_lines(path: Path | str) -> list[str]:
+    """The lines of a UTF-8 file, less one leading byte-order mark, split
+    at CRLF, CR or LF only: a field may hold U+2028, a form feed or any
+    other break of str.splitlines(). FormatError, naming the file and
+    line, if it holds a byte sequence that is not UTF-8."""
     blob = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
-        return blob.decode("utf-8")
+        text = blob.decode("utf-8")
     except UnicodeDecodeError as e:
-        line = blob.count(b"\n", 0, e.start) + 1
+        line = len(re.split(rb"\r\n|\r|\n", blob[:e.start]))
         raise FormatError(f"{path}:{line}: not UTF-8 text") from None
+    return re.split(r"\r\n|\r|\n", text)
 
 
 def read_manifest(path: Path | str) -> Manifest:
     path = Path(path)
     entries = []
     seen = set()
-    for ln, line in enumerate(read_utf8(path).splitlines(), 1):
-        line = line.strip("\n")
+    for ln, line in enumerate(read_lines(path), 1):
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         parts = line.split("\t")

@@ -198,7 +198,8 @@ class StepWeights(NamedTuple):
     stand side by side as [wq|wk|wv], and the cross-attention's key and
     value weights as [wk|wv], so one matmul projects each: on float64
     BLAS the column blocks of x @ [A|B] equal x @ A and x @ B to the bit.
-    Each norm is its (gain, bias)."""
+    Each norm is its (gain, bias). Kept: three separate projections cut
+    tiny_learn's decode_tokens_per_s 2.4% (set2-width steps took 0.91x)."""
     embed: np.ndarray
     self_qkv: np.ndarray
     self_wo: np.ndarray
@@ -218,24 +219,22 @@ class StepWeights(NamedTuple):
 
 class DecoderCache:
     """Decoder state carried across the steps of one greedy stage, for a
-    group of sequences decoded in lockstep (a lone sequence is a group of
-    one).
+    group of sequences decoded in lockstep (a lone sequence is a group of 1).
 
-    A cache serves one stage over one memory: one memory Tensor for a
-    lone sequence, or a list of them, one per sequence. Its first step
-    records the stage and the memory object, fetches the stage's
-    StepWeights and projects the memory's cross-attention keys and values
-    once; a later step with another stage or another memory raises
-    ContractError before it does any work. Keys and values are kept split
-    into heads as the attention kernel takes them: keys as (B*H, d/H,
-    rows), values as (B*H, rows, d/H), rows b*H .. b*H + H-1 of the
-    leading axis being sequence b's heads, so that the kernel runs on the
-    3-D stacks of a lone sequence whatever B is. The cross-attention ones
-    are zero-padded to the group's longest memory, and cross_hide
-    (B*H, 1, rows), true on each sequence's padding and built once per
-    stage, keeps the padding out of the softmax; it is None when no
-    sequence is padded. The self-attention keys and values grow by one
-    position per step, stored only once the step's check passes;
+    A cache serves one stage over one list of memories, one Tensor per
+    sequence. Its first step records the stage and the list object,
+    fetches the stage's StepWeights and projects each memory's
+    cross-attention keys and values once; a later step with another stage
+    or another list raises ContractError before it does any work. Keys and
+    values are kept split into heads as the attention kernel takes them:
+    keys as (B*H, d/H, rows), values as (B*H, rows, d/H), rows b*H ..
+    b*H+H-1 of the leading axis being sequence b's heads, so that the
+    kernel runs on the 3-D stacks of a lone sequence whatever B is. The
+    cross-attention ones are zero-padded to the group's longest memory,
+    and cross_hide (B*H, 1, rows), true on each sequence's padding and
+    built once per stage, keeps the padding out of the softmax; it is None
+    when no sequence is padded. The self-attention keys and values grow by
+    one position per step, stored only once the step's check passes;
     keep_only drops finished sequences from every cached array. All are
     None before the first step. They are plain arrays, so a cached step
     records no gradient: the cache is for inference.
@@ -244,7 +243,7 @@ class DecoderCache:
     def __init__(self):
         self.start = 0      # positions already decoded
         self.stage: str | None = None
-        self.memory: Tensor | list[Tensor] | None = None
+        self.memory: list[Tensor] | None = None
         self.weights: StepWeights | None = None
         self.self_kv: tuple[np.ndarray, np.ndarray] | None = None
         self.cross_kv: tuple[np.ndarray, np.ndarray] | None = None
@@ -385,15 +384,15 @@ class GlotModel:
         """Positional rows 0 .. n-1 for each n in lengths, stacked as the
         rows of sequences packed one after another."""
         table = self._sinusoids(max(lengths))
+        # a fork kept for its cost: see numcore._clip_sums
         if len(lengths) == 1:
             return Tensor(table)
         return Tensor(np.concatenate([table[:n] for n in lengths]))
 
     def _mha(self, prefix: str, xq: Tensor, xkv: Tensor,
-             causal: bool = False,
-             blocks: list[tuple[int, int]] | None = None) -> Tensor:
-        """Multi-head attention, causal or over every key, one nc.attention
-        op; blocks make the pattern block-diagonal."""
+             blocks: list[tuple[int, int]], causal: bool = False) -> Tensor:
+        """Multi-head attention over the block-diagonal pattern of blocks,
+        causal or over every key of a block, one nc.attention op."""
         w = (self.params[prefix + n] for n in ("wq", "wk", "wv", "wo"))
         return nc.attention(xq, xkv, *w, causal, self.config.n_heads, blocks)
 
@@ -446,7 +445,7 @@ class GlotModel:
         conv_out = nc.conv1d_same(x1, p[pre + "conv_w"], p[pre + "conv_b"],
                                   lengths)
 
-        layers = [sa.LssaParams(p[pre + f"lssa{j}.wq"], p[pre + f"lssa{j}.wk"])
+        layers = [(p[pre + f"lssa{j}.wq"], p[pre + f"lssa{j}.wk"])
                   for j in range(self.config.lssa_depth)]
         lssa_out = nc.concat_rows(*[
             sa.stacked_lssa(nc.slice_rows(x2, s, s + F), layers,
@@ -464,7 +463,7 @@ class GlotModel:
         """The transformer block over clips of these row counts packed in
         x; self-attention stays within each clip."""
         pre = "enc0."
-        attn = self._mha(pre + "attn.", x, x, blocks=[(F, F) for F in lengths])
+        attn = self._mha(pre + "attn.", x, x, [(F, F) for F in lengths])
         x = self._norm(pre + "attn_norm", x, self._dropout(attn))
         ff = self._feed_forward(pre, x)
         return self._norm(pre + "ff_norm", x, self._dropout(ff))
@@ -499,18 +498,17 @@ class GlotModel:
         sequence and of its memory. Without blocks, token_ids is one
         sequence from position 0 over all of memory.
 
-        With a cache (eval mode only: a step applies no dropout), the call
-        is one step of a group of sequences decoded in lockstep
-        (DecoderCache): memory is one sequence's memory Tensor, or a list
-        of them, one per sequence, and takes no blocks. token_ids holds
-        one id for each sequence the cache still decodes (on its first
-        step, one per memory; any other count raises ContractError), at
-        the position after the cache.start already decoded. Each id's row
-        alone is computed, on plain arrays, by the forward kernels of the
-        ops above, all rows at once; their keys and values join the cache,
-        and one check of all the kernels' outputs names the first
-        non-finite one by its op. The B x vocab logits, one row per id,
-        come back as a Tensor that records nothing.
+        With a cache (eval mode only: a step applies no dropout), the call is
+        one step of a group of sequences decoded in lockstep (DecoderCache):
+        memory is the list of the sequences' memories, and the call takes no
+        blocks. token_ids holds one id for each sequence the cache still
+        decodes (on its first step, one per memory; any other count raises
+        ContractError), at the position after the cache.start already decoded.
+        Each id's row alone is computed, on plain arrays, by the forward
+        kernels of the ops above, all rows at once; their keys and values join
+        the cache, and one check of all the kernels' outputs names the first
+        non-finite one by its op. The B x vocab logits, one row per id, come
+        back as a Tensor that records nothing.
         """
         if stage not in ("gloss", "text"):
             raise nc.ConfigError(f"unknown decoder stage {stage!r}")
@@ -526,15 +524,13 @@ class GlotModel:
             if self.training:
                 raise nc.ContractError("a cached decoder step applies no "
                                        "dropout; it runs in eval mode only")
-            if cache.stage is None:
-                n = 1 if isinstance(memory, Tensor) else len(memory)
-            elif stage != cache.stage or memory is not cache.memory:
+            if cache.stage is not None and (stage != cache.stage
+                                            or memory is not cache.memory):
                 raise nc.ContractError(
                     f"a decoder cache serves one stage over one memory: "
                     f"this one serves the {cache.stage} stage over the "
                     f"memory of its first step")
-            else:
-                n = cache.size
+            n = len(memory) if cache.stage is None else cache.size
             if len(token_ids) != n or not n:
                 raise nc.ContractError(
                     f"a cached decoder step takes one token id per sequence "
@@ -555,9 +551,9 @@ class GlotModel:
         h = nc.add(h, self._pe(lengths))
         h = self._dropout(h)
         pre = f"dec_{stage}0."
-        attn = self._mha(pre + "self.", h, h, True, self_blocks)
+        attn = self._mha(pre + "self.", h, h, self_blocks, causal=True)
         h = self._norm(pre + "self_norm", h, self._dropout(attn))
-        attn = self._mha(pre + "cross.", h, memory, blocks=blocks)
+        attn = self._mha(pre + "cross.", h, memory, blocks)
         h = self._norm(pre + "cross_norm", h, self._dropout(attn))
         ff = self._feed_forward(pre, h)
         h = self._norm(pre + "ff_norm", h, self._dropout(ff))
@@ -582,9 +578,8 @@ class GlotModel:
             (arr("ff_norm_g"), arr("ff_norm_b")),
             p[f"out_{stage}.w"].data, p[f"out_{stage}.b"].data)
 
-    def _decoder_step(self, memory: Tensor | list[Tensor],
-                      token_ids: list[int], stage: str,
-                      cache: DecoderCache) -> Tensor:
+    def _decoder_step(self, memories: list[Tensor], token_ids: list[int],
+                      stage: str, cache: DecoderCache) -> Tensor:
         """decoder_forward with a cache for one token per sequence: the
         ops' forward arithmetic on one row per sequence, in the taped
         path's order. A row may see every cached key of its own sequence:
@@ -599,11 +594,10 @@ class GlotModel:
         H, d = self.config.n_heads, self.config.d_model
         if cache.weights is None:
             w = self._stage_weights(stage)
-            memories = [memory] if isinstance(memory, Tensor) else memory
             kt, vh, cache.cross_hide = _cross_heads(
                 [m.data for m in memories], w.cross_kv, H)
             cache.cross_kv = (kt, vh)
-            cache.stage, cache.memory, cache.weights = stage, memory, w
+            cache.stage, cache.memory, cache.weights = stage, memories, w
             cache.size = len(memories)
         w, t, B = cache.weights, cache.start, len(token_ids)
         # one row per sequence splits into its heads, and merges back, by
@@ -851,14 +845,22 @@ def load_checkpoint(path: Path | str) -> GlotModel:
             config = GlotConfig(**settings)
         except ConfigError as e:
             raise CheckpointError(f"{path}: {e}") from None
-        vocabs = [header.get(key) for key in ("gloss_vocab", "text_vocab")]
-        for key, vocab in zip(("gloss_vocab", "text_vocab"), vocabs):
-            if vocab is not None and not (isinstance(vocab, list) and all(
-                    isinstance(t, str) for t in vocab)):
+        vocabs = []
+        for key, ids in (("gloss_vocab", config.gloss_vocab_size),
+                         ("text_vocab", config.text_vocab_size)):
+            tokens = header.get(key)
+            if tokens is not None and not (isinstance(tokens, list) and all(
+                    isinstance(t, str) for t in tokens)):
                 raise CheckpointError(
                     f"{path}: {key} is not a list of strings")
-        gloss_vocab, text_vocab = (None if v is None else Vocabulary(v)
-                                   for v in vocabs)
+            try:
+                vocabs.append(None if tokens is None else Vocabulary(tokens))
+            except DataError as e:
+                raise CheckpointError(f"{path}: {key}: {e}") from None
+            if tokens is not None and len(vocabs[-1]) != ids:
+                raise CheckpointError(f"{path}: {key} size {len(vocabs[-1])} "
+                                      f"differs from config {key}_size={ids}")
+        gloss_vocab, text_vocab = vocabs
         # Each record is checked against the spec the config implies, its
         # bytes first, so that no more is allocated than the file holds.
         params: dict[str, Tensor] = {}

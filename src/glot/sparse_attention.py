@@ -11,20 +11,12 @@ re-exported here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import numcore as nc
 from .numcore import (ContractError, DomainError, Tensor, build_mask,
                        log_sparse_offsets)
-
-
-@dataclass
-class LssaParams:
-    """Query/key projections of one attention layer (no value projection)."""
-    w_q: Tensor
-    w_k: Tensor
 
 
 def log_index_set(p: int) -> tuple[int, ...]:
@@ -55,14 +47,14 @@ def count_attention_pairs(length: int, mode: str) -> int:
     raise DomainError(f"unknown mode {mode!r}")
 
 
-def stacked_lssa(x: Tensor, layer_params: list[LssaParams],
+def stacked_lssa(x: Tensor, layers: list[tuple[Tensor, Tensor]],
                  mask: np.ndarray) -> Tensor:
     """Sequential log-sparse layers over x, one numcore.offset_attention
-    op each; depth ceil(log2 F) makes the stacked receptive field fully
-    causal. mask must equal build_mask of x's length, or ContractError is
-    raised; the layers work out the pattern themselves, and the mask
-    stays for the bench's pair probe."""
-    if not layer_params:
+    op per (w_q, w_k) pair; depth ceil(log2 F) makes the stacked receptive
+    field fully causal. mask must equal build_mask of x's length, or
+    ContractError is raised; the layers work out the pattern themselves,
+    and the mask stays for the bench's pair probe."""
+    if not layers:
         raise nc.ConfigError("stacked_lssa requires at least one layer")
     L = x.shape[0]
     expected = build_mask(L)
@@ -70,8 +62,8 @@ def stacked_lssa(x: Tensor, layer_params: list[LssaParams],
         raise ContractError(f"stacked_lssa: the mask must equal "
                             f"build_mask({L}), the log-sparse mask of x")
     out = x
-    for params in layer_params:
-        out = nc.offset_attention(out, params.w_q, params.w_k)
+    for w_q, w_k in layers:
+        out = nc.offset_attention(out, w_q, w_k)
     return out
 
 

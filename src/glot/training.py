@@ -105,10 +105,6 @@ class FoldReport:
         return (f"summary fold={self.fold_index} best_epoch={self.best_epoch} "
                 f"best_bleu4={self.best_bleu4:.6f}")
 
-    def log_text(self) -> str:
-        lines = [e.line() for e in self.epochs] + [self.summary_line()]
-        return "\n".join(lines) + "\n"
-
 
 # ---------------------------------------------------------------------------
 # loss

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -558,6 +559,29 @@ def test_bom_then_non_utf8_manifest_names_its_line(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_config_file_lines_end_at_crlf_and_cr(tmp_path, end):
+    keys = set(cli.COMMANDS["train"][2])
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(end.join(["# run", "epochs=2", "out=a", ""]).encode())
+    assert cli._load_config_file(str(cfg), keys) == {"epochs": (2, "2"),
+                                                     "out": (3, "a")}
+    cfg.write_bytes(end.join(["epochs=2", "", "bogus=1"]).encode())
+    with pytest.raises(cli.UsageError,
+                       match=f"^{re.escape(str(cfg))}:3: unknown config key"):
+        cli._load_config_file(str(cfg), keys)
+
+
+@pytest.mark.parametrize("ch", ["\x0c", "\x85", "\u2028"],
+                         ids=["U+000C", "U+0085", "U+2028"])
+def test_config_value_holds_a_unicode_line_separator(tmp_path, ch):
+    # str.splitlines() would break the line there
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"epochs=2\nout=a{ch}b\n", encoding="utf-8")
+    assert cli._load_config_file(str(cfg), set(cli.COMMANDS["train"][2])) \
+        == {"epochs": (1, "2"), "out": (2, f"a{ch}b")}
+
+
 def test_config_file_values_inside_choices_accepted(tmp_path, capsys):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text("hparams=set1\nencoder=dense\n")
@@ -621,6 +645,20 @@ def _with_int_vocab(blob: bytes) -> bytes:
     return _edit_header(blob, lambda h: h.update(gloss_vocab=5))
 
 
+def _with_one_more_gloss(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h["gloss_vocab"].append("extra"))
+
+
+def _with_duplicate_gloss(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h["gloss_vocab"].__setitem__(
+        1, h["gloss_vocab"][0]))
+
+
+def _with_reserved_gloss(blob: bytes) -> bytes:
+    return _edit_header(blob, lambda h: h["gloss_vocab"].__setitem__(
+        0, "<eos>"))
+
+
 def _with_zero_heads(blob: bytes) -> bytes:
     return _edit_header(blob, lambda h: h["config"].update(n_heads=0))
 
@@ -662,6 +700,10 @@ def _header_only_1024_wide(blob: bytes) -> bytes:
     (_header_only_1024_wide, "bytes of parameters, 0 follow the header"),
     (_with_two_decoders, "config n_decoders=2 is not supported"),
     (_with_negative_lssa_depth, "n_lssa_layers must be >= 0"),
+    (_with_one_more_gloss, "differs from config gloss_vocab_size="),
+    (_with_duplicate_gloss, "gloss_vocab: duplicate tokens in vocabulary"),
+    (_with_reserved_gloss,
+     "gloss_vocab: corpus token collides with reserved '<eos>'"),
 ])
 def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, expected):
     manifest = dataio.synth_generate(0, 4, 3, 5, 0.0, tmp_path / "d")
@@ -679,7 +721,7 @@ def test_eval_malformed_checkpoint_exits_2(tmp_path, capsys, corrupt, expected):
     code, _, err = run(capsys, argv)
     assert code == 2
     [msg] = err.splitlines()
-    assert msg.startswith("error: ") and expected in msg
+    assert msg.startswith(f"error: {ckpt}: ") and expected in msg
 
 
 def test_train_is_byte_reproducible_at_a_fixed_blas_thread_count(tmp_path):

@@ -1,3 +1,5 @@
+import dataclasses
+import re
 import struct
 
 import numpy as np
@@ -106,6 +108,44 @@ def test_manifest_rejects_duplicates_and_bad_split(tmp_path):
         dataio.read_manifest(path)
     path.write_text("a\tp\tg\tt\tvalidation\n")
     with pytest.raises(dataio.FormatError, match="split"):
+        dataio.read_manifest(path)
+
+
+# The characters str.splitlines() breaks at beyond \n and \r: a manifest
+# or config line holds them, and str.split() splits tokens at them.
+NOT_LINE_ENDS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028",
+                 "\u2029"]
+
+
+@pytest.mark.parametrize("ch", NOT_LINE_ENDS, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_manifest_text_field_holds_a_unicode_line_separator(tmp_path, ch):
+    manifest = dataio.synth_generate(0, 4, 3, 5, 0.0, tmp_path)
+    want = manifest.load_samples()
+    entries = [dataclasses.replace(e, text=e.text.replace(" ", ch, 1))
+               for e in manifest.entries]
+    path = tmp_path / "manifest.tsv"
+    dataio.write_manifest(path, entries)
+    back = dataio.read_manifest(path)
+    assert back.entries == entries and ch in back.entries[0].text
+    assert [s.text for s in back.load_samples()] == [s.text for s in want]
+
+
+@pytest.mark.parametrize("end", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+def test_crlf_and_cr_manifests_load_and_name_their_lines(tmp_path, end):
+    manifest = dataio.synth_generate(0, 4, 3, 5, 0.0, tmp_path)
+    path = tmp_path / "manifest.tsv"
+    lines = path.read_bytes().split(b"\n")
+    path.write_bytes(end.join(lines))
+    assert dataio.read_manifest(path).entries == manifest.entries
+    lines[2] = lines[2].rsplit(b"\t", 1)[0] + b"\tvalidation"
+    path.write_bytes(end.join(lines))
+    with pytest.raises(dataio.FormatError,
+                       match=f"^{re.escape(str(path))}:3: unknown split tag"):
+        dataio.read_manifest(path)
+    lines[2] = lines[2].replace(b"sign", b"s\xffgn", 1)
+    path.write_bytes(end.join(lines))
+    with pytest.raises(dataio.FormatError,
+                       match=f"^{re.escape(str(path))}:3: not UTF-8 text$"):
         dataio.read_manifest(path)
 
 

@@ -55,13 +55,13 @@ def test_stacked_lssa_gradients_above_crossover():
     assert L >= nc.OFFSET_MIN_LENGTH
     rng = np.random.default_rng(13)
     x = Tensor(rng.normal(size=(L, d)), requires_grad=True)
-    layers = [sa.LssaParams(*(Tensor(rng.normal(size=(d, d)),
-                                     requires_grad=True) for _ in range(2)))
+    layers = [tuple(Tensor(rng.normal(size=(d, d)), requires_grad=True)
+                    for _ in range(2))
               for _ in range(2)]
     w = Tensor(rng.normal(size=(L, d)))
     wrt = {"x": x}
-    for j, p in enumerate(layers):
-        wrt.update({f"lssa{j}.wq": p.w_q, f"lssa{j}.wk": p.w_k})
+    for j, (w_q, w_k) in enumerate(layers):
+        wrt.update({f"lssa{j}.wq": w_q, f"lssa{j}.wk": w_k})
     checks = nc.grad_check(
         lambda: nc.tsum(nc.mul(sa.stacked_lssa(x, layers, sa.build_mask(L)),
                                w)), wrt)

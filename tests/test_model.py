@@ -219,7 +219,7 @@ def test_dense_uniform_attention_oracle():
     m.params["enc0.attn.wo"].data = np.eye(8)
     rng = np.random.default_rng(9)
     x = rng.normal(size=(5, 8))
-    out = m._mha("enc0.attn.", Tensor(x), Tensor(x)).data
+    out = m._mha("enc0.attn.", Tensor(x), Tensor(x), [(5, 5)]).data
     assert np.allclose(out, np.tile(x.mean(axis=0), (5, 1)), atol=1e-12)
 
 
@@ -363,17 +363,20 @@ def test_packed_decoder_rejects_a_cache():
     m = tiny_model()
     memory = m.encode([np.zeros((3, 5))])
     with pytest.raises(nc.ContractError):
-        m.decoder_forward(memory, [BOS], "gloss", DecoderCache(),
+        m.decoder_forward([memory], [BOS], "gloss", DecoderCache(),
                           blocks=[(1, 3)])
 
 
 def test_cached_step_takes_one_token_per_memory_of_a_list():
     # A cached step over a list of memories decodes one sequence per
     # memory: one token id each, and on later steps one per sequence the
-    # cache still decodes; the list is the memory the cache serves.
+    # cache still decodes; the list is the memory the cache serves. A lone
+    # memory Tensor is no list, and fails as any other wrong type does.
     m = tiny_model()
     memories = [m.encode([np.zeros((n, 5))]) for n in (1, 2)]
     cache = DecoderCache()
+    with pytest.raises(TypeError):
+        m.decoder_forward(memories[0], [BOS], "gloss", cache)
     for ids in ([BOS], [BOS] * 3):
         with pytest.raises(nc.ContractError, match="2 expected"):
             m.decoder_forward(memories, ids, "gloss", cache)
@@ -582,13 +585,13 @@ def test_checkpoint_rejects_corruption(tmp_path):
         load_checkpoint(path)
 
 
-def _rewrite_checkpoint(path, edit, keep_params=True):
-    """Apply edit() to the checkpoint's JSON header; optionally drop every
-    parameter record after it."""
+def _rewrite_checkpoint(path, edit, keep_params=True, key="config"):
+    """Apply edit() to the key entry of the checkpoint's JSON header;
+    optionally drop every parameter record after it."""
     blob = path.read_bytes()
     (hlen,) = struct.unpack("<I", blob[12:16])
     header = json.loads(blob[16:16 + hlen])
-    edit(header["config"])
+    edit(header[key])
     text = json.dumps(header).encode()
     rest = blob[16 + hlen:] if keep_params else b""
     path.write_bytes(blob[:12] + struct.pack("<I", len(text)) + text + rest)
@@ -695,6 +698,32 @@ def test_checkpoint_with_negative_lssa_depth_rejected_before_any_record(
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit, expected", [
+    (lambda v: v.append("extra"),
+     "gloss_vocab size 8 differs from config gloss_vocab_size=7"),
+    (lambda v: v.__setitem__(1, v[0]),
+     "gloss_vocab: duplicate tokens in vocabulary"),
+    (lambda v: v.__setitem__(0, "<eos>"),
+     "gloss_vocab: corpus token collides with reserved '<eos>'"),
+], ids=["one-more-token", "duplicate", "reserved"])
+@pytest.mark.parametrize("keep_params", [True, False],
+                         ids=["whole", "header-only"])
+def test_checkpoint_vocabulary_is_checked_with_the_header(tmp_path, edit,
+                                                         expected,
+                                                         keep_params):
+    # A header-only file: had the loader read a record before the
+    # vocabularies, it would report a truncated checkpoint instead.
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(GlotModel(GlotConfig.tiny(max_frames=8, feat_dim=5),
+                              gloss_vocab=dataio.Vocabulary(["a", "b"]),
+                              text_vocab=dataio.Vocabulary(list("cdefgh"))),
+                    path)
+    _rewrite_checkpoint(path, edit, keep_params, key="gloss_vocab")
+    with pytest.raises(CheckpointError) as err:
+        load_checkpoint(path)
+    assert str(err.value) == f"{path}: {expected}"
+
+
 def test_checkpoint_load_peak_is_about_one_file(tmp_path):
     # Each record is read from the file straight into its own array, so a
     # load holds about one file's worth of bytes, not the file and a copy.
@@ -743,14 +772,14 @@ def test_cached_steps_match_full_prefix(kind):
                        ("text", m._gloss_memory(memory, [6], [[5, 6, 5]]))):
         vocab = m._stage_vocab_size(stage)
         ids = [BOS] + [int(t) for t in rng.integers(5, vocab, size=L - 1)]
-        cache = DecoderCache()
+        cache, mems = DecoderCache(), [mem]
         for t in range(L):
-            step = m.decoder_forward(mem, ids[t:t + 1], stage, cache).data
+            step = m.decoder_forward(mems, ids[t:t + 1], stage, cache).data
             full = m.decoder_forward(mem, ids[:t + 1], stage).data
             assert step.shape == (1, vocab) and cache.start == t + 1
             assert np.max(np.abs(step[0] - full[-1])) <= 1e-12, (stage, t)
         with pytest.raises(DataError):  # the cache counts toward the limit
-            m.decoder_forward(mem, [BOS], stage, cache)
+            m.decoder_forward(mems, [BOS], stage, cache)
 
 
 @pytest.mark.parametrize("kind", ["glot", "dense_baseline"])
@@ -765,7 +794,7 @@ def test_first_cached_step_bit_equal_to_taped_one_token(kind, d_model,
     memory = m.encode([np.random.default_rng(29).normal(size=(6, 5))])
     for stage, mem in (("gloss", memory),
                        ("text", m._gloss_memory(memory, [6], [[5, 6]]))):
-        step = m.decoder_forward(mem, [BOS], stage, DecoderCache()).data
+        step = m.decoder_forward([mem], [BOS], stage, DecoderCache()).data
         full = m.decoder_forward(mem, [BOS], stage).data
         assert step.shape == full.shape == (1, m._stage_vocab_size(stage))
         assert np.array_equal(step, full), stage
@@ -777,7 +806,7 @@ def test_cached_step_takes_exactly_one_token():
     cache = DecoderCache()
     for ids in ([], [BOS, 5]):
         with pytest.raises(nc.ContractError, match="one token"):
-            m.decoder_forward(memory, ids, "gloss", cache)
+            m.decoder_forward([memory], ids, "gloss", cache)
     assert cache.start == 0 and cache.self_kv is None
 
 
@@ -821,13 +850,13 @@ def test_cached_decoder_step_records_nothing(monkeypatch, kind):
     cache = DecoderCache()
     with nc.Tape() as tape:
         memory = m.encode([np.random.default_rng(20).normal(size=(6, 5))])
-        recorded = len(tape)
+        memories, recorded = [memory], len(tape)
         assert memory.requires_grad and recorded > 0
         spy_on_checks(monkeypatch, checked)
         monkeypatch.setattr(nc, "_hide", None)
         for t, token in enumerate([BOS, 5, 6]):
             checked.clear()
-            logits = m.decoder_forward(memory, [token], "gloss", cache)
+            logits = m.decoder_forward(memories, [token], "gloss", cache)
             expected = [("all", tuple(STEP_CHECKS))]
             if t == 0:
                 expected.insert(0, ("each", "matmul"))
@@ -857,24 +886,24 @@ def test_stacked_weights_give_bit_equal_column_blocks(d, rows):
 
 @pytest.mark.parametrize("misuse", ["other-stage", "other-memory"])
 def test_decoder_cache_serves_one_stage_over_one_memory(monkeypatch, misuse):
-    # A cache's first step binds it to its stage and its memory object. A
-    # step with the other stage, or with another memory (an equal copy
+    # A cache's first step binds it to its stage and its list of memories.
+    # A step with the other stage, or with another list (of an equal copy
     # too), raises ContractError before it checks or computes anything,
     # and leaves the cache as it was; the cache still serves its own.
     m = tiny_model()
     memory = m.encode([np.random.default_rng(31).normal(size=(6, 5))])
-    cache = DecoderCache()
-    m.decoder_forward(memory, [BOS], "gloss", cache)
+    cache, memories = DecoderCache(), [memory]
+    m.decoder_forward(memories, [BOS], "gloss", cache)
     state = (cache.start, cache.self_kv, cache.cross_kv, cache.weights)
-    stage, mem = (("text", memory) if misuse == "other-stage"
-                  else ("gloss", Tensor(memory.data.copy())))
+    stage, mem = (("text", memories) if misuse == "other-stage"
+                  else ("gloss", [Tensor(memory.data.copy())]))
     checked = []
     spy_on_checks(monkeypatch, checked)
     with pytest.raises(nc.ContractError, match="one stage over one memory"):
         m.decoder_forward(mem, [5], stage, cache)
     assert checked == []
     assert (cache.start, cache.self_kv, cache.cross_kv, cache.weights) == state
-    m.decoder_forward(memory, [5], "gloss", cache)
+    m.decoder_forward(memories, [5], "gloss", cache)
     assert cache.start == 2 and checked == [("all", tuple(STEP_CHECKS))]
 
 
@@ -890,7 +919,7 @@ def test_cached_step_reports_the_op_that_overflows():
     m.params["dec_gloss0.cross_norm_b"].data[0] = 4.0
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             nc.NonFiniteError, match="^matmul produced non-finite values$"):
-        m.decoder_forward(memory, [BOS], "gloss", DecoderCache())
+        m.decoder_forward([memory], [BOS], "gloss", DecoderCache())
 
 
 def test_cached_step_names_an_ff_matmul_that_overflows_to_minus_inf():
@@ -902,7 +931,7 @@ def test_cached_step_names_an_ff_matmul_that_overflows_to_minus_inf():
     m.params["dec_gloss0.cross_norm_b"].data[0] = 4.0
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             nc.NonFiniteError, match="^matmul produced non-finite values$"):
-        m.decoder_forward(memory, [BOS], "gloss", DecoderCache())
+        m.decoder_forward([memory], [BOS], "gloss", DecoderCache())
 
 
 def test_failed_step_leaves_the_cache_as_it_was():
@@ -912,11 +941,12 @@ def test_failed_step_leaves_the_cache_as_it_was():
     # weights are restored, it decodes the third position to the bit of an
     # untroubled cache.
     m = tiny_model()
-    memory = m.encode([np.random.default_rng(23).normal(size=(6, 5))])
+    memories = [m.encode([np.random.default_rng(23).normal(size=(6, 5))])]
     ids, clean, cache = [BOS, 5, 6], DecoderCache(), DecoderCache()
-    want = [m.decoder_forward(memory, [t], "gloss", clean).data for t in ids]
+    want = [m.decoder_forward(memories, [t], "gloss", clean).data
+            for t in ids]
     for t in ids[:2]:
-        m.decoder_forward(memory, [t], "gloss", cache)
+        m.decoder_forward(memories, [t], "gloss", cache)
     start, self_kv = cache.start, cache.self_kv
     w1 = m.params["dec_gloss0.ff.w1"].data
     bias = m.params["dec_gloss0.cross_norm_b"].data
@@ -925,11 +955,11 @@ def test_failed_step_leaves_the_cache_as_it_was():
     for err, mode in ((nc.NonFiniteError, "ignore"),
                       (FloatingPointError, "raise")):
         with np.errstate(over=mode, invalid=mode), pytest.raises(err):
-            m.decoder_forward(memory, [ids[2]], "gloss", cache)
+            m.decoder_forward(memories, [ids[2]], "gloss", cache)
         assert cache.start is start and cache.self_kv is self_kv
     w1[0, 0], bias[0] = saved
     assert np.array_equal(
-        m.decoder_forward(memory, [ids[2]], "gloss", cache).data, want[2])
+        m.decoder_forward(memories, [ids[2]], "gloss", cache).data, want[2])
     assert cache.start == 3
 
 
@@ -939,15 +969,15 @@ def test_step_failing_only_its_last_check_leaves_the_cache_as_it_was():
     # norm's output lies within sqrt(d - 1) < 3 of its bias, so a bias of
     # 4 makes the huge weight's input entry exceed 1.
     m = tiny_model()
-    memory = m.encode([np.random.default_rng(23).normal(size=(6, 5))])
+    memories = [m.encode([np.random.default_rng(23).normal(size=(6, 5))])]
     cache = DecoderCache()
-    m.decoder_forward(memory, [BOS], "gloss", cache)
+    m.decoder_forward(memories, [BOS], "gloss", cache)
     start, self_kv = cache.start, cache.self_kv
     m.params["out_gloss.w"].data[0, 0] = np.finfo(np.float64).max
     m.params["dec_gloss0.ff_norm_b"].data[0] = 4.0
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
             nc.NonFiniteError, match="^matmul produced non-finite values$"):
-        m.decoder_forward(memory, [5], "gloss", cache)
+        m.decoder_forward(memories, [5], "gloss", cache)
     assert cache.start == start and cache.self_kv is self_kv
 
 
@@ -957,7 +987,7 @@ def test_cached_step_names_a_nan_embedding_row():
     m.params["embed_gloss"].data[BOS] = np.nan
     with np.errstate(all="ignore"), pytest.raises(
             nc.NonFiniteError, match="^gather_rows produced non-finite values$"):
-        m.decoder_forward(memory, [BOS], "gloss", DecoderCache())
+        m.decoder_forward([memory], [BOS], "gloss", DecoderCache())
 
 
 def test_cached_step_names_overflowing_self_attention_scores():
@@ -970,7 +1000,7 @@ def test_cached_step_names_overflowing_self_attention_scores():
         m.params[f"dec_gloss0.{name}"].data[:] = 1e160 * np.eye(d)
     with np.errstate(all="ignore"), pytest.raises(
             nc.NonFiniteError, match="^attention produced non-finite values$"):
-        m.decoder_forward(memory, [BOS], "gloss", DecoderCache())
+        m.decoder_forward([memory], [BOS], "gloss", DecoderCache())
 
 
 def test_cached_step_names_the_projection_before_a_failing_norm(monkeypatch):
@@ -992,7 +1022,7 @@ def test_cached_step_names_the_projection_before_a_failing_norm(monkeypatch):
     monkeypatch.setattr(nc, "_norm_rows", spy)
     with np.errstate(all="ignore"), pytest.raises(
             nc.NonFiniteError, match="^matmul produced non-finite values$"):
-        m.decoder_forward(memory, [BOS], "gloss", DecoderCache())
+        m.decoder_forward([memory], [BOS], "gloss", DecoderCache())
     assert raised == ["layer_norm produced non-finite values"]
 
 
@@ -1016,9 +1046,9 @@ def test_cached_steps_are_pinned_to_the_bit():
                 memory = m.encode([frames])
                 text_memory = m._gloss_memory(memory, [n], [got.gloss_ids])
                 for stage, mem in (("gloss", memory), ("text", text_memory)):
-                    cache, token = DecoderCache(), BOS
+                    cache, token, mems = DecoderCache(), BOS, [mem]
                     for _ in range(limit):
-                        logits = m.decoder_forward(mem, [token], stage,
+                        logits = m.decoder_forward(mems, [token], stage,
                                                    cache).data
                         digest.update(logits.tobytes())
                         token = int(logits[0].argmax())
@@ -1043,9 +1073,10 @@ def test_cached_step_rejects_training_mode():
     memory = m.encode([np.zeros((3, 5))])
     m.train()
     with pytest.raises(nc.ContractError, match="eval mode"):
-        m.decoder_forward(memory, [BOS], "gloss", DecoderCache())
+        m.decoder_forward([memory], [BOS], "gloss", DecoderCache())
     m.eval()
-    assert m.decoder_forward(memory, [BOS], "gloss", DecoderCache()).shape == (1, 7)
+    assert m.decoder_forward([memory], [BOS], "gloss",
+                             DecoderCache()).shape == (1, 7)
 
 
 def test_positional_table_grows_to_the_longest_position_only():
@@ -1120,15 +1151,17 @@ def lockstep_logit_error(m, memories, fed, stage):
     sequence its lone decode's tokens and dropping it once they run out;
     the largest difference of a batched step's logits row from the same
     step of a lone cache over that sequence's memory alone."""
-    cache, lone = DecoderCache(), [DecoderCache() for _ in memories]
+    cache = DecoderCache()
+    lone = [(DecoderCache(), [mem]) for mem in memories]
     live, worst = list(range(len(memories))), 0.0
     for t in range(max(map(len, fed))):
         got = m.decoder_forward(memories, [fed[i][t] for i in live], stage,
                                 cache).data
         assert got.shape[0] == len(live) == cache.size
         for row, i in zip(got, live):
-            want = m.decoder_forward(memories[i], [fed[i][t]], stage,
-                                     lone[i]).data[0]
+            lone_cache, lone_memories = lone[i]
+            want = m.decoder_forward(lone_memories, [fed[i][t]], stage,
+                                     lone_cache).data[0]
             worst = max(worst, float(np.max(np.abs(row - want))))
         going = [t + 1 < len(fed[i]) for i in live]
         live = [i for i, go in zip(live, going) if go]

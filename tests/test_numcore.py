@@ -311,8 +311,8 @@ def test_offset_attention_tape_holds_no_gather():
     K = len(sa.log_sparse_offsets(L))
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(L, d)), requires_grad=True)
-    layers = [sa.LssaParams(*(Tensor(rng.normal(size=(d, d)) / 3,
-                                     requires_grad=True) for _ in range(2)))
+    layers = [tuple(Tensor(rng.normal(size=(d, d)) / 3, requires_grad=True)
+                    for _ in range(2))
               for _ in range(depth)]
     mask = sa.build_mask(L)
     tracemalloc.start()

@@ -67,16 +67,16 @@ def test_logsparse_count_bound():
         assert count <= L * (math.floor(math.log2(L)) + 2)
 
 
-def _random_params(rng, d):
-    return sa.LssaParams(Tensor(rng.normal(size=(d, d))),
-                         Tensor(rng.normal(size=(d, d))))
+def _random_layer(rng, d):
+    """One stacked_lssa layer: a (w_q, w_k) pair."""
+    return (Tensor(rng.normal(size=(d, d))), Tensor(rng.normal(size=(d, d))))
 
 
 def test_lssa_single_position_is_identity():
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(1, 4)))
-    params = _random_params(rng, 4)
-    out = nc.offset_attention(x, params.w_q, params.w_k)
+    params = _random_layer(rng, 4)
+    out = nc.offset_attention(x, *params)
     assert np.allclose(out.data, x.data, atol=1e-12)
 
 
@@ -106,8 +106,8 @@ def test_lssa_alpha_rows_are_normalized():
 def test_stacked_single_layer_equals_layer():
     rng = np.random.default_rng(3)
     x = Tensor(rng.normal(size=(5, 4)))
-    params = _random_params(rng, 4)
-    one = nc.offset_attention(x, params.w_q, params.w_k)
+    params = _random_layer(rng, 4)
+    one = nc.offset_attention(x, *params)
     stacked = sa.stacked_lssa(x, [params], sa.build_mask(5))
     assert np.array_equal(one.data, stacked.data)
 
@@ -120,7 +120,7 @@ def test_stacked_requires_layers():
 def test_stacked_shape_preserved():
     rng = np.random.default_rng(4)
     x = Tensor(rng.normal(size=(7, 4)))
-    layers = [_random_params(rng, 4) for _ in range(4)]
+    layers = [_random_layer(rng, 4) for _ in range(4)]
     out = sa.stacked_lssa(x, layers, sa.build_mask(7))
     assert out.shape == (7, 4)
 
@@ -204,8 +204,7 @@ def _lssa_run(x0, params, layer):
     """Output, x/w_q/w_k gradients and the tape entries of one
     layer(x, w_q, w_k) call under a weighted-sum loss."""
     x = Tensor(x0, requires_grad=True)
-    wq, wk = (Tensor(t.data, requires_grad=True)
-              for t in (params.w_q, params.w_k))
+    wq, wk = (Tensor(t.data, requires_grad=True) for t in params)
     w = Tensor(np.random.default_rng(0).normal(size=x0.shape))
     with nc.Tape() as tape:
         out = layer(x, wq, wk)
@@ -250,7 +249,7 @@ def test_lssa_layer_gathers_above_crossover():
     rng = np.random.default_rng(8)
     d = 4
     for L in (nc.OFFSET_MIN_LENGTH, nc.OFFSET_MIN_LENGTH + 9):
-        x0, params = rng.normal(size=(L, d)), _random_params(rng, d)
+        x0, params = rng.normal(size=(L, d)), _random_layer(rng, d)
         (out, grads, entries), (ref, ref_grads, _) = \
             _layer_and_masked_dense(x0, params)
         [(_, _, backward)] = entries
@@ -265,7 +264,7 @@ def test_lssa_layer_gathers_above_crossover():
 def test_lssa_layer_below_crossover_is_masked_dense():
     rng = np.random.default_rng(9)
     L, d = nc.OFFSET_MIN_LENGTH - 1, 4
-    x0, params = rng.normal(size=(L, d)), _random_params(rng, d)
+    x0, params = rng.normal(size=(L, d)), _random_layer(rng, d)
     (out, grads, entries), (ref, ref_grads, ref_entries) = \
         _layer_and_masked_dense(x0, params)
     [(_, _, backward)] = entries
@@ -285,7 +284,7 @@ def test_stacked_lssa_rejects_a_foreign_mask():
     # copy runs as build_mask itself does.
     rng = np.random.default_rng(10)
     d = 4
-    params = _random_params(rng, d)
+    params = _random_layer(rng, d)
     for L in (nc.OFFSET_MIN_LENGTH - 1, nc.OFFSET_MIN_LENGTH + 1):
         x = Tensor(rng.normal(size=(L, d)), requires_grad=True)
         flipped = sa.build_mask(L).copy()
@@ -306,7 +305,7 @@ def test_stacked_lssa_accepts_a_held_mask_after_eviction():
     # built is no longer the cached object; it still has the right pattern.
     rng = np.random.default_rng(11)
     x = Tensor(rng.normal(size=(5, 4)))
-    layers = [_random_params(rng, 4) for _ in range(3)]
+    layers = [_random_layer(rng, 4) for _ in range(3)]
     held = sa.build_mask(5)
     for L in range(6, 300):
         sa.build_mask(L)

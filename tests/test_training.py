@@ -205,7 +205,7 @@ def test_train_deterministic_and_logged(tmp_path):
     for name in m1.params:
         assert np.array_equal(m1.params[name].data, m2.params[name].data)
     assert rep1.checkpoint_path is not None
-    lines = rep1.log_text().splitlines()
+    lines = [e.line() for e in rep1.epochs] + [rep1.summary_line()]
     assert len(lines) == 3  # 2 epochs + summary
     assert lines[0].startswith("epoch=1 train_loss=")
     for key in ("bleu1=", "bleu2=", "bleu3=", "bleu4=", "lr="):
